@@ -257,6 +257,38 @@ def predictive_bf_tails_encompassing(
 _REPLICATE_FAMILIES = ("poisson", "geometric")
 
 
+def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) -> tuple[CountDataset, int]:
+    """n counts from `family` at `mean`, redrawn until the total is positive.
+
+    Attempt k draws from the fresh stream seed.child(*path, k); returns
+    the dataset and the number of all-zero sets redrawn.
+    """
+    attempt = 0
+    while True:
+        rng = Rng(seed.child(*path, attempt))
+        draw = rng.poisson if family == "poisson" else rng.geometric_mean
+        values = draw(mean, size=n)
+        if values.sum() >= 1:
+            return CountDataset(values), attempt
+        attempt += 1
+
+
+def _posterior_predictive(posterior_draws, family: str, n_obs: int, n_rep: int, seed: RngSeed):
+    """Yield (parameter, replicate) pairs: each replicate picks one
+    posterior draw uniformly, then samples a dataset of size n_obs from
+    the family at that parameter."""
+    if family not in _REPLICATE_FAMILIES:
+        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
+    draws = np.asarray(posterior_draws, dtype=float)
+    if draws.size == 0:
+        raise ValueError("posterior_draws must be non-empty")
+    rng = Rng(seed)
+    draw = rng.poisson if family == "poisson" else rng.geometric_mean
+    for _ in range(n_rep):
+        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
+        yield lam, draw(lam, size=n_obs)
+
+
 def posterior_predictive_replicate(
     posterior_draws,
     family: str,
@@ -269,20 +301,7 @@ def posterior_predictive_replicate(
     Each replicate picks one posterior draw uniformly, then samples a
     dataset of size n_obs from the family at that parameter.
     """
-    if family not in _REPLICATE_FAMILIES:
-        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
-    draws = np.asarray(posterior_draws, dtype=float)
-    if draws.size == 0:
-        raise ValueError("posterior_draws must be non-empty")
-    rng = Rng(seed)
-    out = []
-    for _ in range(n_rep):
-        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
-        if family == "poisson":
-            out.append(rng.poisson(lam, size=n_obs))
-        else:
-            out.append(rng.geometric_mean(lam, size=n_obs))
-    return out
+    return [rep for _, rep in _posterior_predictive(posterior_draws, family, n_obs, n_rep, seed)]
 
 
 def posterior_predictive_pvalue(
@@ -296,24 +315,17 @@ def posterior_predictive_pvalue(
     """P(T(X_rep, theta) >= T(x_obs, theta) | x_obs), ties counting.
 
     theta and X_rep are drawn jointly: one posterior draw, one dataset
-    from the family at that draw, per replicate.
+    from the family at that draw, per replicate.  A NaN discrepancy
+    raises ValueError.
     """
-    if family not in _REPLICATE_FAMILIES:
-        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
     obs_values = observed.values if isinstance(observed, CountDataset) else np.asarray(observed)
-    draws = np.asarray(posterior_draws, dtype=float)
-    if draws.size == 0:
-        raise ValueError("posterior_draws must be non-empty")
-    rng = Rng(seed)
-    n_obs = obs_values.size
     hits = 0
-    for _ in range(n_rep):
-        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
-        if family == "poisson":
-            rep = rng.poisson(lam, size=n_obs)
-        else:
-            rep = rng.geometric_mean(lam, size=n_obs)
-        hits += float(discrepancy(rep, lam)) >= float(discrepancy(obs_values, lam))
+    for lam, rep in _posterior_predictive(posterior_draws, family, obs_values.size, n_rep, seed):
+        t_rep = float(discrepancy(rep, lam))
+        t_obs = float(discrepancy(obs_values, lam))
+        if math.isnan(t_rep) or math.isnan(t_obs):
+            raise ValueError(f"discrepancy is NaN at parameter {lam:.6g}")
+        hits += t_rep >= t_obs
     return hits / n_rep
 
 
@@ -395,18 +407,9 @@ def bootstrap_alpha_cutoff(
     summaries = []
     n_resimulated = 0
     for r in range(replicas):
-        attempt = 0
-        while True:
-            data_rng = Rng(seed.child(10, r, attempt))
-            if generator == "poisson":
-                values = data_rng.poisson(lambda_true, size=n_obs)
-            else:
-                values = data_rng.geometric_mean(lambda_true, size=n_obs)
-            if values.sum() >= 1:
-                break
-            attempt += 1
-            n_resimulated += 1
-        chain = run_gibbs(CountDataset(values), spec, mcmc, seed.child(11, r, attempt))
+        data, attempt = nonzero_counts(generator, lambda_true, n_obs, seed, 10, r)
+        n_resimulated += attempt
+        chain = run_gibbs(data, spec, mcmc, seed.child(11, r, attempt))
         if summary == "mean":
             summaries.append(float(chain.alpha_draws.mean()))
         else:

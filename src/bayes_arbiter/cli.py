@@ -183,41 +183,27 @@ _CONFIG_PARSERS = {
 }
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = _load_config_file(args.config)
-    for key, raw in values.items():
-        if key not in _CONFIG_PARSERS:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in args._explicit:
-            continue  # flags override file values
-        setattr(args, key, _CONFIG_PARSERS[key](raw))
+def _experiment_settings(args) -> dict:
+    """Experiment settings resolved as flag > config file > desk default.
 
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for action in self._all_actions():
-            for opt in action.option_strings:
-                if opt in argv or any(a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        ns._explicit = explicit
-        return ns
-
-    def _all_actions(self):
-        stack = [self]
-        while stack:
-            parser = stack.pop()
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    stack.extend(action.choices.values())
-                else:
-                    yield action
+    Every experiment flag defaults to None, so any value argparse parsed
+    (abbreviated option names included) wins over the file; keys set by
+    neither are left out and take the desk default.
+    """
+    from_file = {}
+    if args.config:
+        for key, raw in _load_config_file(args.config).items():
+            if key not in _CONFIG_PARSERS:
+                raise ValueError(f"unknown config key {key!r}")
+            from_file[key] = _CONFIG_PARSERS[key](raw)
+    settings = {}
+    for key in _CONFIG_PARSERS:
+        value = getattr(args, key)
+        if value is None:
+            value = from_file.get(key)
+        if value is not None:
+            settings[key] = value
+    return settings
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +342,9 @@ def cmd_calibrate(args) -> int:
     if args.what == "pvalue":
         data = _dataset_from_args(args)
         rng = Rng(seed.child(99))
-        if args.family == "poisson":
-            draws = np.array([rng.gamma(float(data.total)) / data.n for _ in range(args.posterior_draws)])
-        else:
-            bs = np.array([rng.beta(float(data.total), float(data.n)) for _ in range(args.posterior_draws)])
-            draws = bs / (1.0 - bs)
+        model_type = PoissonImproperMeanModel if args.family == "poisson" else GeometricImproperMeanModel
+        model = model_type(data.n)
+        draws = np.array([model.draw_param_posterior(data, rng) for _ in range(args.posterior_draws)])
         p = posterior_predictive_pvalue(
             data, draws, args.family, DISCREPANCIES[args.stat], n_rep=args.n_rep, seed=seed
         )
@@ -404,21 +388,14 @@ def cmd_calibrate(args) -> int:
 def cmd_experiment(args) -> int:
     started = time.time()
     out_dir = Path(args.out)
-    overrides = {}
-    if args.replicas is not None:
-        overrides["replicas"] = args.replicas
-    if args.n_grid is not None:
-        overrides["n_grid"] = args.n_grid
-    if args.a0_list is not None:
-        overrides["a0_list"] = args.a0_list
-    if args.lambda_true is not None:
-        overrides["lambda_true"] = args.lambda_true
-    if args.t is not None:
-        overrides["t"] = args.t
-    overrides["mcmc"] = McmcConfig(iterations=args.iters, burn_in=args.burn_in)
-    overrides["output_dir"] = out_dir
-
-    config = desk_scale_config(args.name, RngSeed(args.seed), **overrides)
+    settings = _experiment_settings(args)
+    mcmc = McmcConfig(
+        iterations=settings.pop("iters", McmcConfig.iterations),
+        burn_in=settings.pop("burn_in", McmcConfig.burn_in),
+    )
+    config = desk_scale_config(
+        args.name, RngSeed(args.seed), mcmc=mcmc, output_dir=out_dir, **settings
+    )
     pre_existing = set(out_dir.glob("*")) if out_dir.exists() else set()
     try:
         result = run_experiment(config)
@@ -464,8 +441,8 @@ def cmd_experiment(args) -> int:
 # parser assembly
 
 
-def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="bayes-arbiter",
         description="Bayes factors, mixture-weight testing, predictive calibration, "
         "and seeded replication experiments.",
@@ -558,8 +535,8 @@ def build_parser() -> _TrackingParser:
     p_exp.add_argument("--a0-list", type=_float_list, default=None)
     p_exp.add_argument("--lambda-true", type=float, default=None)
     p_exp.add_argument("--t", type=float, default=None)
-    p_exp.add_argument("--iters", type=_int_like, default=10_000)
-    p_exp.add_argument("--burn-in", type=_int_like, default=2_000)
+    p_exp.add_argument("--iters", type=_int_like, default=None)
+    p_exp.add_argument("--burn-in", type=_int_like, default=None)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser
@@ -569,7 +546,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
         return args.func(args)
     except DegeneracyError as e:
         print(f"degenerate input: {e}", file=sys.stderr)

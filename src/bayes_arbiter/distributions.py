@@ -7,6 +7,7 @@ with success probability 1/(1+mean), i.e. pmf p (1-p)^x with p = 1/(1+mean).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,15 +49,30 @@ class CountDataset:
         return float(np.sum(log_factorial(self.values)))
 
 
-def log_pmf_poisson(x, mean: float):
-    """ln P(X = x) for X ~ Poisson(mean); x scalar or integer array."""
+def _component_log_pmfs(values, lfact, u):
+    """(Poisson, geometric) log pmfs of `values` at the shared mean e^u.
+
+    `lfact` is ln(values!).  Arguments broadcast, so one call serves a
+    scalar mean or a whole grid of them:
+    Poisson x u - e^u - ln x!, geometric x u - (x+1) ln(1+e^u).
+    """
+    xu = values * u
+    return xu - np.exp(u) - lfact, xu - (values + 1.0) * np.logaddexp(0.0, u)
+
+
+def _log_pmfs(x, mean: float):
     if mean <= 0.0:
         raise ValueError("mean must be positive")
     xa = np.asarray(x)
     if np.any(xa < 0):
         raise ValueError("x must be non-negative")
-    out = xa * np.log(mean) - mean - log_factorial(xa)
-    return float(out) if np.isscalar(x) or np.asarray(out).ndim == 0 else out
+    return _component_log_pmfs(xa, log_factorial(xa), math.log(mean))
+
+
+def log_pmf_poisson(x, mean: float):
+    """ln P(X = x) for X ~ Poisson(mean); x scalar or integer array."""
+    out = _log_pmfs(x, mean)[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_pmf_geometric_mean(x, mean: float):
@@ -64,10 +80,5 @@ def log_pmf_geometric_mean(x, mean: float):
 
     With p = 1/(1+mean): ln[p (1-p)^x] = x ln(mean) - (x+1) ln(1+mean).
     """
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
-    xa = np.asarray(x)
-    if np.any(xa < 0):
-        raise ValueError("x must be non-negative")
-    out = xa * np.log(mean) - (xa + 1) * np.log1p(mean)
-    return float(out) if np.isscalar(x) or np.asarray(out).ndim == 0 else out
+    out = _log_pmfs(x, mean)[1]
+    return float(out) if np.ndim(out) == 0 else out

@@ -14,21 +14,19 @@ Four bundled experiments:
 * lindley - log BF01 against n at a fixed test statistic.
 
 Every experiment is a pure function of (config, seed): identical inputs
-produce byte-identical CSV/SVG artifacts, whether run serially or on a
-thread pool (results are buffered by task index before aggregation).
+produce byte-identical CSV/SVG artifacts.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .calibration import nonzero_counts
 from .distributions import CountDataset
 from .evidence import (
     NormalSummary,
@@ -70,27 +68,6 @@ def _fmt(v) -> str:
     return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
-def worker_count() -> int:
-    """Worker cap from BAYES_ARBITER_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("BAYES_ARBITER_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k <= 0:
-        return min(os.cpu_count() or 1, 4)
-    return k
-
-
-def _map_indexed(fn, tasks: list) -> list:
-    """Order-preserving map over tasks, threaded when allowed."""
-    workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -113,10 +90,10 @@ class ExperimentConfig:
             raise ValueError("n_grid entries must be positive")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
-        if any(a <= 0.0 for a in self.a0_list):
-            raise ValueError("a0 values must be positive")
-        if self.lambda_true <= 0.0:
-            raise ValueError("lambda_true must be positive")
+        if not all(math.isfinite(a) and a > 0.0 for a in self.a0_list):
+            raise ValueError("a0 values must be positive and finite")
+        if not (math.isfinite(self.lambda_true) and self.lambda_true > 0.0):
+            raise ValueError("lambda_true must be positive and finite")
         if self.t < 0.0:
             raise ValueError("t must be non-negative")
         qs = self.ribbon_quantiles
@@ -256,31 +233,21 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     if config.experiment != "fig1":
         raise ValueError("config.experiment must be 'fig1'")
 
-    def one_cell(task):
-        hyp_idx, n_idx = task
-        n = config.n_grid[n_idx]
-        out = np.empty(config.replicas)
-        for r in range(config.replicas):
-            rng = Rng(config.seed.child(_PATH_FIG1, hyp_idx, n_idx, r))
-            if hyp_idx == 0:
-                xbar = rng.normal(0.0, 1.0 / math.sqrt(n))
-            else:
-                mu = rng.normal()
-                xbar = rng.normal(mu, 1.0 / math.sqrt(n))
-            out[r] = log_bf10_normal(NormalSummary(n, xbar)).log_bf
-        return out
-
-    tasks = [(h, i) for h in (0, 1) for i in range(len(config.n_grid))]
-    cells = _map_indexed(one_cell, tasks)
-
     csv_rows: list[tuple] = []
     ribbon: list[RibbonRow] = []
-    for (hyp_idx, n_idx), values in zip(tasks, cells):
-        hyp = "H0" if hyp_idx == 0 else "H1"
-        n = config.n_grid[n_idx]
-        for r, v in enumerate(values):
-            csv_rows.append(("fig1", hyp, n, r, float(v)))
-        ribbon.extend(_ribbon_rows(hyp, "log_bf10", n, values, config.ribbon_quantiles))
+    for hyp_idx, hyp in enumerate(("H0", "H1")):
+        for n_idx, n in enumerate(config.n_grid):
+            values = np.empty(config.replicas)
+            for r in range(config.replicas):
+                rng = Rng(config.seed.child(_PATH_FIG1, hyp_idx, n_idx, r))
+                if hyp_idx == 0:
+                    xbar = rng.normal(0.0, 1.0 / math.sqrt(n))
+                else:
+                    mu = rng.normal()
+                    xbar = rng.normal(mu, 1.0 / math.sqrt(n))
+                values[r] = log_bf10_normal(NormalSummary(n, xbar)).log_bf
+                csv_rows.append(("fig1", hyp, n, r, float(values[r])))
+            ribbon.extend(_ribbon_rows(hyp, "log_bf10", n, values, config.ribbon_quantiles))
 
     table = RibbonTable(tuple(ribbon))
     artifacts = _emit(config, table, csv_rows, y_label="log BF10")
@@ -298,22 +265,16 @@ class _MixOutcome:
     replica: int
     post_mean: float
     post_median: float
-    values: tuple[int, ...] = field(repr=False, default=())
+    data: CountDataset = field(repr=False)
     attempts: int = 0
 
 
-def _mixture_replica(config: ExperimentConfig, task) -> _MixOutcome:
-    a0_idx, n_idx, replica = task
+def _mixture_replica(config: ExperimentConfig, a0_idx: int, n_idx: int, replica: int) -> _MixOutcome:
     a0 = config.a0_list[a0_idx]
     n = config.n_grid[n_idx]
-    attempt = 0
-    while True:
-        data_rng = Rng(config.seed.child(_PATH_MIX_DATA, a0_idx, n_idx, replica, attempt))
-        values = data_rng.poisson(config.lambda_true, size=n)
-        if values.sum() >= 1:
-            break
-        attempt += 1
-    data = CountDataset(values)
+    data, attempt = nonzero_counts(
+        "poisson", config.lambda_true, n, config.seed, _PATH_MIX_DATA, a0_idx, n_idx, replica
+    )
     chain = run_gibbs(
         data,
         MixtureSpec(a0),
@@ -326,60 +287,60 @@ def _mixture_replica(config: ExperimentConfig, task) -> _MixOutcome:
         replica=replica,
         post_mean=float(chain.alpha_draws.mean()),
         post_median=float(np.median(chain.alpha_draws)),
-        values=tuple(int(v) for v in values),
+        data=data,
         attempts=attempt,
     )
 
 
 def _run_mixture_sweep(config: ExperimentConfig) -> list[_MixOutcome]:
-    tasks = [
-        (a, i, r)
+    return [
+        _mixture_replica(config, a, i, r)
         for a in range(len(config.a0_list))
         for i in range(len(config.n_grid))
         for r in range(config.replicas)
     ]
-    return _map_indexed(lambda t: _mixture_replica(config, t), tasks)
 
 
-def _mixture_ribbons(config, outcomes, series_of) -> list[RibbonRow]:
-    rows: list[RibbonRow] = []
+def _mixture_result(config: ExperimentConfig, outcomes, extra_columns, y_label: str) -> ExperimentResult:
+    """CSV rows, per-(a0, n) ribbons and artifacts for fig2/fig3.
+
+    Each column after the replica index holds one value per outcome and
+    becomes one ribbon series of the same name.
+    """
+    columns = {
+        "post_mean_alpha": [o.post_mean for o in outcomes],
+        "post_median_alpha": [o.post_median for o in outcomes],
+        **extra_columns,
+    }
+    csv_rows = [
+        (o.a0, o.n, o.replica, *(col[i] for col in columns.values()))
+        for i, o in enumerate(outcomes)
+    ]
+    ribbon: list[RibbonRow] = []
     for a0 in config.a0_list:
-        cond = f"a0_{a0:.10g}"
         for n in config.n_grid:
-            cell = [o for o in outcomes if o.a0 == a0 and o.n == n]
-            for series, extract in series_of.items():
-                rows.extend(
-                    _ribbon_rows(cond, series, n, [extract(o) for o in cell], config.ribbon_quantiles)
+            cell = [i for i, o in enumerate(outcomes) if o.a0 == a0 and o.n == n]
+            for series, col in columns.items():
+                ribbon.extend(
+                    _ribbon_rows(f"a0_{a0:.10g}", series, n, [col[i] for i in cell], config.ribbon_quantiles)
                 )
-    return rows
+    table = RibbonTable(tuple(ribbon))
+    artifacts = _emit(config, table, csv_rows, y_label=y_label)
+    return ExperimentResult(
+        config.experiment,
+        table,
+        CSV_HEADERS[config.experiment],
+        tuple(csv_rows),
+        artifacts,
+        n_resimulated=sum(o.attempts for o in outcomes),
+    )
 
 
 def run_fig2(config: ExperimentConfig) -> ExperimentResult:
     """Posterior mean/median of the mixture weight over Poisson replicas."""
     if config.experiment != "fig2":
         raise ValueError("config.experiment must be 'fig2'")
-    outcomes = _run_mixture_sweep(config)
-    csv_rows = [
-        (o.a0, o.n, o.replica, o.post_mean, o.post_median) for o in outcomes
-    ]
-    ribbon = _mixture_ribbons(
-        config,
-        outcomes,
-        {
-            "post_mean_alpha": lambda o: o.post_mean,
-            "post_median_alpha": lambda o: o.post_median,
-        },
-    )
-    table = RibbonTable(tuple(ribbon))
-    artifacts = _emit(config, table, csv_rows, y_label="mixture weight")
-    return ExperimentResult(
-        "fig2",
-        table,
-        CSV_HEADERS["fig2"],
-        tuple(csv_rows),
-        artifacts,
-        n_resimulated=sum(o.attempts for o in outcomes),
-    )
+    return _mixture_result(config, _run_mixture_sweep(config), {}, y_label="mixture weight")
 
 
 def run_fig3(config: ExperimentConfig) -> ExperimentResult:
@@ -392,22 +353,13 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("config.experiment must be 'fig3'")
     outcomes = _run_mixture_sweep(config)
 
-    csv_rows = []
-    gaps = []
-    prob_shared: dict[tuple[float, int], list[float]] = {}
-    prob_printed: dict[tuple[float, int], list[float]] = {}
+    p_shared, p_printed, gaps = [], [], []
     for o in outcomes:
-        data = CountDataset(np.array(o.values))
-        shared = log_bf12_shared_improper(data).log_bf
-        printed = log_bf12_printed(data).log_bf
-        p_shared = posterior_prob_from_log_bf(shared)
-        p_printed = posterior_prob_from_log_bf(printed)
+        shared = log_bf12_shared_improper(o.data).log_bf
+        printed = log_bf12_printed(o.data).log_bf
+        p_shared.append(posterior_prob_from_log_bf(shared))
+        p_printed.append(posterior_prob_from_log_bf(printed))
         gaps.append(printed - shared)
-        prob_shared.setdefault((o.a0, o.n), []).append(p_shared)
-        prob_printed.setdefault((o.a0, o.n), []).append(p_printed)
-        csv_rows.append(
-            (o.a0, o.n, o.replica, o.post_mean, o.post_median, p_shared, p_printed)
-        )
 
     gaps_arr = np.asarray(gaps)
     logger.info(
@@ -418,32 +370,11 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         float(gaps_arr.min()),
         float(gaps_arr.max()),
     )
-
-    ribbon = _mixture_ribbons(
+    return _mixture_result(
         config,
         outcomes,
-        {
-            "post_mean_alpha": lambda o: o.post_mean,
-            "post_median_alpha": lambda o: o.post_median,
-        },
-    )
-    for (a0, n), vals in prob_shared.items():
-        ribbon.extend(
-            _ribbon_rows(f"a0_{a0:.10g}", "post_prob_m1_shared", n, vals, config.ribbon_quantiles)
-        )
-    for (a0, n), vals in prob_printed.items():
-        ribbon.extend(
-            _ribbon_rows(f"a0_{a0:.10g}", "post_prob_m1_printed", n, vals, config.ribbon_quantiles)
-        )
-    table = RibbonTable(tuple(ribbon))
-    artifacts = _emit(config, table, csv_rows, y_label="weight / model probability")
-    return ExperimentResult(
-        "fig3",
-        table,
-        CSV_HEADERS["fig3"],
-        tuple(csv_rows),
-        artifacts,
-        n_resimulated=sum(o.attempts for o in outcomes),
+        {"post_prob_m1_shared": p_shared, "post_prob_m1_printed": p_printed},
+        y_label="weight / model probability",
     )
 
 

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import expit, log_expit, roots_jacobi
 
-from .distributions import CountDataset
+from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
 from .evidence import QuadratureConfig, _bracket_support, _panel_nodes
 from .rng import Rng, RngSeed
@@ -47,8 +47,8 @@ class MixtureSpec:
     shared_parameter: bool = True
 
     def __post_init__(self):
-        if self.a0 <= 0.0:
-            raise ValueError("a0 must be positive")
+        if not (math.isfinite(self.a0) and self.a0 > 0.0):
+            raise ValueError("a0 must be positive and finite")
         if self.component1 != "poisson" or self.component2 != "geometric":
             raise ValueError("component roles are fixed: 1=poisson, 2=geometric")
         if not self.shared_parameter:
@@ -69,44 +69,6 @@ class McmcConfig:
             raise ValueError("iterations must exceed burn_in")
         if self.burn_in < 0 or self.initial_step <= 0.0:
             raise ValueError("burn_in must be >= 0 and initial_step positive")
-
-
-@dataclass(frozen=True)
-class BetaParameters:
-    a: float
-    b: float
-
-    @property
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
-
-@dataclass(frozen=True)
-class AllocationState:
-    """Component labels (1 or 2) with their sufficient counts."""
-
-    z: np.ndarray
-    n1: int
-    n2: int
-    s1: int
-    s2: int
-
-    @classmethod
-    def from_labels(cls, z, values) -> "AllocationState":
-        z = np.asarray(z, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if z.shape != values.shape:
-            raise ValueError("labels and values must align")
-        if not np.all((z == 1) | (z == 2)):
-            raise ValueError("labels must be 1 or 2")
-        in1 = z == 1
-        return cls(
-            z=z,
-            n1=int(in1.sum()),
-            n2=int((~in1).sum()),
-            s1=int(values[in1].sum()),
-            s2=int(values[~in1].sum()),
-        )
 
 
 @dataclass(frozen=True)
@@ -164,13 +126,21 @@ class DiscretizedPosterior:
 
 # ----------------------------------------------------------------------
 # conditionals
+#
+# Each public conditional validates its arguments and calls a private core;
+# run_gibbs calls the cores on the sufficient statistics (n1, n2, s1, s2).
 
 
-def conditional_alpha(state: AllocationState, a0: float) -> BetaParameters:
-    """Conjugate update of the weight: Beta(a0 + n1, a0 + n2)."""
+def conditional_alpha(n1: int, n2: int, a0: float) -> tuple[float, float]:
+    """Conjugate update of the weight: Beta(a0 + n1, a0 + n2) shapes."""
     if a0 <= 0.0:
         raise ValueError("a0 must be positive")
-    return BetaParameters(a0 + state.n1, a0 + state.n2)
+    return a0 + n1, a0 + n2
+
+
+def _allocation_probability(values, lfact, alpha: float, u: float):
+    lf1, lf2 = _component_log_pmfs(values, lfact, u)
+    return expit((math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2))
 
 
 def allocation_probability(x, alpha: float, lam: float):
@@ -180,45 +150,32 @@ def allocation_probability(x, alpha: float, lam: float):
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     xa = np.asarray(x, dtype=np.int64)
-    log_lam = math.log(lam)
-    log1p_lam = math.log1p(lam)
-    lf1 = xa * log_lam - lam - log_factorial(xa)
-    lf2 = xa * log_lam - (xa + 1) * log1p_lam
-    d = (math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2)
-    out = _expit(d)
-    return float(out) if np.isscalar(x) or np.asarray(out).ndim == 0 else out
+    out = _allocation_probability(xa, log_factorial(xa), alpha, math.log(lam))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def log_lambda_conditional(lam: float, state: AllocationState) -> float:
-    """Unnormalized log density of lambda given the allocations.
+def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
+    # density of u = ln(lambda): lambda^(s1+s2) e^(-n1 lambda) (1+lambda)^-(s2+n2)
+    if u > 690.0:
+        return -math.inf
+    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * float(np.logaddexp(0.0, u))
+
+
+def log_lambda_conditional(lam: float, n1: int, n2: int, s1: int, s2: int) -> float:
+    """Unnormalized log density of lambda given the allocation counts.
 
     (s1+s2-1) ln(lambda) - n1 lambda - (s2+n2) ln(1+lambda); improper
     when s1+s2 = 0 and n1 = 0 (exponent of lambda is -1 at the origin).
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    total = state.s1 + state.s2
-    if total == 0 and state.n1 == 0:
+    if s1 + s2 == 0 and n1 == 0:
         raise DegeneracyError(
             "all-zero allocation to the geometric component leaves an "
             "improper lambda conditional under the 1/lambda prior"
         )
-    return (
-        (total - 1) * math.log(lam)
-        - state.n1 * lam
-        - (state.s2 + state.n2) * math.log1p(lam)
-    )
-
-
-def _expit(d):
-    d = np.asarray(d, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.where(d >= 0.0, 1.0 / (1.0 + np.exp(-d)), np.exp(d) / (1.0 + np.exp(d)))
-
-
-def _log_expit(d):
-    # ln sigmoid(d) = -softplus(-d), stable on both tails
-    return -np.logaddexp(0.0, -np.asarray(d, dtype=float))
+    u = math.log(lam)
+    return _log_u_conditional(u, n1, n2, s1, s2) - u
 
 
 def _require_nondegenerate(data: CountDataset) -> None:
@@ -236,6 +193,57 @@ def _initial_point(data: CountDataset, spec: MixtureSpec, rng: Rng) -> tuple[flo
 
 
 # ----------------------------------------------------------------------
+# the shared random-walk loop
+
+
+def _random_walk_chain(rng, x, sweep, params, config, target_acceptance, seed, kernel, step_name):
+    """Adapted random-walk Metropolis loop shared by both samplers.
+
+    `sweep(x, step)` runs one iteration up to the accept decision and
+    returns (next point if rejected, next point if accepted, log ratio);
+    `params(x)` maps a point to the recorded (alpha, lambda).  The step
+    scale is Robbins-Monro adapted toward the target acceptance during
+    burn-in only.
+    """
+    kept = config.iterations - config.burn_in
+    alphas = np.empty(kept)
+    lambdas = np.empty(kept)
+    log_step = math.log(config.initial_step)
+    accepted = 0
+    for it in range(config.iterations):
+        stay, move, log_ratio = sweep(x, math.exp(log_step))
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        moved = rng.uniform() < accept_prob
+        x = move if moved else stay
+        if it < config.burn_in:
+            if config.adapt:
+                gamma = (it + 1.0) ** -0.6
+                log_step += gamma * (accept_prob - target_acceptance)
+        else:
+            accepted += moved
+            k = it - config.burn_in
+            alphas[k], lambdas[k] = params(x)
+
+    rate = accepted / kept
+    warnings = ()
+    if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
+        warnings = (
+            f"{step_name} acceptance {rate:.3f} outside "
+            f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
+        )
+    return MixtureChain(
+        alpha_draws=alphas,
+        lambda_draws=lambdas,
+        iterations=config.iterations,
+        burn_in=config.burn_in,
+        mh_acceptance_rate=rate,
+        seed=seed,
+        kernel=kernel,
+        warnings=warnings,
+    )
+
+
+# ----------------------------------------------------------------------
 # Gibbs with latent allocations
 
 
@@ -247,8 +255,7 @@ def run_gibbs(
 ) -> MixtureChain:
     """Latent-allocation Gibbs sweep: {z | alpha, lambda} -> {alpha | z} -> {lambda | z}.
 
-    The lambda step is a Gaussian random walk on ln(lambda) whose scale is
-    Robbins-Monro adapted toward the target acceptance during burn-in only.
+    The lambda step is a Gaussian random walk on ln(lambda).
     Deterministic given (data, spec, config, seed).
     """
     _require_nondegenerate(data)
@@ -258,76 +265,22 @@ def run_gibbs(
     n = data.n
     total = data.total
 
-    alpha, lam = _initial_point(data, spec, rng)
-    v = math.log(lam)
-    log_step = math.log(config.initial_step)
-
-    kept = config.iterations - config.burn_in
-    alphas = np.empty(kept)
-    lambdas = np.empty(kept)
-    accepted_post = 0
-    attempts_post = 0
-
-    def log_target_v(vv: float, n1: int, s2n2: int) -> float:
-        # lambda^total e^(-n1 lambda) (1+lambda)^-(s2+n2), plus ln-scale Jacobian
-        if vv > 690.0:
-            return -math.inf
-        return total * vv - n1 * math.exp(vv) - s2n2 * float(np.logaddexp(0.0, vv))
-
-    for it in range(config.iterations):
-        # allocations
-        lam = math.exp(v)
-        softplus_v = float(np.logaddexp(0.0, v))
-        lf1 = values * v - lam - lfact
-        lf2 = values * v - (values + 1.0) * softplus_v
-        d = (math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2)
-        p1 = _expit(d)
-        u = rng.uniform(n)
-        in1 = u < p1
+    def sweep(x, step):
+        alpha, v = x
+        in1 = rng.uniform(n) < _allocation_probability(values, lfact, alpha, v)
         n1 = int(in1.sum())
-        s2n2 = (total - int(in1.dot(values))) + (n - n1)
-
-        # weight
-        alpha = float(rng.beta(spec.a0 + n1, spec.a0 + (n - n1)))
+        s1 = int(in1.dot(values))
+        counts = (n1, n - n1, s1, total - s1)
+        alpha = float(rng.beta(*conditional_alpha(n1, n - n1, spec.a0)))
         alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-
-        # shared mean, random walk on ln(lambda)
-        log_v_cur = log_target_v(v, n1, s2n2)
-        step = math.exp(log_step)
         v_prop = v + rng.normal(0.0, step)
-        log_v_prop = log_target_v(v_prop, n1, s2n2)
-        log_ratio = log_v_prop - log_v_cur
-        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = rng.uniform() < accept_prob
-        if moved:
-            v = v_prop
-        if it < config.burn_in:
-            if config.adapt:
-                gamma = (it + 1.0) ** -0.6
-                log_step += gamma * (accept_prob - config.target_acceptance_gibbs)
-        else:
-            attempts_post += 1
-            accepted_post += moved
-            k = it - config.burn_in
-            alphas[k] = alpha
-            lambdas[k] = math.exp(v)
+        log_ratio = _log_u_conditional(v_prop, *counts) - _log_u_conditional(v, *counts)
+        return (alpha, v), (alpha, v_prop), log_ratio
 
-    rate = accepted_post / attempts_post if attempts_post else 0.0
-    warnings = ()
-    if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
-        warnings = (
-            f"lambda-step acceptance {rate:.3f} outside "
-            f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
-        )
-    return MixtureChain(
-        alpha_draws=alphas,
-        lambda_draws=lambdas,
-        iterations=config.iterations,
-        burn_in=config.burn_in,
-        mh_acceptance_rate=rate,
-        seed=seed,
-        kernel="gibbs",
-        warnings=warnings,
+    alpha, lam = _initial_point(data, spec, rng)
+    return _random_walk_chain(
+        rng, (alpha, math.log(lam)), sweep, lambda x: (x[0], math.exp(x[1])),
+        config, config.target_acceptance_gibbs, seed, "gibbs", "lambda-step",
     )
 
 
@@ -349,69 +302,30 @@ def run_marginal_mh(
     lfact = log_factorial(data.values)
     a0 = spec.a0
 
-    def log_target(s: float, vv: float) -> float:
-        if vv > 690.0:
+    def log_target(s: float, v: float) -> float:
+        if v > 690.0:
             return -math.inf
-        lam = math.exp(vv)
-        softplus_v = float(np.logaddexp(0.0, vv))
-        lf1 = values * vv - lam - lfact
-        lf2 = values * vv - (values + 1.0) * softplus_v
-        log_alpha = float(_log_expit(s))
-        log_1m_alpha = float(_log_expit(-s))
+        lf1, lf2 = _component_log_pmfs(values, lfact, v)
+        log_alpha = float(log_expit(s))
+        log_1m_alpha = float(log_expit(-s))
         loglik = float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2).sum())
         # Beta(a0,a0) prior plus logit Jacobian leaves alpha^a0 (1-alpha)^a0;
         # the 1/lambda prior is flat in ln(lambda).
         return loglik + a0 * (log_alpha + log_1m_alpha)
 
-    alpha0, lam0 = _initial_point(data, spec, rng)
-    s = math.log(alpha0) - math.log1p(-alpha0)
-    v = math.log(lam0)
-    log_step = math.log(config.initial_step)
-    cur = log_target(s, v)
-
-    kept = config.iterations - config.burn_in
-    alphas = np.empty(kept)
-    lambdas = np.empty(kept)
-    accepted_post = 0
-    attempts_post = 0
-
-    for it in range(config.iterations):
-        step = math.exp(log_step)
+    def sweep(x, step):
+        s, v, cur = x
         s_prop = s + rng.normal(0.0, step)
         v_prop = v + rng.normal(0.0, step)
         prop = log_target(s_prop, v_prop)
-        log_ratio = prop - cur
-        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = rng.uniform() < accept_prob
-        if moved:
-            s, v, cur = s_prop, v_prop, prop
-        if it < config.burn_in:
-            if config.adapt:
-                gamma = (it + 1.0) ** -0.6
-                log_step += gamma * (accept_prob - config.target_acceptance_marginal)
-        else:
-            attempts_post += 1
-            accepted_post += moved
-            k = it - config.burn_in
-            alphas[k] = _expit(s)
-            lambdas[k] = math.exp(v)
+        return x, (s_prop, v_prop, prop), prop - cur
 
-    rate = accepted_post / attempts_post if attempts_post else 0.0
-    warnings = ()
-    if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
-        warnings = (
-            f"joint-step acceptance {rate:.3f} outside "
-            f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
-        )
-    return MixtureChain(
-        alpha_draws=alphas,
-        lambda_draws=lambdas,
-        iterations=config.iterations,
-        burn_in=config.burn_in,
-        mh_acceptance_rate=rate,
-        seed=seed,
-        kernel="marginal_mh",
-        warnings=warnings,
+    alpha0, lam0 = _initial_point(data, spec, rng)
+    s = math.log(alpha0) - math.log1p(-alpha0)
+    v = math.log(lam0)
+    return _random_walk_chain(
+        rng, (s, v, log_target(s, v)), sweep, lambda x: (expit(x[0]), math.exp(x[1])),
+        config, config.target_acceptance_marginal, seed, "marginal_mh", "joint-step",
     )
 
 
@@ -504,6 +418,12 @@ def grid_posterior_alpha(
     )
 
 
+def _distinct_values(data: CountDataset):
+    """Distinct observed values, their multiplicities and ln(value!)."""
+    distinct, counts = np.unique(data.values, return_counts=True)
+    return distinct.astype(np.float64), counts.astype(np.float64), log_factorial(distinct)
+
+
 def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
     """Support of the u = ln(lambda) axis, wide enough for any alpha.
 
@@ -511,19 +431,15 @@ def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
     profiles peak at ln(total/n); every mixture profile sits between them
     up to per-observation weighting).
     """
-    distinct, counts = np.unique(data.values, return_counts=True)
-    vals = distinct.astype(np.float64)
-    cnts = counts.astype(np.float64)
-    lfact = log_factorial(distinct)
+    vals, cnts, lfact = _distinct_values(data)
     n = float(data.n)
     total = float(data.total)
 
     def log_pois(u: float) -> float:
-        return float(np.dot(cnts, vals * u - math.exp(u) - lfact)) if u < 690.0 else -math.inf
+        return float(np.dot(cnts, _component_log_pmfs(vals, lfact, u)[0])) if u < 690.0 else -math.inf
 
     def log_geo(u: float) -> float:
-        sp = float(np.logaddexp(0.0, u))
-        return float(np.dot(cnts, vals * u - (vals + 1.0) * sp))
+        return float(np.dot(cnts, _component_log_pmfs(vals, lfact, u)[1]))
 
     mode = math.log(total / n)
     sd_pois = 1.0 / math.sqrt(total)
@@ -543,14 +459,8 @@ def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -
     (alpha, distinct values, u) rather than (alpha, n, u); the alpha axis
     is chunked to bound the temporaries on refined grids.
     """
-    distinct, counts = np.unique(data.values, return_counts=True)
-    vals = distinct.astype(np.float64)
-    cnts = counts.astype(np.float64)
-    lfact = log_factorial(distinct)
-    lam = np.exp(u)
-    softplus_u = np.logaddexp(0.0, u)
-    lf1 = vals[:, None] * u[None, :] - lam[None, :] - lfact[:, None]
-    lf2 = vals[:, None] * u[None, :] - (vals[:, None] + 1.0) * softplus_u[None, :]
+    vals, cnts, lfact = _distinct_values(data)
+    lf1, lf2 = _component_log_pmfs(vals[:, None], lfact[:, None], u[None, :])
     out = np.empty((alpha.size, u.size))
     chunk = max(1, int(4_000_000 / max(1, vals.size * u.size)))
     for start in range(0, alpha.size, chunk):

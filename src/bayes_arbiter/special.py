@@ -9,37 +9,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's set).  Relative
-# error is below 1e-13 over the positive real axis, which leaves ample
-# margin for the 1e-12 * max(1, |ln Gamma|) contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+from scipy.special import gammaln, logsumexp
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # ln k! for k = 0..len-1; extended on demand.
 _LOG_FACTORIAL_TABLE = np.zeros(1)
-
-
-def _lanczos_core(x: np.ndarray) -> np.ndarray:
-    # Valid for x >= 0.5.
-    z = x - 1.0
-    series = np.full_like(z, _LANCZOS_COEF[0])
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * np.log(base) - base + np.log(series)
 
 
 def log_gamma(x):
@@ -51,17 +26,7 @@ def log_gamma(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or np.any(np.isnan(arr)):
         raise ValueError("log_gamma requires x > 0")
-    small = arr < 0.5
-    if not small.any():
-        out = _lanczos_core(arr)
-    else:
-        # Reflection for (0, 0.5): ln Gamma(x) = ln pi - ln sin(pi x) - ln Gamma(1 - x).
-        out = np.empty_like(arr)
-        big = ~small
-        if big.any():
-            out[big] = _lanczos_core(arr[big])
-        xs = arr[small]
-        out[small] = math.log(math.pi) - np.log(np.sin(np.pi * xs)) - _lanczos_core(1.0 - xs)
+    out = gammaln(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -88,22 +53,7 @@ def log_sum_exp(values, axis=None, weights=None):
 
     `weights`, when given, must be positive and match the reduced axis.
     """
-    v = np.asarray(values, dtype=float)
-    m = np.max(v, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    shifted = np.exp(v - m)
-    if weights is not None:
-        shifted = shifted * weights
-    s = np.sum(shifted, axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = np.squeeze(m, axis=axis) + np.log(np.squeeze(s, axis=axis)) if axis is not None \
-            else float(m.ravel()[0] + np.log(s.ravel()[0]))
-    return out
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return logsumexp(values, axis=axis, b=weights)
 
 
 def log_normal_pdf(x, mean, sd):

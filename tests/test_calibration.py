@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bayes_arbiter.calibration import (
     CalibrationReport,
@@ -23,7 +24,6 @@ from bayes_arbiter.errors import ImproperEvidenceError
 from bayes_arbiter.evidence import NormalSummary, log_bf01_lindley, log_bf12_shared_improper
 from bayes_arbiter.mixture import McmcConfig, MixtureSpec
 from bayes_arbiter.rng import Rng, RngSeed
-from bayes_arbiter.special import normal_cdf
 
 
 def lindley_statistic(summary: NormalSummary) -> float:
@@ -75,9 +75,9 @@ class TestPredictiveBfTails:
             seed=RngSeed(3),
         )
         t_obs = math.sqrt(n) * abs(xbar)
-        p0_exact = 2.0 * normal_cdf(t_obs) - 1.0
+        p0_exact = 2.0 * ndtr(t_obs) - 1.0
         # under the alternative, t ~ |N(0, n+1)| so B01 <= obs iff |Z| >= t/sqrt(n+1)
-        p1_exact = 2.0 * (1.0 - normal_cdf(t_obs / math.sqrt(n + 1.0)))
+        p1_exact = 2.0 * (1.0 - ndtr(t_obs / math.sqrt(n + 1.0)))
         assert abs(rep.p0 - p0_exact) <= 3.0 * max(rep.mc_se_p0, 1e-3)
         assert abs(rep.p1 - p1_exact) <= 3.0 * max(rep.mc_se_p1, 1e-3)
 
@@ -260,6 +260,13 @@ class TestPosteriorPredictivePvalue:
         p_b = posterior_predictive_pvalue(obs, draws, "poisson", discrepancy_mean, 20_000, RngSeed(18))
         se = math.sqrt(p_a * (1 - p_a) / 20_000 + p_b * (1 - p_b) / 20_000)
         assert abs(p_a - p_b) <= 3.0 * max(se, 1e-3)
+
+    def test_nan_discrepancy_raises(self):
+        obs = CountDataset([1, 2, 3])
+        with pytest.raises(ValueError, match="NaN"):
+            posterior_predictive_pvalue(
+                obs, [2.0], "poisson", lambda x, t: math.nan, n_rep=100, seed=RngSeed(14)
+            )
 
     def test_shipped_discrepancies(self):
         x = np.array([0, 2, 5, 0])

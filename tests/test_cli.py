@@ -102,6 +102,16 @@ class TestMixtureCommand:
         )
         assert code == 3
 
+    def test_non_finite_a0_exit_2(self, capsys):
+        for a0 in ("nan", "inf"):
+            code, out, err = run_cli(
+                capsys, "mixture", "--data", "4,2,5,3", "--a0", a0,
+                "--iters", "500", "--burn-in", "100", "--seed", "1",
+            )
+            assert code == 2
+            assert out == ""
+            assert "a0" in err
+
 
 class TestCalibrateCommand:
     def test_tails_normal(self, capsys):
@@ -121,6 +131,15 @@ class TestCalibrateCommand:
             "--posterior-draws", "200", "--seed", "11",
         )
         assert 0.0 <= out["p_value"] <= 1.0
+
+    def test_pvalue_all_zero_exit_3(self, capsys):
+        for family in ("poisson", "geometric"):
+            code, _, err = run_cli(
+                capsys, "calibrate", "pvalue", "--data", "0,0,0", "--family", family,
+                "--n-rep", "100", "--posterior-draws", "10", "--seed", "11",
+            )
+            assert code == 3
+            assert "all-zero" in err
 
     def test_cutoff(self, capsys):
         out = run_json(
@@ -167,6 +186,14 @@ class TestExperimentCommand:
         )
         assert base["rows"] == 2 * 3
         assert over["rows"] == 2 * 2
+        # an abbreviated flag is still a flag and beats the file's iters
+        run_json(
+            capsys, "experiment", "fig2", "--seed", "9", "--config", str(cfgfile),
+            "--iter", "500", "--out", str(tmp_path / "abbrev"),
+        )
+        manifest = json.loads((tmp_path / "abbrev" / "run_manifest.json").read_text())
+        assert manifest["config"]["iterations"] == 500
+        assert manifest["config"]["burn_in"] == 100
 
     def test_manifest_contents(self, capsys, tmp_path):
         run_json(

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from bayes_arbiter.distributions import (
     CountDataset,
@@ -76,3 +79,19 @@ class TestGeometricMeanPmf:
     def test_domain(self):
         with pytest.raises(ValueError):
             log_pmf_geometric_mean(0, -0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.integers(0, 10_000), min_size=1, max_size=20),
+    log10_mean=st.floats(-3.0, 3.0),
+)
+def test_log_pmfs_match_scipy_reference(xs, log10_mean):
+    # both log pmfs come from one kernel shared with the samplers and the
+    # grid oracle; scipy.stats is the independent reference
+    x = np.array(xs)
+    mean = 10.0**log10_mean
+    ref_p = stats.poisson.logpmf(x, mean)
+    ref_g = stats.geom.logpmf(x + 1, 1.0 / (1.0 + mean))
+    assert np.all(np.abs(log_pmf_poisson(x, mean) - ref_p) <= 1e-10 * np.maximum(1.0, np.abs(ref_p)))
+    assert np.all(np.abs(log_pmf_geometric_mean(x, mean) - ref_g) <= 1e-10 * np.maximum(1.0, np.abs(ref_g)))
