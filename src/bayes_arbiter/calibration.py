@@ -4,7 +4,8 @@ Tail probabilities of a Bayes factor under each model's predictive
 (prior or posterior mode), posterior predictive p-values for a chosen
 discrepancy, and parametric-bootstrap calibration of the mixture-weight
 summary.  Ties always count toward the extreme tail, which is the
-conservative convention and the only sensible one for discrete data.
+conservative convention and the only sensible one for discrete data;
+a statistic within 1e-12 * max(1, |observed|) of the observed one is a tie.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .mixture import McmcConfig, MixtureSpec, run_gibbs
 from .rng import Rng, RngSeed
 
 PREDICTIVE_MODES = ("prior", "posterior")
+_TIE_RTOL = 1e-12
 
 
 def _check_mode(mode: str) -> str:
@@ -165,6 +167,35 @@ def _draw_param(model, mode: str, observed, rng: Rng):
 # predictive tails of a decision statistic
 
 
+def _at_least(s: float, s_obs: float) -> bool:
+    """s >= s_obs, counting s within _TIE_RTOL * max(1, |s_obs|) as a tie."""
+    return s >= s_obs - _TIE_RTOL * max(1.0, abs(s_obs))
+
+
+def _tail(pick_model, observed, statistic, s_obs: float, upper: bool, mode: str, n_rep: int, rng: Rng):
+    """Share of n_rep valid replicates with statistic >= s_obs (upper) or
+    <= s_obs (lower), and the number of degenerate replicates redrawn.
+    pick_model(rng) chooses the model of each replicate."""
+    if n_rep < 1:
+        raise ValueError("n_rep must be at least 1")
+    sign = 1.0 if upper else -1.0
+    hits = kept = degenerate = 0
+    while kept < n_rep:
+        model = pick_model(rng)
+        theta = _draw_param(model, mode, observed, rng)
+        rep = model.replicate(theta, rng)
+        try:
+            s = float(statistic(rep))
+        except DegeneracyError:
+            degenerate += 1
+            if degenerate > 100 * n_rep:
+                raise
+            continue
+        kept += 1
+        hits += _at_least(sign * s, sign * s_obs)
+    return hits / n_rep, degenerate
+
+
 def predictive_bf_tails(
     observed,
     model0,
@@ -188,27 +219,8 @@ def predictive_bf_tails(
     if n_rep < 100:
         raise ValueError("n_rep must be at least 100")
     s_obs = float(statistic(observed))
-
-    def tail(model, rng, upper: bool) -> tuple[float, int]:
-        hits = 0
-        kept = 0
-        degenerate = 0
-        while kept < n_rep:
-            theta = _draw_param(model, mode, observed, rng)
-            rep = model.replicate(theta, rng)
-            try:
-                s = float(statistic(rep))
-            except DegeneracyError:
-                degenerate += 1
-                if degenerate > 100 * n_rep:
-                    raise
-                continue
-            kept += 1
-            hits += (s >= s_obs) if upper else (s <= s_obs)
-        return hits / n_rep, degenerate
-
-    p0, deg0 = tail(model0, Rng(seed.child(0)), upper=True)
-    p1, deg1 = tail(model1, Rng(seed.child(1)), upper=False)
+    p0, deg0 = _tail(lambda rng: model0, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(0)))
+    p1, deg1 = _tail(lambda rng: model1, observed, statistic, s_obs, False, mode, n_rep, Rng(seed.child(1)))
     return CalibrationReport(
         p0=p0,
         p1=p1,
@@ -235,19 +247,17 @@ def predictive_bf_tails_encompassing(
 
     The mixing weight must be supplied by the caller; the answer depends
     on it, which is exactly why the two-tail report is the default.
+    Degenerate replicates are redrawn, as in predictive_bf_tails.
     """
     _check_mode(mode)
     if not 0.0 <= model0_weight <= 1.0:
         raise ValueError("model0_weight must lie in [0, 1]")
+
+    def pick_model(rng):
+        return model0 if rng.uniform() < model0_weight else model1
+
     s_obs = float(statistic(observed))
-    rng = Rng(seed.child(2))
-    hits = 0
-    for _ in range(n_rep):
-        model = model0 if rng.uniform() < model0_weight else model1
-        theta = _draw_param(model, mode, observed, rng)
-        rep = model.replicate(theta, rng)
-        hits += float(statistic(rep)) >= s_obs
-    return hits / n_rep
+    return _tail(pick_model, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(2)))[0]
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +328,8 @@ def posterior_predictive_pvalue(
     from the family at that draw, per replicate.  A NaN discrepancy
     raises ValueError.
     """
+    if n_rep < 1:
+        raise ValueError("n_rep must be at least 1")
     obs_values = observed.values if isinstance(observed, CountDataset) else np.asarray(observed)
     hits = 0
     for lam, rep in _posterior_predictive(posterior_draws, family, obs_values.size, n_rep, seed):
@@ -325,7 +337,7 @@ def posterior_predictive_pvalue(
         t_obs = float(discrepancy(obs_values, lam))
         if math.isnan(t_rep) or math.isnan(t_obs):
             raise ValueError(f"discrepancy is NaN at parameter {lam:.6g}")
-        hits += t_rep >= t_obs
+        hits += _at_least(t_rep, t_obs)
     return hits / n_rep
 
 

@@ -43,7 +43,7 @@ from .evidence import (
     log_marginal_quadrature,
     posterior_prob_from_log_bf,
 )
-from .experiments import desk_scale_config, run_experiment
+from .experiments import RIBBON_QUANTILES, desk_scale_config, run_experiment
 from .mixture import (
     McmcConfig,
     MixtureSpec,
@@ -419,7 +419,7 @@ def cmd_experiment(args) -> int:
             "iterations": config.mcmc.iterations,
             "burn_in": config.mcmc.burn_in,
             "t": config.t,
-            "ribbon_quantiles": list(config.ribbon_quantiles),
+            "ribbon_quantiles": list(RIBBON_QUANTILES),
         },
         seed=args.seed,
         artifacts=result.artifacts,

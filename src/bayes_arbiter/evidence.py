@@ -12,12 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .distributions import CountDataset
 from .errors import AccuracyError, DegeneracyError, ImproperEvidenceError
 from .special import log_gamma, log_normal_pdf, log_sum_exp
 
 _COUNT_FAMILIES = ("poisson", "geometric")
+_BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
+_PANEL_WIDTH_SDS = 0.5  # panel width in Laplace standard deviations
 
 
 # ----------------------------------------------------------------------
@@ -106,16 +109,15 @@ class QuadratureConfig:
     """Gauss-Legendre settings for the evidence oracle and the 2-D grid.
 
     The support is bracketed automatically where the log-integrand stays
-    within `bracket_drop` nats of its maximum, then split into panels of
-    roughly `panel_width_sds` Laplace standard deviations each.
+    within 40 nats of its maximum, then split into at most `max_panels`
+    panels of roughly half a Laplace standard deviation each, with
+    `nodes_per_panel` nodes per panel.  A refinement that moves the
+    answer by more than `tol` raises AccuracyError.
     """
 
     nodes_per_panel: int = 24
     max_panels: int = 128
-    panel_width_sds: float = 0.5
-    bracket_drop: float = 40.0
     tol: float = 1e-8
-    alpha_nodes: int = 96  # mixture-weight axis of the 2-D grid
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +250,7 @@ def log_bf12_printed(data: CountDataset) -> LogBayesFactor:
 
 def posterior_prob_from_log_bf(log_bf: float) -> float:
     """B/(1+B) with equal prior weights, computed stably from log B."""
-    if log_bf >= 0.0:
-        return 1.0 / (1.0 + math.exp(-log_bf))
-    b = math.exp(log_bf)
-    return b / (1.0 + b)
+    return float(expit(log_bf))
 
 
 def posterior_model_probabilities(log_evidences, weights: ModelWeights):
@@ -331,38 +330,42 @@ def _count_log_integrand(data: CountDataset, family: str):
     return lambda u: total * np.asarray(u) - (total + n) * np.logaddexp(0.0, np.asarray(u))
 
 
-def _count_bracket(data: CountDataset, family: str, config: QuadratureConfig):
+def _count_bracket(data: CountDataset, family: str, drop: float = _BRACKET_DROP):
+    """(log-integrand, lo, hi, Laplace sd) on u = ln(lambda) for one family."""
     log_f = _count_log_integrand(data, family)
     mode = math.log(data.total / data.n)
     if family == "poisson":
         sd = 1.0 / math.sqrt(data.total)
     else:
         sd = math.sqrt((data.total + data.n) / (data.total * data.n))
-    lo, hi = _bracket_support(log_f, mode, sd, config.bracket_drop)
-    panels = max(8, min(config.max_panels, math.ceil((hi - lo) / (config.panel_width_sds * sd))))
-    return log_f, lo, hi, panels
+    lo, hi = _bracket_support(log_f, mode, sd, drop)
+    return log_f, lo, hi, sd
+
+
+def _panel_count(lo: float, hi: float, sd: float, grid: QuadratureConfig) -> int:
+    """Panels of about _PANEL_WIDTH_SDS sds on [lo, hi], between 8 and grid.max_panels."""
+    return max(8, min(grid.max_panels, math.ceil((hi - lo) / (_PANEL_WIDTH_SDS * sd))))
 
 
 def log_marginal_quadrature(
     data: CountDataset,
     family: str,
-    prior: str = "inv_mean",
     grid: QuadratureConfig = QuadratureConfig(),
 ) -> LogEvidence:
     """Numerical marginal likelihood for a count family, independent of the
     closed forms.
 
-    Integrates on u = ln(lambda) with composite Gauss-Legendre panels over
-    an automatically bracketed support.  The error estimate is the change
+    Integrates against the 1/lambda prior on u = ln(lambda) with composite
+    Gauss-Legendre panels over an automatically bracketed support.  The
+    error estimate is the change
     under a refined rule; exceeding `grid.tol` raises AccuracyError with
     the estimate attached.
     """
     if family not in _COUNT_FAMILIES:
         raise ValueError(f"family must be one of {_COUNT_FAMILIES}")
-    if prior != "inv_mean":
-        raise ValueError("only the 1/lambda prior ('inv_mean') is supported")
     _require_positive_total(data)
-    log_f, lo, hi, panels = _count_bracket(data, family, grid)
+    log_f, lo, hi, sd = _count_bracket(data, family)
+    panels = _panel_count(lo, hi, sd, grid)
     coarse = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel)
     fine = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel + 8)
     err = abs(fine - coarse)
@@ -389,9 +392,9 @@ def log_bf10_normal_quadrature(
 
     post_mean = n * z / (n + 1.0)
     post_sd = 1.0 / math.sqrt(n + 1.0)
-    half_width = (math.sqrt(2.0 * grid.bracket_drop) + 2.0) * post_sd
+    half_width = (math.sqrt(2.0 * _BRACKET_DROP) + 2.0) * post_sd
     lo, hi = post_mean - half_width, post_mean + half_width
-    panels = max(8, min(grid.max_panels, math.ceil((hi - lo) / (grid.panel_width_sds * post_sd))))
+    panels = _panel_count(lo, hi, post_sd, grid)
     log_m1 = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel)
     log_m0 = log_normal_pdf(z, 0.0, samp_sd)
     return LogBayesFactor(

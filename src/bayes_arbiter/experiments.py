@@ -42,6 +42,7 @@ from .rng import Rng, RngSeed
 logger = logging.getLogger(__name__)
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "lindley")
+RIBBON_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 CSV_HEADERS = {
     "fig1": ("experiment", "hypothesis", "n", "replica", "log_bf10"),
@@ -78,7 +79,6 @@ class ExperimentConfig:
     mcmc: McmcConfig = McmcConfig()
     seed: RngSeed = RngSeed(0)
     output_dir: Path | None = None
-    ribbon_quantiles: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     t: float = 1.96
 
     def __post_init__(self):
@@ -96,9 +96,6 @@ class ExperimentConfig:
             raise ValueError("lambda_true must be positive and finite")
         if self.t < 0.0:
             raise ValueError("t must be non-negative")
-        qs = self.ribbon_quantiles
-        if len(qs) < 2 or any(b <= a for a, b in zip(qs, qs[1:])) or qs[0] < 0 or qs[-1] > 1:
-            raise ValueError("ribbon_quantiles must be ascending within [0, 1]")
 
 
 def desk_scale_config(experiment: str, seed: RngSeed, **overrides) -> ExperimentConfig:
@@ -166,11 +163,11 @@ def _quantile_label(q: float) -> str:
     return f"q{int(round(q * 100))}"
 
 
-def _ribbon_rows(condition: str, series: str, n: int, samples, quantiles) -> list[RibbonRow]:
+def _ribbon_rows(condition: str, series: str, n: int, samples) -> list[RibbonRow]:
     arr = np.asarray(samples, dtype=float)
     return [
         RibbonRow(condition, series, n, _quantile_label(q), float(np.quantile(arr, q)))
-        for q in quantiles
+        for q in RIBBON_QUANTILES
     ]
 
 
@@ -186,11 +183,10 @@ def _write_text(path: Path, text: str) -> None:
         f.write(text)
 
 
-def _ribbon_svg_for_condition(config, table: RibbonTable, condition: str, title: str, y_label: str) -> str:
+def _ribbon_svg_for_condition(table: RibbonTable, condition: str, title: str, y_label: str) -> str:
     from .svg import Band, Line, ribbon_plot_svg
 
-    qs = config.ribbon_quantiles
-    lo_label, hi_label = _quantile_label(qs[0]), _quantile_label(qs[-1])
+    lo_label, hi_label = _quantile_label(RIBBON_QUANTILES[0]), _quantile_label(RIBBON_QUANTILES[-1])
     palette = ("#87ceeb", "#d0d0d0", "#e88080", "#a0d890")
     line_colors = ("#1f3a5f", "#555555", "#8c1f1f", "#2f6f2f")
     bands, lines = [], []
@@ -247,7 +243,7 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
                     xbar = rng.normal(mu, 1.0 / math.sqrt(n))
                 values[r] = log_bf10_normal(NormalSummary(n, xbar)).log_bf
                 csv_rows.append(("fig1", hyp, n, r, float(values[r])))
-            ribbon.extend(_ribbon_rows(hyp, "log_bf10", n, values, config.ribbon_quantiles))
+            ribbon.extend(_ribbon_rows(hyp, "log_bf10", n, values))
 
     table = RibbonTable(tuple(ribbon))
     artifacts = _emit(config, table, csv_rows, y_label="log BF10")
@@ -321,9 +317,7 @@ def _mixture_result(config: ExperimentConfig, outcomes, extra_columns, y_label: 
         for n in config.n_grid:
             cell = [i for i, o in enumerate(outcomes) if o.a0 == a0 and o.n == n]
             for series, col in columns.items():
-                ribbon.extend(
-                    _ribbon_rows(f"a0_{a0:.10g}", series, n, [col[i] for i in cell], config.ribbon_quantiles)
-                )
+                ribbon.extend(_ribbon_rows(f"a0_{a0:.10g}", series, n, [col[i] for i in cell]))
     table = RibbonTable(tuple(ribbon))
     artifacts = _emit(config, table, csv_rows, y_label=y_label)
     return ExperimentResult(
@@ -438,9 +432,7 @@ def _emit(config: ExperimentConfig, table: RibbonTable, csv_rows, y_label: str) 
         svg_path = out / f"{config.experiment}_{cond}.svg"
         _write_text(
             svg_path,
-            _ribbon_svg_for_condition(
-                config, table, cond, title=f"{config.experiment} {cond}", y_label=y_label
-            ),
+            _ribbon_svg_for_condition(table, cond, title=f"{config.experiment} {cond}", y_label=y_label),
         )
         paths.append(svg_path)
     return tuple(paths)

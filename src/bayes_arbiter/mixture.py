@@ -26,11 +26,15 @@ from scipy.special import expit, log_expit, roots_jacobi
 
 from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
-from .evidence import QuadratureConfig, _bracket_support, _panel_nodes
+from .evidence import _BRACKET_DROP, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
 from .rng import Rng, RngSeed
 from .special import log_factorial
 
 _ACCEPTANCE_HEALTHY = (0.05, 0.95)
+# step-size adaptation targets: the 1-D lambda step and the 2-D joint step
+_TARGET_ACCEPTANCE_GIBBS = 0.44
+_TARGET_ACCEPTANCE_MARGINAL = 0.35
+_ALPHA_NODES = 96  # mixture-weight axis of the 2-D grid
 
 
 # ----------------------------------------------------------------------
@@ -39,20 +43,14 @@ _ACCEPTANCE_HEALTHY = (0.05, 0.95)
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Fixed-role two-component mixture with one shared mean parameter."""
+    """Fixed-role (1 = Poisson, 2 = geometric) two-component mixture with
+    one shared mean parameter and a Beta(a0, a0) prior on the weight."""
 
     a0: float = 0.5
-    component1: str = "poisson"
-    component2: str = "geometric"
-    shared_parameter: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.a0) and self.a0 > 0.0):
             raise ValueError("a0 must be positive and finite")
-        if self.component1 != "poisson" or self.component2 != "geometric":
-            raise ValueError("component roles are fixed: 1=poisson, 2=geometric")
-        if not self.shared_parameter:
-            raise ValueError("only the shared-mean mixture is supported")
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,6 @@ class McmcConfig:
     iterations: int = 10_000
     burn_in: int = 2_000
     initial_step: float = 0.5
-    target_acceptance_gibbs: float = 0.44
-    target_acceptance_marginal: float = 0.35
     adapt: bool = True
 
     def __post_init__(self):
@@ -185,13 +181,6 @@ def _require_nondegenerate(data: CountDataset) -> None:
         )
 
 
-def _initial_point(data: CountDataset, spec: MixtureSpec, rng: Rng) -> tuple[float, float]:
-    alpha = float(rng.beta(spec.a0, spec.a0))
-    alpha = min(max(alpha, 1e-12), 1.0 - 1e-12)
-    lam = data.mean if data.mean > 0.0 else 0.5
-    return alpha, lam
-
-
 # ----------------------------------------------------------------------
 # the shared random-walk loop
 
@@ -277,10 +266,10 @@ def run_gibbs(
         log_ratio = _log_u_conditional(v_prop, *counts) - _log_u_conditional(v, *counts)
         return (alpha, v), (alpha, v_prop), log_ratio
 
-    alpha, lam = _initial_point(data, spec, rng)
+    alpha = min(max(float(rng.beta(spec.a0, spec.a0)), 1e-12), 1.0 - 1e-12)
     return _random_walk_chain(
-        rng, (alpha, math.log(lam)), sweep, lambda x: (x[0], math.exp(x[1])),
-        config, config.target_acceptance_gibbs, seed, "gibbs", "lambda-step",
+        rng, (alpha, math.log(data.mean)), sweep, lambda x: (x[0], math.exp(x[1])),
+        config, _TARGET_ACCEPTANCE_GIBBS, seed, "gibbs", "lambda-step",
     )
 
 
@@ -295,7 +284,8 @@ def run_marginal_mh(
     seed: RngSeed = RngSeed(0),
 ) -> MixtureChain:
     """Random-walk Metropolis on (logit alpha, ln lambda) against the
-    allocation-marginalized posterior; validation kernel for run_gibbs."""
+    allocation-marginalized posterior; validation kernel for run_gibbs.
+    Starts at the prior mean of the weight and at lambda = the data mean."""
     _require_nondegenerate(data)
     rng = Rng(seed)
     values = data.values.astype(np.float64)
@@ -320,12 +310,10 @@ def run_marginal_mh(
         prop = log_target(s_prop, v_prop)
         return x, (s_prop, v_prop, prop), prop - cur
 
-    alpha0, lam0 = _initial_point(data, spec, rng)
-    s = math.log(alpha0) - math.log1p(-alpha0)
-    v = math.log(lam0)
+    v = math.log(data.mean)
     return _random_walk_chain(
-        rng, (s, v, log_target(s, v)), sweep, lambda x: (expit(x[0]), math.exp(x[1])),
-        config, config.target_acceptance_marginal, seed, "marginal_mh", "joint-step",
+        rng, (0.0, v, log_target(0.0, v)), sweep, lambda x: (expit(x[0]), math.exp(x[1])),
+        config, _TARGET_ACCEPTANCE_MARGINAL, seed, "marginal_mh", "joint-step",
     )
 
 
@@ -351,7 +339,7 @@ def grid_posterior_alpha(
     composite Gauss-Legendre on u = ln(lambda) over a bracketed support.
     `data=None` returns the Beta(a0, a0) prior itself, the zero-data check.
     """
-    alpha, w_alpha = _alpha_nodes(spec.a0, grid.alpha_nodes)
+    alpha, w_alpha = _alpha_nodes(spec.a0, _ALPHA_NODES)
     if data is None:
         mass = w_alpha / w_alpha.sum()
         log_dens = (spec.a0 - 1.0) * (np.log(alpha) + np.log1p(-alpha))
@@ -387,12 +375,12 @@ def grid_posterior_alpha(
         return a_nodes, a_wts, mass, shift + math.log(z), float(np.sum(mass * a_nodes))
 
     a_nodes, a_wts, mass, log_z, mean = evaluate(
-        grid.alpha_nodes, grid.nodes_per_panel, grid.bracket_drop
+        _ALPHA_NODES, grid.nodes_per_panel, _BRACKET_DROP
     )
     # refinement pass doubles the weight axis, adds nodes, and widens the
     # bracket, so truncation errors show up as well as rule errors
     _, _, _, log_z_ref, mean_ref = evaluate(
-        grid.alpha_nodes * 2, grid.nodes_per_panel + 8, grid.bracket_drop + 20.0
+        _ALPHA_NODES * 2, grid.nodes_per_panel + 8, _BRACKET_DROP + 20.0
     )
     err = max(abs(log_z - log_z_ref), abs(mean - mean_ref))
     if err > max(grid.tol, 1e-8):
@@ -418,38 +406,17 @@ def grid_posterior_alpha(
     )
 
 
-def _distinct_values(data: CountDataset):
-    """Distinct observed values, their multiplicities and ln(value!)."""
-    distinct, counts = np.unique(data.values, return_counts=True)
-    return distinct.astype(np.float64), counts.astype(np.float64), log_factorial(distinct)
-
-
 def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
-    """Support of the u = ln(lambda) axis, wide enough for any alpha.
+    """Support and panel count of the u = ln(lambda) axis, wide enough for any alpha.
 
     Takes the union of the pure-Poisson and pure-geometric brackets (both
     profiles peak at ln(total/n); every mixture profile sits between them
     up to per-observation weighting).
     """
-    vals, cnts, lfact = _distinct_values(data)
-    n = float(data.n)
-    total = float(data.total)
-
-    def log_pois(u: float) -> float:
-        return float(np.dot(cnts, _component_log_pmfs(vals, lfact, u)[0])) if u < 690.0 else -math.inf
-
-    def log_geo(u: float) -> float:
-        return float(np.dot(cnts, _component_log_pmfs(vals, lfact, u)[1]))
-
-    mode = math.log(total / n)
-    sd_pois = 1.0 / math.sqrt(total)
-    sd_geo = math.sqrt((total + n) / (total * n))
-    lo_p, hi_p = _bracket_support(log_pois, mode, sd_pois, drop)
-    lo_g, hi_g = _bracket_support(log_geo, mode, sd_geo, drop)
+    _, lo_p, hi_p, sd_p = _count_bracket(data, "poisson", drop)
+    _, lo_g, hi_g, sd_g = _count_bracket(data, "geometric", drop)
     lo, hi = min(lo_p, lo_g), max(hi_p, hi_g)
-    sd = max(sd_pois, sd_geo)
-    panels = max(8, min(grid.max_panels, math.ceil((hi - lo) / (grid.panel_width_sds * sd))))
-    return lo, hi, panels
+    return lo, hi, _panel_count(lo, hi, max(sd_p, sd_g), grid)
 
 
 def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -459,8 +426,9 @@ def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -
     (alpha, distinct values, u) rather than (alpha, n, u); the alpha axis
     is chunked to bound the temporaries on refined grids.
     """
-    vals, cnts, lfact = _distinct_values(data)
-    lf1, lf2 = _component_log_pmfs(vals[:, None], lfact[:, None], u[None, :])
+    distinct, counts = np.unique(data.values, return_counts=True)
+    vals, cnts = distinct.astype(np.float64), counts.astype(np.float64)
+    lf1, lf2 = _component_log_pmfs(vals[:, None], log_factorial(distinct)[:, None], u[None, :])
     out = np.empty((alpha.size, u.size))
     chunk = max(1, int(4_000_000 / max(1, vals.size * u.size)))
     for start in range(0, alpha.size, chunk):

@@ -1,7 +1,7 @@
 """Seeded random sampling on a fixed PCG32 generator.
 
-The generator is pinned so that every experiment is reproducible from a
-(master_seed, stream_index) pair alone:
+The generator is pinned so that every experiment is reproducible from an
+`RngSeed` (master_seed, stream_index) pair alone:
 
 * PCG32 (O'Neill): 64-bit LCG state, multiplier 6364136223846793005,
   XSH-RR output to 32 bits.
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .special import log_factorial
 
@@ -39,11 +40,6 @@ _INV_2_53 = 2.0 ** -53
 
 # k -> (a^1..a^k, 1, 1+a, ..., 1+a+..+a^{k-1}) mod 2^64, shared across instances.
 _JUMP_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _poisson_tail_cap(mean: float) -> int:
-    # CDF inversion stall guard: P(X > cap) is far below 2^-53.
-    return int(mean + 60.0 * math.sqrt(mean) + 60.0)
 
 
 @dataclass(frozen=True)
@@ -58,9 +54,6 @@ class RngSeed:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         if not 0 <= self.stream_index < (1 << 63):
             raise ValueError("stream_index must be a non-negative 63-bit integer")
-
-    def with_stream(self, stream_index: int) -> "RngSeed":
-        return RngSeed(self.master_seed, stream_index)
 
     def child(self, *path: int) -> "RngSeed":
         """Derive a task-addressed stream under the same master seed.
@@ -96,9 +89,7 @@ def _jump_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
 class Rng:
     """PCG32-backed sampler with scalar and vectorized draw paths."""
 
-    def __init__(self, seed: RngSeed | int, stream_index: int = 0):
-        if isinstance(seed, int):
-            seed = RngSeed(seed, stream_index)
+    def __init__(self, seed: RngSeed):
         self.seed = seed
         self._inc = (((seed.stream_index << 1) | 1)) & _MASK64
         state = (0 * _MULT + self._inc) & _MASK64
@@ -130,18 +121,13 @@ class Rng:
             out = self._buf[self._pos : self._pos + k]
             self._pos += k
             return out
-        parts = [self._buf[self._pos :]]
-        self._pos = self._buf.shape[0]
+        head = self._buf[self._pos :]
         need = k - avail
-        while need > 0:
-            # Round the block up to a multiple of the base size so the jump
-            # tables stay few; over-buffered values are served on later calls.
-            self._refill(-(-need // _BUFFER) * _BUFFER)
-            take = min(need, self._buf.shape[0])
-            parts.append(self._buf[:take])
-            self._pos = take
-            need -= take
-        return np.concatenate(parts)
+        # Round the block up to a multiple of the base size so the jump
+        # tables stay few; over-buffered values are served on later calls.
+        self._refill(-(-need // _BUFFER) * _BUFFER)
+        self._pos = need
+        return np.concatenate((head, self._buf[:need]))
 
     def next_u32(self) -> int:
         if self._pos >= self._buf.shape[0]:
@@ -184,7 +170,7 @@ class Rng:
             raise ValueError("mean must be positive")
         if size is None:
             if mean < 10.0:
-                return self._poisson_inversion_scalar(mean)
+                return int(self.poisson(mean, 1)[0])
             return self._poisson_ptrs_scalar(mean)
         if mean < 10.0:
             u = self.uniform(size)
@@ -194,7 +180,7 @@ class Rng:
             k = np.zeros(size, dtype=np.int64)
             active = u > cdf
             j = 0
-            cap = _poisson_tail_cap(mean)
+            cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)  # P(X > cap) is far below 2^-53
             while active.any() and j < cap:
                 j += 1
                 prob = prob * (mean / j)
@@ -203,18 +189,6 @@ class Rng:
                 active = u > cdf
             return k
         return np.array([self._poisson_ptrs_scalar(mean) for _ in range(size)], dtype=np.int64)
-
-    def _poisson_inversion_scalar(self, mean: float) -> int:
-        u = self.uniform()
-        p = math.exp(-mean)
-        cdf = p
-        k = 0
-        cap = _poisson_tail_cap(mean)
-        while u > cdf and k < cap:
-            k += 1
-            p *= mean / k
-            cdf += p
-        return k
 
     def _poisson_ptrs_scalar(self, mean: float) -> int:
         # Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
@@ -250,14 +224,19 @@ class Rng:
         u = self.uniform(size)
         return np.floor(np.log(u) / log_ratio).astype(np.int64)
 
+    def _log_gamma(self, shape: float) -> float:
+        """ln of a Gamma(shape, 1) draw; finite where the draw itself underflows."""
+        if shape < 1.0:
+            # Valid for 0 < shape < 1: Gamma(shape) ~ Gamma(shape + 1) * U^(1/shape).
+            return self._log_gamma(shape + 1.0) + math.log(self.uniform()) / shape
+        return math.log(self.gamma(shape))
+
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) draw via Marsaglia-Tsang, boosted below shape 1."""
         if shape <= 0.0:
             raise ValueError("shape must be positive")
         if shape < 1.0:
-            # Valid for 0 < shape < 1: Gamma(shape) ~ Gamma(shape + 1) * U^(1/shape).
-            g = self.gamma(shape + 1.0)
-            return g * self.uniform() ** (1.0 / shape)
+            return math.exp(self._log_gamma(shape))
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         while True:
@@ -272,11 +251,10 @@ class Rng:
                 return d * v
 
     def beta(self, a: float, b: float, size: int | None = None):
-        """Beta(a, b) draw(s) as a gamma ratio; valid for all positive shapes."""
+        """Beta(a, b) draw(s) as a gamma ratio, formed from log-gammas so that
+        shapes small enough to underflow both gammas still give a draw."""
         if a <= 0.0 or b <= 0.0:
             raise ValueError("beta shapes must be positive")
         if size is None:
-            ga = self.gamma(a)
-            gb = self.gamma(b)
-            return ga / (ga + gb)
+            return float(expit(self._log_gamma(a) - self._log_gamma(b)))
         return np.array([self.beta(a, b) for _ in range(size)])

@@ -30,6 +30,23 @@ def lindley_statistic(summary: NormalSummary) -> float:
     return log_bf01_lindley(summary.n, summary.t_statistic).log_bf
 
 
+def log_bf12(data: CountDataset) -> float:
+    return log_bf12_shared_improper(data).log_bf
+
+
+class FixedReplicateModel:
+    """Prior-mode model whose every replicate is the same dataset."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def draw_param_prior(self, rng):
+        return None
+
+    def replicate(self, theta, rng):
+        return CountDataset(self.values)
+
+
 class TestPredictiveBfTails:
     def test_constant_statistic_gives_all_ties(self):
         obs = NormalSummary(25, 0.3)
@@ -146,6 +163,23 @@ class TestPredictiveBfTails:
         assert 0.0 <= rep.p0 <= 1.0
         assert 0.0 <= rep.p1 <= 1.0
 
+    def test_ties_within_rounding_count_on_both_tails(self):
+        # both log BF12 values are ln(10/9) in exact arithmetic, but their
+        # floating-point evaluations differ in the last bits
+        a, b = [1, 0, 2], [2, 2, 0]
+        assert log_bf12(CountDataset(a)) != log_bf12(CountDataset(b))
+        for obs, other in ((a, b), (b, a)):
+            model = FixedReplicateModel(other)
+            rep = predictive_bf_tails(
+                CountDataset(obs), model, model, statistic=log_bf12, mode="prior", n_rep=100, seed=RngSeed(0)
+            )
+            assert (rep.p0, rep.p1) == (1.0, 1.0)
+            p = predictive_bf_tails_encompassing(
+                CountDataset(obs), model, model, statistic=log_bf12, model0_weight=0.5,
+                mode="prior", n_rep=100, seed=RngSeed(0),
+            )
+            assert p == 1.0
+
     def test_improper_prior_mode_raises(self):
         obs = CountDataset([1, 2])
         with pytest.raises(ImproperEvidenceError):
@@ -215,6 +249,27 @@ class TestPredictiveBfTails:
                 statistic=lindley_statistic, model0_weight=1.5,
             )
 
+    def test_encompassing_rejects_zero_replicates(self):
+        obs = NormalSummary(25, 0.3)
+        with pytest.raises(ValueError, match="n_rep"):
+            predictive_bf_tails_encompassing(
+                obs, NormalPointNullModel(25), NormalUnitPriorModel(25),
+                statistic=lindley_statistic, model0_weight=0.5, mode="prior", n_rep=0,
+            )
+
+    def test_encompassing_redraws_degenerate_replicates(self):
+        # with an observed total of 1, all-zero replicates (BF undefined) are common
+        p = predictive_bf_tails_encompassing(
+            CountDataset([1, 0, 0]),
+            PoissonImproperMeanModel(3),
+            GeometricImproperMeanModel(3),
+            statistic=log_bf12,
+            model0_weight=0.5,
+            n_rep=200,
+            seed=RngSeed(24),
+        )
+        assert 0.0 <= p <= 1.0
+
 
 class TestPosteriorPredictiveReplicate:
     def test_degenerate_posterior_concentrates(self):
@@ -267,6 +322,20 @@ class TestPosteriorPredictivePvalue:
             posterior_predictive_pvalue(
                 obs, [2.0], "poisson", lambda x, t: math.nan, n_rep=100, seed=RngSeed(14)
             )
+
+    def test_ties_within_rounding_count(self):
+        # the observed discrepancy is 0.1 * 3 = 0.30000000000000004, every
+        # replicate's is 0.3: a tie that exact comparison would miss
+        obs = CountDataset([1, 2, 3])
+        p = posterior_predictive_pvalue(
+            obs, [2.0], "poisson", lambda x, t: 0.1 * 3 if x is obs.values else 0.3,
+            n_rep=100, seed=RngSeed(14),
+        )
+        assert p == 1.0
+
+    def test_rejects_zero_replicates(self):
+        with pytest.raises(ValueError, match="n_rep"):
+            posterior_predictive_pvalue(CountDataset([1, 2, 3]), [2.0], "poisson", discrepancy_mean, n_rep=0)
 
     def test_shipped_discrepancies(self):
         x = np.array([0, 2, 5, 0])

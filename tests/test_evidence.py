@@ -179,8 +179,6 @@ class TestQuadratureOracle:
         d = CountDataset([1, 2])
         with pytest.raises(ValueError):
             log_marginal_quadrature(d, "binomial")
-        with pytest.raises(ValueError):
-            log_marginal_quadrature(d, "poisson", prior="flat")
         with pytest.raises(ImproperEvidenceError):
             log_marginal_quadrature(CountDataset([0]), "poisson")
 

@@ -37,8 +37,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("fig1", n_grid=(10,), replicas=0)
         with pytest.raises(ValueError):
-            ExperimentConfig("fig1", n_grid=(10,), ribbon_quantiles=(0.5, 0.2))
-        with pytest.raises(ValueError):
             ExperimentConfig("fig2", n_grid=(10,), a0_list=(0.5, float("nan")))
         with pytest.raises(ValueError):
             ExperimentConfig("fig2", n_grid=(10,), lambda_true=float("inf"))

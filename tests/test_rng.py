@@ -149,10 +149,6 @@ class TestRngSeed:
         with pytest.raises(ValueError):
             RngSeed(0, -2)
 
-    def test_with_stream(self):
-        s = RngSeed(11, 0).with_stream(9)
-        assert s == RngSeed(11, 9)
-
     def test_child_streams_are_stable_and_distinct(self):
         s = RngSeed(11, 4)
         a = s.child(1, 2, 3)
