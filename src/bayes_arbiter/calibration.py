@@ -411,6 +411,8 @@ def bootstrap_alpha_cutoff(
         raise ValueError(f"generator must be one of {_REPLICATE_FAMILIES}")
     if summary not in ("mean", "median"):
         raise ValueError("summary must be 'mean' or 'median'")
+    if not (math.isfinite(lambda_true) and lambda_true > 0.0):
+        raise ValueError("lambda_true must be positive and finite")
     if replicas < 20:
         raise ValueError("need at least 20 replicas for a usable quantile")
     if not 0.0 <= q <= 1.0:

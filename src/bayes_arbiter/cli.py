@@ -43,7 +43,7 @@ from .evidence import (
     log_marginal_quadrature,
     posterior_prob_from_log_bf,
 )
-from .experiments import RIBBON_QUANTILES, desk_scale_config, run_experiment
+from .experiments import EXPERIMENTS, RIBBON_QUANTILES, desk_scale_config, run_experiment
 from .mixture import (
     McmcConfig,
     MixtureSpec,
@@ -88,12 +88,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    artifacts, wall_time: float) -> Path:
+                    digests: dict[str, str], wall_time: float) -> Path:
     manifest = {
         "command": command,
         "config": _round10(config),
         "seed": seed,
-        "artifacts": {p.name: _sha256(p) for p in artifacts},
+        "artifacts": digests,
         "wall_time_s": round(wall_time, 3),
         "version": __version__,
     }
@@ -142,7 +142,7 @@ def _dataset_from_args(args) -> CountDataset:
 def _int_like(text: str) -> int:
     # accept 1e6-style notation for counts
     v = float(text)
-    if v < 1 or v != int(v):
+    if v < 1 or not v.is_integer():
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(v)
 
@@ -407,6 +407,7 @@ def cmd_experiment(args) -> int:
                     p.unlink(missing_ok=True)
         raise
     wall = time.time() - started
+    digests = {p.name: _sha256(p) for p in result.artifacts}
     manifest = _write_manifest(
         out_dir,
         command=f"experiment {args.name}",
@@ -422,7 +423,7 @@ def cmd_experiment(args) -> int:
             "ribbon_quantiles": list(RIBBON_QUANTILES),
         },
         seed=args.seed,
-        artifacts=result.artifacts,
+        digests=digests,
         wall_time=wall,
     )
     _print_json(
@@ -430,7 +431,7 @@ def cmd_experiment(args) -> int:
             "experiment": result.experiment,
             "rows": len(result.csv_rows),
             "n_resimulated": result.n_resimulated,
-            "artifacts": {p.name: _sha256(p) for p in result.artifacts},
+            "artifacts": digests,
             "manifest": manifest.name,
         }
     )
@@ -526,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # experiment
     p_exp = sub.add_parser("experiment", help="replication experiments with CSV/SVG output")
-    p_exp.add_argument("name", choices=("fig1", "fig2", "fig3", "lindley"))
+    p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seed", type=_int_like, required=True)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--config", help="flat key=value config file; flags override")

@@ -43,6 +43,9 @@ class NormalSummary:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        for name in ("xbar", "theta0", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
 
@@ -159,8 +162,8 @@ def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError("t must be non-negative and finite")
     return LogBayesFactor(
         log_bf=_half_log1p(n) - _evidence_exponent(n, t),
         numerator_model="normal_point_null",

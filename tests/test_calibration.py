@@ -392,3 +392,6 @@ class TestBootstrapCutoff:
             bootstrap_alpha_cutoff(MixtureSpec(0.5), "poisson", 4.0, 10, 5)
         with pytest.raises(ValueError):
             bootstrap_alpha_cutoff(MixtureSpec(0.5), "poisson", 4.0, 10, 20, summary="mode")
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="lambda_true must be positive and finite"):
+                bootstrap_alpha_cutoff(MixtureSpec(0.5), "poisson", bad, 10, 20)

@@ -76,6 +76,32 @@ class TestLindleyCommand:
         assert out["n"] == 1_000_000
 
 
+    def test_infinite_n_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lindley", "--t", "1", "--n", "inf"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("bf", "normal", "--n", "5", "--xbar", "nan"), "xbar"),
+        (("lindley", "--t", "nan", "--n", "10"), "t"),
+        (("calibrate", "tails", "--family", "normal", "--n", "5", "--xbar", "nan",
+          "--n-rep", "10", "--seed", "1"), "xbar"),
+        (("experiment", "lindley", "--t", "nan", "--seed", "1"), "t"),
+    ],
+)
+def test_non_finite_normal_input_exit_2(capsys, tmp_path, argv, name):
+    if argv[0] == "experiment":
+        argv += ("--out", str(tmp_path / "lin"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must" in err
+
+
 class TestMixtureCommand:
     def test_deterministic_json(self, capsys):
         argv = (

@@ -73,6 +73,12 @@ class TestNormalClosedForms:
             log_bf01_lindley(10, -0.5)
         with pytest.raises(ValueError):
             NormalSummary(10, 0.0, sigma=0.0)
+        with pytest.raises(ValueError, match="t must"):
+            log_bf01_lindley(10, float("nan"))
+        for field in ("xbar", "theta0", "sigma"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    NormalSummary(10, **{"xbar": 0.0, field: bad})
 
 
 class TestCountMarginals:

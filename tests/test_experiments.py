@@ -2,6 +2,7 @@ import pytest
 
 from bayes_arbiter.experiments import (
     CSV_HEADERS,
+    RIBBON_QUANTILES,
     ExperimentConfig,
     desk_scale_config,
     run_experiment,
@@ -13,6 +14,8 @@ from bayes_arbiter.experiments import (
 from bayes_arbiter.mixture import McmcConfig
 from bayes_arbiter.rng import RngSeed
 from bayes_arbiter.svg import Band, Line, ribbon_plot_svg
+
+MEDIAN = RIBBON_QUANTILES.index(0.5)
 
 
 def small_mix_config(experiment: str, seed=42, **overrides) -> ExperimentConfig:
@@ -40,6 +43,10 @@ class TestConfig:
             ExperimentConfig("fig2", n_grid=(10,), a0_list=(0.5, float("nan")))
         with pytest.raises(ValueError):
             ExperimentConfig("fig2", n_grid=(10,), lambda_true=float("inf"))
+        with pytest.raises(ValueError, match="a0"):
+            ExperimentConfig("fig2", n_grid=(10,), a0_list=(0.5, 0.5))
+        with pytest.raises(ValueError, match="t must"):
+            ExperimentConfig("lindley", n_grid=(10,), t=float("nan"))
 
     def test_desk_scale_defaults(self):
         cfg = desk_scale_config("fig1", RngSeed(1))
@@ -71,20 +78,15 @@ class TestFig1:
         assert frac >= 0.9
 
     def test_median_trends(self, result):
-        h0 = [v for _, v in result.table.quantile_values("H0", "log_bf10", "q50")]
-        h1 = [v for _, v in result.table.quantile_values("H1", "log_bf10", "q50")]
+        h0 = result.table["H0"]["log_bf10"][:, MEDIAN].tolist()
+        h1 = result.table["H1"]["log_bf10"][:, MEDIAN].tolist()
         assert all(b < a for a, b in zip(h0, h0[1:]))
         assert all(b > a for a, b in zip(h1, h1[1:]))
 
     def test_ribbon_quantiles_monotone_within_groups(self, result):
         for cond in ("H0", "H1"):
-            for n in (10, 100, 1000):
-                vals = [
-                    v
-                    for label in ("min", "q25", "q50", "q75", "max")
-                    for _, v in result.table.quantile_values(cond, "log_bf10", label)
-                    if _ == n
-                ]
+            for n_idx in range(3):
+                vals = result.table[cond]["log_bf10"][n_idx].tolist()
                 assert vals == sorted(vals)
 
     def test_artifacts_written(self, result):
@@ -137,9 +139,8 @@ class TestFig2AndFig3:
         )
         res = run_fig2(cfg)
         assert any(r[1] == 1 for r in res.csv_rows)
-        lo = dict(res.table.quantile_values("a0_0.1", "post_median_alpha", "min"))
-        hi = dict(res.table.quantile_values("a0_0.1", "post_median_alpha", "max"))
-        assert hi[1] - lo[1] >= 0.2
+        lo, *_, hi = res.table["a0_0.1"]["post_median_alpha"][0]  # n = 1
+        assert hi - lo >= 0.2
 
     def test_tiny_n_resimulation_counted(self):
         # n=1, lambda small: all-zero datasets occur and are redrawn
@@ -154,7 +155,11 @@ class TestFig2AndFig3:
 
 class TestLindley:
     def test_table_and_csv(self, tmp_path):
-        res = run_lindley(1.96, (100, 1000, 10**4, 10**5, 10**6), tmp_path)
+        res = run_lindley(
+            ExperimentConfig(
+                "lindley", n_grid=(100, 1000, 10**4, 10**5, 10**6), t=1.96, output_dir=tmp_path
+            )
+        )
         assert res.csv_header == ("t", "n", "log_bf01")
         vals = [row[2] for row in res.csv_rows]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -166,14 +171,14 @@ class TestLindley:
     def test_t_zero_exact(self):
         import math
 
-        res = run_lindley(0.0, (3,))
+        res = run_lindley(ExperimentConfig("lindley", n_grid=(3,), t=0.0))
         assert res.csv_rows[0][2] == pytest.approx(0.5 * math.log(4.0), abs=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_lindley(-1.0, (10,))
+            ExperimentConfig("lindley", n_grid=(10,), t=-1.0)
         with pytest.raises(ValueError):
-            run_lindley(1.0, ())
+            ExperimentConfig("lindley", n_grid=(), t=1.0)
 
 
 class TestRunExperimentDispatch:
