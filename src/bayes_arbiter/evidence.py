@@ -41,8 +41,7 @@ class NormalSummary:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _require_sample_size(self.n)
         for name in ("xbar", "theta0", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -135,7 +134,14 @@ def _half_log1p(n: int) -> float:
     return 0.5 * math.log1p(float(n))
 
 
+def _require_sample_size(n) -> None:
+    if not 1 <= n < math.inf:
+        raise ValueError("n must be a finite number of at least 1")
+
+
 def _evidence_exponent(n: int, t: float) -> float:
+    if not math.isfinite(n * t * t):
+        raise ValueError(f"n t^2 overflows at t = {t:.10g}, n = {n:.10g}")
     return n * t * t / (2.0 * (1.0 + n))
 
 
@@ -160,8 +166,7 @@ def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
     0.5 ln(1+n) - n t^2 / (2 (1+n)): for fixed t > 0 this grows without
     bound in n, the Jeffreys-Lindley behaviour.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_sample_size(n)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be non-negative and finite")
     return LogBayesFactor(

@@ -9,7 +9,8 @@ is needed.
 Three independent routes to the same posterior:
 
 * `run_gibbs` - latent-allocation Gibbs with a random-walk Metropolis
-  step on ln(lambda),
+  step on ln(lambda); `run_gibbs_chains` runs many such chains in
+  lockstep,
 * `run_marginal_mh` - random-walk Metropolis on (logit alpha, ln lambda)
   against the allocation-marginalized posterior,
 * `grid_posterior_alpha` - 2-D tensor-grid quadrature (Gauss-Jacobi in
@@ -35,6 +36,7 @@ _ACCEPTANCE_HEALTHY = (0.05, 0.95)
 _TARGET_ACCEPTANCE_GIBBS = 0.44
 _TARGET_ACCEPTANCE_MARGINAL = 0.35
 _ALPHA_NODES = 96  # mixture-weight axis of the 2-D grid
+_LOG_2 = math.log(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +126,7 @@ class DiscretizedPosterior:
 # conditionals
 #
 # Each public conditional validates its arguments and calls a private core;
-# run_gibbs calls the cores on the sufficient statistics (n1, n2, s1, s2).
+# the Gibbs sweep calls the cores on the sufficient statistics (n1, n2, s1, s2).
 
 
 def conditional_alpha(n1: int, n2: int, a0: float) -> tuple[float, float]:
@@ -134,9 +136,9 @@ def conditional_alpha(n1: int, n2: int, a0: float) -> tuple[float, float]:
     return a0 + n1, a0 + n2
 
 
-def _allocation_probability(values, lfact, alpha: float, u: float):
+def _allocation_probability(values, lfact, logit_alpha, u):
     lf1, lf2 = _component_log_pmfs(values, lfact, u)
-    return expit((math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2))
+    return expit(logit_alpha + (lf1 - lf2))
 
 
 def allocation_probability(x, alpha: float, lam: float):
@@ -146,7 +148,9 @@ def allocation_probability(x, alpha: float, lam: float):
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     xa = np.asarray(x, dtype=np.int64)
-    out = _allocation_probability(xa, log_factorial(xa), alpha, math.log(lam))
+    out = _allocation_probability(
+        xa, log_factorial(xa), math.log(alpha) - math.log1p(-alpha), math.log(lam)
+    )
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -154,7 +158,14 @@ def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
     # density of u = ln(lambda): lambda^(s1+s2) e^(-n1 lambda) (1+lambda)^-(s2+n2)
     if u > 690.0:
         return -math.inf
-    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * float(np.logaddexp(0.0, u))
+    # ln(1 + e^u) by the same operations as np.logaddexp(0.0, u)
+    if u > 0.0:
+        softplus = u + math.log1p(math.exp(-u))
+    elif u < 0.0:
+        softplus = math.log1p(math.exp(u))
+    else:
+        softplus = _LOG_2
+    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * softplus
 
 
 def log_lambda_conditional(lam: float, n1: int, n2: int, s1: int, s2: int) -> float:
@@ -185,55 +196,125 @@ def _require_nondegenerate(data: CountDataset) -> None:
 # the shared random-walk loop
 
 
-def _random_walk_chain(rng, x, sweep, params, config, target_acceptance, seed, kernel, step_name):
-    """Adapted random-walk Metropolis loop shared by both samplers.
+def _random_walk_chains(rngs, xs, sweep, params, config, target_acceptance, seeds, kernel, step_name):
+    """Adapted random-walk Metropolis loop over K chains in lockstep,
+    shared by both samplers.
 
-    `sweep(x, step)` runs one iteration up to the accept decision and
-    returns (next point if rejected, next point if accepted, log ratio);
-    `params(x)` maps a point to the recorded (alpha, lambda).  The step
-    scale is Robbins-Monro adapted toward the target acceptance during
-    burn-in only.
+    `sweep(xs, steps)` runs one iteration of every chain up to the accept
+    decision and returns per-chain lists of (next point if rejected, next
+    point if accepted, log ratio); `params(x)` maps one chain's point to
+    the recorded (alpha, lambda).  Each chain draws its accept uniform
+    from its own stream, and its step scale is Robbins-Monro adapted
+    toward the target acceptance during burn-in only.
     """
+    chains = range(len(rngs))
     kept = config.iterations - config.burn_in
-    alphas = np.empty(kept)
-    lambdas = np.empty(kept)
-    log_step = math.log(config.initial_step)
-    accepted = 0
+    alphas = np.empty((len(rngs), kept))
+    lambdas = np.empty((len(rngs), kept))
+    log_steps = [math.log(config.initial_step)] * len(rngs)
+    accepted = [0] * len(rngs)
     for it in range(config.iterations):
-        stay, move, log_ratio = sweep(x, math.exp(log_step))
-        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = rng.uniform() < accept_prob
-        x = move if moved else stay
-        if it < config.burn_in:
-            if config.adapt:
-                gamma = (it + 1.0) ** -0.6
-                log_step += gamma * (accept_prob - target_acceptance)
-        else:
-            accepted += moved
-            k = it - config.burn_in
-            alphas[k], lambdas[k] = params(x)
+        stays, moves, log_ratios = sweep(xs, [math.exp(s) for s in log_steps])
+        burning = it < config.burn_in
+        if burning:
+            gamma = (it + 1.0) ** -0.6
+        for c in chains:
+            log_ratio = log_ratios[c]
+            accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+            moved = rngs[c].uniform() < accept_prob
+            xs[c] = moves[c] if moved else stays[c]
+            if burning:
+                if config.adapt:
+                    log_steps[c] += gamma * (accept_prob - target_acceptance)
+            else:
+                accepted[c] += moved
+                alphas[c, it - config.burn_in], lambdas[c, it - config.burn_in] = params(xs[c])
 
-    rate = accepted / kept
-    warnings = ()
-    if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
-        warnings = (
-            f"{step_name} acceptance {rate:.3f} outside "
-            f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
+    out = []
+    for c in chains:
+        rate = accepted[c] / kept
+        warnings = ()
+        if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
+            warnings = (
+                f"{step_name} acceptance {rate:.3f} outside "
+                f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
+            )
+        out.append(
+            MixtureChain(
+                alpha_draws=alphas[c],
+                lambda_draws=lambdas[c],
+                iterations=config.iterations,
+                burn_in=config.burn_in,
+                mh_acceptance_rate=rate,
+                seed=seeds[c],
+                kernel=kernel,
+                warnings=warnings,
+            )
         )
-    return MixtureChain(
-        alpha_draws=alphas,
-        lambda_draws=lambdas,
-        iterations=config.iterations,
-        burn_in=config.burn_in,
-        mh_acceptance_rate=rate,
-        seed=seed,
-        kernel=kernel,
-        warnings=warnings,
-    )
+    return out
 
 
 # ----------------------------------------------------------------------
 # Gibbs with latent allocations
+
+
+def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureChain]:
+    """One latent-allocation Gibbs chain per (data, spec, seed) cell, run in lockstep.
+
+    Each chain draws from its own `Rng(seed)` in the order a chain run
+    alone would, so every chain equals `run_gibbs` on its cell; the
+    allocation step of all chains is one set of array operations over
+    the (chain, distinct value) pairs, gathered back to the observations.
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    for data, _, _ in cells:
+        _require_nondegenerate(data)
+    rngs = [Rng(seed) for _, _, seed in cells]
+    sizes = [data.n for data, _, _ in cells]
+    totals = [data.total for data, _, _ in cells]
+    a0s = [spec.a0 for _, spec, _ in cells]
+    distinct, inverse = zip(*(np.unique(data.values, return_inverse=True) for data, _, _ in cells))
+    counts = [d.size for d in distinct]
+    starts = np.cumsum([0] + counts[:-1])
+    gather = np.concatenate([i + s for i, s in zip(inverse, starts)])
+    obs_chain = np.repeat(np.arange(len(cells)), sizes)
+    value_chain = np.repeat(np.arange(len(cells)), counts)
+    values = np.concatenate(distinct).astype(np.float64)
+    # one call per chain, in cell order, so the log-factorial table grows
+    # as it does for chains run one at a time
+    lfact = np.concatenate([log_factorial(d) for d in distinct])
+    obs_values = values[gather]
+
+    def sweep(xs, steps):
+        u = np.concatenate([rng.uniform(n) for rng, n in zip(rngs, sizes)])
+        logits = np.array([math.log(a) - math.log1p(-a) for a, _ in xs])[value_chain]
+        vs = np.array([v for _, v in xs])[value_chain]
+        in1 = u < _allocation_probability(values, lfact, logits, vs)[gather]
+        hit = obs_chain[in1]
+        n1s = np.bincount(hit, minlength=len(xs)).tolist()
+        s1s = np.bincount(hit, weights=obs_values[in1], minlength=len(xs)).tolist()
+        stays, moves, log_ratios = [], [], []
+        for rng, (_, v), step, n, total, a0, n1, s1 in zip(rngs, xs, steps, sizes, totals, a0s, n1s, s1s):
+            s1 = int(s1)
+            stats = (n1, n - n1, s1, total - s1)
+            alpha = float(rng.beta(*conditional_alpha(n1, n - n1, a0)))
+            alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
+            v_prop = v + rng.normal(0.0, step)
+            stays.append((alpha, v))
+            moves.append((alpha, v_prop))
+            log_ratios.append(_log_u_conditional(v_prop, *stats) - _log_u_conditional(v, *stats))
+        return stays, moves, log_ratios
+
+    xs = [
+        (min(max(float(rng.beta(a0, a0)), 1e-12), 1.0 - 1e-12), math.log(data.mean))
+        for rng, a0, (data, _, _) in zip(rngs, a0s, cells)
+    ]
+    return _random_walk_chains(
+        rngs, xs, sweep, lambda x: (x[0], math.exp(x[1])), config,
+        _TARGET_ACCEPTANCE_GIBBS, [seed for _, _, seed in cells], "gibbs", "lambda-step",
+    )
 
 
 def run_gibbs(
@@ -247,30 +328,7 @@ def run_gibbs(
     The lambda step is a Gaussian random walk on ln(lambda).
     Deterministic given (data, spec, config, seed).
     """
-    _require_nondegenerate(data)
-    rng = Rng(seed)
-    values = data.values.astype(np.float64)
-    lfact = log_factorial(data.values)
-    n = data.n
-    total = data.total
-
-    def sweep(x, step):
-        alpha, v = x
-        in1 = rng.uniform(n) < _allocation_probability(values, lfact, alpha, v)
-        n1 = int(in1.sum())
-        s1 = int(in1.dot(values))
-        counts = (n1, n - n1, s1, total - s1)
-        alpha = float(rng.beta(*conditional_alpha(n1, n - n1, spec.a0)))
-        alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-        v_prop = v + rng.normal(0.0, step)
-        log_ratio = _log_u_conditional(v_prop, *counts) - _log_u_conditional(v, *counts)
-        return (alpha, v), (alpha, v_prop), log_ratio
-
-    alpha = min(max(float(rng.beta(spec.a0, spec.a0)), 1e-12), 1.0 - 1e-12)
-    return _random_walk_chain(
-        rng, (alpha, math.log(data.mean)), sweep, lambda x: (x[0], math.exp(x[1])),
-        config, _TARGET_ACCEPTANCE_GIBBS, seed, "gibbs", "lambda-step",
-    )
+    return run_gibbs_chains([(data, spec, seed)], config)[0]
 
 
 # ----------------------------------------------------------------------
@@ -303,18 +361,19 @@ def run_marginal_mh(
         # the 1/lambda prior is flat in ln(lambda).
         return loglik + a0 * (log_alpha + log_1m_alpha)
 
-    def sweep(x, step):
+    def sweep(xs, steps):
+        (x,), (step,) = xs, steps
         s, v, cur = x
         s_prop = s + rng.normal(0.0, step)
         v_prop = v + rng.normal(0.0, step)
         prop = log_target(s_prop, v_prop)
-        return x, (s_prop, v_prop, prop), prop - cur
+        return [x], [(s_prop, v_prop, prop)], [prop - cur]
 
     v = math.log(data.mean)
-    return _random_walk_chain(
-        rng, (0.0, v, log_target(0.0, v)), sweep, lambda x: (expit(x[0]), math.exp(x[1])),
-        config, _TARGET_ACCEPTANCE_MARGINAL, seed, "marginal_mh", "joint-step",
-    )
+    return _random_walk_chains(
+        [rng], [(0.0, v, log_target(0.0, v))], sweep, lambda x: (expit(x[0]), math.exp(x[1])),
+        config, _TARGET_ACCEPTANCE_MARGINAL, [seed], "marginal_mh", "joint-step",
+    )[0]
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ Passing the same (master_seed, stream_index) always replays the same
 draw sequence; each `Rng` owns private state and must not be shared
 between concurrent tasks without external exclusion.
 
-Refills of the internal 32-bit buffer are vectorized: the LCG is jumped
-k steps ahead with precomputed tables of multiplier powers and
-geometric sums modulo 2^64, which reproduces the scalar recurrence bit
-for bit.
+Draws come from a buffer of uniforms.  Each refill turns the next block
+of 32-bit outputs into uniforms at once: the LCG is jumped k steps ahead
+with precomputed tables of multiplier powers and geometric sums modulo
+2^64, which reproduces the scalar recurrence bit for bit.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .special import log_factorial
+from .special import _log_factorial_held, log_factorial
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MULT = 6364136223846793005
-_BUFFER = 1 << 14
+_BUFFER = 1 << 14  # words per refill block
+_UNIFORMS = _BUFFER // 2
 _INV_2_53 = 2.0 ** -53
 
 # k -> (a^1..a^k, 1, 1+a, ..., 1+a+..+a^{k-1}) mod 2^64, shared across instances.
@@ -86,6 +87,18 @@ def _jump_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return apow, gsum
 
 
+def _pcg32_block(state: int, inc: int, k: int) -> tuple[np.ndarray, int]:
+    """The next k PCG32 outputs after `state` (as uint64), and the state after them."""
+    apow, gsum = _jump_tables(k)
+    with np.errstate(over="ignore"):
+        s = apow * np.uint64(state) + gsum * np.uint64(inc)
+        xorshifted = ((s >> np.uint64(18)) ^ s) >> np.uint64(27)
+        xorshifted = xorshifted & np.uint64(_MASK32)
+        rot = s >> np.uint64(59)
+        out = (xorshifted >> rot) | (xorshifted << ((np.uint64(32) - rot) & np.uint64(31)))
+    return out & np.uint64(_MASK32), (int(s[-1]) * _MULT + inc) & _MASK64
+
+
 class Rng:
     """PCG32-backed sampler with scalar and vectorized draw paths."""
 
@@ -95,59 +108,44 @@ class Rng:
         state = (0 * _MULT + self._inc) & _MASK64
         state = (state + (seed.master_seed & _MASK64)) & _MASK64
         self._state = (state * _MULT + self._inc) & _MASK64
-        self._buf = np.empty(0, dtype=np.uint32)
+        self._buf = np.empty(0)
+        self._view = memoryview(self._buf)
         self._pos = 0
 
     # ------------------------------------------------------------------
-    # raw 32-bit stream
+    # buffered uniforms
 
-    def _refill(self, k: int = _BUFFER) -> None:
-        apow, gsum = _jump_tables(k)
-        with np.errstate(over="ignore"):
-            s = apow * np.uint64(self._state) + gsum * np.uint64(self._inc)
-            xorshifted = ((s >> np.uint64(18)) ^ s) >> np.uint64(27)
-            xorshifted = xorshifted & np.uint64(_MASK32)
-            rot = s >> np.uint64(59)
-            out = (xorshifted >> rot) | (
-                xorshifted << ((np.uint64(32) - rot) & np.uint64(31))
-            )
-            self._state = (int(s[-1]) * _MULT + self._inc) & _MASK64
-        self._buf = (out & np.uint64(_MASK32)).astype(np.uint32)
+    def _refill(self) -> None:
+        """Replace the buffer with the next block of uniforms."""
+        words, self._state = _pcg32_block(self._state, self._inc, _BUFFER)
+        u64 = (words[0::2] << np.uint64(32)) | words[1::2]
+        self._buf = ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        self._view = memoryview(self._buf)
         self._pos = 0
-
-    def _take_u32(self, k: int) -> np.ndarray:
-        avail = self._buf.shape[0] - self._pos
-        if k <= avail:
-            out = self._buf[self._pos : self._pos + k]
-            self._pos += k
-            return out
-        head = self._buf[self._pos :]
-        need = k - avail
-        # Round the block up to a multiple of the base size so the jump
-        # tables stay few; over-buffered values are served on later calls.
-        self._refill(-(-need // _BUFFER) * _BUFFER)
-        self._pos = need
-        return np.concatenate((head, self._buf[:need]))
-
-    def next_u32(self) -> int:
-        if self._pos >= self._buf.shape[0]:
-            self._refill()
-        v = int(self._buf[self._pos])
-        self._pos += 1
-        return v
-
-    # ------------------------------------------------------------------
-    # uniforms and normals
 
     def uniform(self, size: int | None = None):
         """Uniform draw(s) strictly inside (0, 1), 53-bit resolution."""
+        pos = self._pos
         if size is None:
-            hi = self.next_u32()
-            lo = self.next_u32()
-            return ((((hi << 32) | lo) >> 11) + 0.5) * _INV_2_53
-        raw = self._take_u32(2 * size).astype(np.uint64)
-        u64 = (raw[0::2] << np.uint64(32)) | raw[1::2]
-        return ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+            if pos == len(self._view):
+                self._refill()
+                pos = 0
+            self._pos = pos + 1
+            return self._view[pos]
+        end = pos + size
+        if end <= self._buf.shape[0]:
+            self._pos = end
+            return self._buf[pos:end]
+        # Whole blocks, one at a time: one block's temporaries stay in
+        # cache, where a block sized to the request would not.
+        parts = [self._buf[pos:]]
+        need = end - self._buf.shape[0]
+        while need > 0:
+            self._refill()
+            self._pos = min(need, _UNIFORMS)
+            parts.append(self._buf[: self._pos])
+            need -= self._pos
+        return np.concatenate(parts)
 
     def normal(self, mean: float = 0.0, sd: float = 1.0, size: int | None = None):
         """Gaussian draw(s) via Box-Muller; each consumes exactly two uniforms."""
@@ -169,47 +167,81 @@ class Rng:
         if mean <= 0.0:
             raise ValueError("mean must be positive")
         if size is None:
-            if mean < 10.0:
-                return int(self.poisson(mean, 1)[0])
-            return self._poisson_ptrs_scalar(mean)
-        if mean < 10.0:
-            u = self.uniform(size)
-            p = math.exp(-mean)
-            prob = np.full(size, p)
-            cdf = prob.copy()
-            k = np.zeros(size, dtype=np.int64)
+            return int(self.poisson(mean, 1)[0])
+        if mean >= 10.0:
+            return self._poisson_ptrs(mean, size)
+        u = self.uniform(size)
+        p = math.exp(-mean)
+        prob = np.full(size, p)
+        cdf = prob.copy()
+        k = np.zeros(size, dtype=np.int64)
+        active = u > cdf
+        j = 0
+        cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)  # P(X > cap) is far below 2^-53
+        while active.any() and j < cap:
+            j += 1
+            prob = prob * (mean / j)
+            cdf = cdf + prob
+            k[active] = j
             active = u > cdf
-            j = 0
-            cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)  # P(X > cap) is far below 2^-53
-            while active.any() and j < cap:
-                j += 1
-                prob = prob * (mean / j)
-                cdf = cdf + prob
-                k[active] = j
-                active = u > cdf
-            return k
-        return np.array([self._poisson_ptrs_scalar(mean) for _ in range(size)], dtype=np.int64)
+        return k
 
-    def _poisson_ptrs_scalar(self, mean: float) -> int:
-        # Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
+    def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
+        """Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
+
+        Each candidate is one (u, v) pair of consecutive uniforms.  Pairs
+        are judged as arrays, a block at a time straight from the buffer
+        and never across a refill; the cursor then moves past exactly the
+        pairs that a one-candidate-at-a-time loop would have used, so the
+        stream and the draws are the same as that loop's.
+        """
         b = 0.931 + 2.53 * math.sqrt(mean)
         a = -0.059 + 0.02483 * b
         inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
         v_r = 0.9277 - 3.6224 / (b - 2.0)
         log_mean = math.log(mean)
-        while True:
-            u = self.uniform() - 0.5
-            v = self.uniform()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-            if us >= 0.07 and v <= v_r:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            lhs = math.log(v * inv_alpha / (a / (us * us) + b))
-            rhs = k * log_mean - mean - float(log_factorial(int(k)))
-            if lhs <= rhs:
-                return int(k)
+        draws = []
+        need = size
+        while need:
+            pairs = (self._buf.shape[0] - self._pos) // 2
+            if pairs:
+                m = min(pairs, need + need // 4 + 4)
+                uv = self._buf[self._pos : self._pos + 2 * m]
+            else:
+                # fewer than two uniforms left: the next pair may straddle
+                # the refill, and it is used whatever it holds
+                m = 1
+                uv = self.uniform(2)
+            u = uv[0::2] - 0.5
+            v = uv[1::2]
+            us = 0.5 - np.abs(u)
+            k = np.floor((2.0 * a / us + b) * u + mean + 0.43)
+            accept = (us >= 0.07) & (v <= v_r)
+            idx = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
+            # log_factorial extends its table from the last entry, so the
+            # entries depend on the order of the calls that grow it: the
+            # block ends before the first candidate that would grow it,
+            # unless that candidate is reached, and then it grows it alone.
+            lf = _log_factorial_held(k[idx].astype(np.int64))
+            if lf.size < idx.size:
+                if lf.size == 0 and np.count_nonzero(accept[: idx[0]]) < need:
+                    lf = np.array([log_factorial(int(k[idx[0]]))])
+                if lf.size < idx.size:
+                    m = idx[lf.size]
+                idx = idx[: lf.size]
+            if idx.size:
+                ratio = v[idx] * inv_alpha / (a / (us[idx] * us[idx]) + b)
+                # math.log: np.log differs from it in the last bit on some inputs
+                lhs = np.array([math.log(r) for r in ratio.tolist()])
+                accept[idx] = lhs <= k[idx] * log_mean - mean - lf
+            hits = np.flatnonzero(accept[:m])[:need]
+            if hits.size == need:
+                m = hits[-1] + 1
+            if pairs:
+                self._pos += 2 * m
+            draws.append(k[hits])
+            need -= hits.size
+        return np.concatenate(draws).astype(np.int64)
 
     def geometric_mean(self, mean: float, size: int | None = None):
         """Geometric (failure-count) draw(s) with the given mean.

@@ -48,6 +48,13 @@ def log_factorial(k):
     return float(out) if np.isscalar(k) or arr.ndim == 0 else out
 
 
+def _log_factorial_held(k: np.ndarray) -> np.ndarray:
+    """ln k! for the longest prefix of the non-negative integer array k
+    that the table already holds; the table does not grow."""
+    beyond = np.flatnonzero(k >= _LOG_FACTORIAL_TABLE.shape[0])
+    return _LOG_FACTORIAL_TABLE[k[: beyond[0]] if beyond.size else k]
+
+
 def log_sum_exp(values, axis=None, weights=None):
     """log sum_i w_i exp(v_i), max-shifted; -inf inputs are handled.
 

@@ -102,6 +102,23 @@ def test_non_finite_normal_input_exit_2(capsys, tmp_path, argv, name):
     assert f"error: {name} must" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bf", "normal", "--n", "5", "--xbar", "1e300", "--sigma", "1e-10"),
+        ("lindley", "--t", "1e200", "--n", "10"),
+        ("calibrate", "tails", "--family", "normal", "--n", "5", "--xbar", "1e200",
+         "--n-rep", "100", "--seed", "1"),
+    ],
+)
+def test_overflowing_normal_statistic_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: n t^2 overflows at t = " in err
+    assert ", n = " in err
+
+
 class TestMixtureCommand:
     def test_deterministic_json(self, capsys):
         argv = (

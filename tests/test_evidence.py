@@ -79,6 +79,13 @@ class TestNormalClosedForms:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=field):
                     NormalSummary(10, **{"xbar": 0.0, field: bad})
+        for bad in (float("nan"), float("inf"), 0.5):
+            with pytest.raises(ValueError, match="n must"):
+                NormalSummary(bad, 0.3)
+            with pytest.raises(ValueError, match="n must"):
+                log_bf01_lindley(bad, 1.0)
+        with pytest.raises(ValueError, match="t = 1e\\+200, n = 10"):
+            log_bf01_lindley(10, 1e200)
 
 
 class TestCountMarginals:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayes_arbiter.distributions import CountDataset
+from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import DegeneracyError
+from bayes_arbiter import special
 from bayes_arbiter.evidence import QuadratureConfig
 from bayes_arbiter.mixture import (
     McmcConfig,
@@ -18,9 +19,11 @@ from bayes_arbiter.mixture import (
     log_lambda_conditional,
     posterior_summary,
     run_gibbs,
+    run_gibbs_chains,
     run_marginal_mh,
 )
 from bayes_arbiter.rng import Rng, RngSeed
+from bayes_arbiter.special import log_factorial
 
 
 def pinned_dataset(n: int, stream: int = 0, mean: float = 4.0) -> CountDataset:
@@ -40,6 +43,49 @@ def make_chain(alpha_values) -> MixtureChain:
         mh_acceptance_rate=0.4,
         seed=RngSeed(0),
     )
+
+
+def _reference_log_u_conditional(u, n1, n2, s1, s2):
+    if u > 690.0:
+        return -math.inf
+    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * float(np.logaddexp(0.0, u))
+
+
+def _reference_gibbs(data, spec, seed, config):
+    """One latent-allocation Gibbs chain, one scalar sweep per iteration."""
+    from scipy.special import expit
+
+    rng = Rng(seed)
+    values = data.values.astype(np.float64)
+    lfact = log_factorial(data.values)
+    n, total = data.n, data.total
+    kept = config.iterations - config.burn_in
+    alphas, lambdas = np.empty(kept), np.empty(kept)
+    log_step = math.log(config.initial_step)
+    accepted = 0
+    alpha = min(max(float(rng.beta(spec.a0, spec.a0)), 1e-12), 1.0 - 1e-12)
+    v = math.log(data.mean)
+    for it in range(config.iterations):
+        lf1, lf2 = _component_log_pmfs(values, lfact, v)
+        in1 = rng.uniform(n) < expit((math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2))
+        n1 = int(in1.sum())
+        s1 = int(in1.dot(values))
+        counts = (n1, n - n1, s1, total - s1)
+        alpha = float(rng.beta(*conditional_alpha(n1, n - n1, spec.a0)))
+        alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
+        v_prop = v + rng.normal(0.0, math.exp(log_step))
+        log_ratio = _reference_log_u_conditional(v_prop, *counts) - _reference_log_u_conditional(v, *counts)
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        moved = rng.uniform() < accept_prob
+        if moved:
+            v = v_prop
+        if it < config.burn_in:
+            if config.adapt:
+                log_step += (it + 1.0) ** -0.6 * (accept_prob - 0.44)
+        else:
+            accepted += moved
+            alphas[it - config.burn_in], lambdas[it - config.burn_in] = alpha, math.exp(v)
+    return alphas, lambdas, accepted / kept
 
 
 class TestSpecAndState:
@@ -124,6 +170,41 @@ class TestSamplers:
         assert np.array_equal(a.alpha_draws, b.alpha_draws)
         assert np.array_equal(a.lambda_draws, b.lambda_draws)
         assert a.mh_acceptance_rate == b.mh_acceptance_rate
+
+    @pytest.mark.parametrize(
+        "config", [McmcConfig(1_000, 300), McmcConfig(600, 100, initial_step=200.0, adapt=False)]
+    )
+    def test_lockstep_chains_match_scalar_reference(self, config, monkeypatch):
+        cells = [
+            (pinned_dataset(n, stream=i), MixtureSpec(a0), RngSeed(41, i))
+            for i, (n, a0) in enumerate(
+                (n, a0) for n in (1, 10, 1000) for a0 in (0.001, 0.5, 3.0)
+            )
+        ]
+        # log-factorial table entries depend on the order of the calls
+        # that grow it, so both runs start from an empty table
+        monkeypatch.setattr(special, "_LOG_FACTORIAL_TABLE", np.zeros(1))
+        chains = run_gibbs_chains(cells, config)
+        table = special._LOG_FACTORIAL_TABLE
+        monkeypatch.setattr(special, "_LOG_FACTORIAL_TABLE", np.zeros(1))
+        refs = [_reference_gibbs(*cell, config) for cell in cells]
+        assert np.array_equal(special._LOG_FACTORIAL_TABLE, table)
+        for chain, cell, (alphas, lambdas, rate) in zip(chains, cells, refs):
+            assert np.array_equal(chain.alpha_draws, alphas)
+            assert np.array_equal(chain.lambda_draws, lambdas)
+            assert chain.mh_acceptance_rate == rate
+            assert bool(chain.warnings) == (not 0.05 <= rate <= 0.95)
+            assert chain.seed == cell[2]
+        if not config.adapt:
+            assert all(chain.warnings for chain in chains)
+        for chain, back in zip(chains, reversed(run_gibbs_chains(cells[::-1], config))):
+            assert np.array_equal(chain.alpha_draws, back.alpha_draws)
+            assert np.array_equal(chain.lambda_draws, back.lambda_draws)
+            assert (chain.mh_acceptance_rate, chain.warnings) == (back.mh_acceptance_rate, back.warnings)
+        single = run_gibbs(*cells[4][:2], config, cells[4][2])
+        assert np.array_equal(single.alpha_draws, chains[4].alpha_draws)
+        assert np.array_equal(single.lambda_draws, chains[4].lambda_draws)
+        assert (single.mh_acceptance_rate, single.warnings) == (chains[4].mh_acceptance_rate, chains[4].warnings)
 
     def test_marginal_mh_deterministic(self):
         data = pinned_dataset(20)

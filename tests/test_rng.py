@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bayes_arbiter.rng import Rng, RngSeed
+from bayes_arbiter import special
+from bayes_arbiter.rng import Rng, RngSeed, _pcg32_block
+from bayes_arbiter.special import log_factorial
 
 # Scalar PCG32 reference, kept independent of the production block path.
 _M64 = (1 << 64) - 1
@@ -29,7 +31,25 @@ class TestRawStream:
     def test_block_path_matches_scalar_recurrence(self):
         ref = _reference_u32_stream(42, 7, 300)
         rng = Rng(RngSeed(42, 7))
-        assert [rng.next_u32() for _ in range(300)] == ref
+        words, state = _pcg32_block(rng._state, rng._inc, 200)
+        rest, _ = _pcg32_block(state, rng._inc, 100)
+        assert words.tolist() + rest.tolist() == ref
+
+    def test_scalar_and_vector_draws_across_refills(self):
+        # the buffer holds 8192 uniforms; these calls straddle three refills
+        sizes = [8190, None, None, None, 5, 0, 20_000, None, 8191, None, 3]
+        words = _reference_u32_stream(17, 4, 2 * sum(1 if k is None else k for k in sizes))
+        ref = [((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in zip(words[0::2], words[1::2])]
+        rng = Rng(RngSeed(17, 4))
+        got = []
+        for k in sizes:
+            if k is None:
+                u = rng.uniform()
+                assert type(u) is float
+                got.append(u)
+            else:
+                got.extend(rng.uniform(k).tolist())
+        assert got == ref
 
     def test_reproducible_across_instances(self):
         a = Rng(RngSeed(123456789, 3)).uniform(10_000)
@@ -62,6 +82,59 @@ class TestRawStream:
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(grid - u)), np.max(np.abs(u - (grid - 1.0 / n))))
         assert ks < 0.01
+
+
+def _poisson_ptrs_scalar(rng: Rng, mean: float) -> int:
+    # Hoermann's transformed rejection with squeeze (PTRS), mean >= 10,
+    # one candidate (u, v) pair at a time.
+    b = 0.931 + 2.53 * math.sqrt(mean)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    log_mean = math.log(mean)
+    while True:
+        u = rng.uniform() - 0.5
+        v = rng.uniform()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        lhs = math.log(v * inv_alpha / (a / (us * us) + b))
+        rhs = k * log_mean - mean - float(log_factorial(int(k)))
+        if lhs <= rhs:
+            return int(k)
+
+
+class TestPoissonPtrs:
+    @pytest.mark.parametrize("mean", [10.0, 15.0, 37.5, 400.0])
+    def test_vector_matches_scalar_loop(self, mean):
+        for seed in range(10):
+            for size in (1, 7, 100, 3000):
+                if size == 3000 and seed >= 3:
+                    continue
+                # start a few uniforms short of a refill, at either parity
+                skip = 8192 - 2 * size - seed
+                r1, r2 = Rng(RngSeed(seed, 40)), Rng(RngSeed(seed, 40))
+                r1.uniform(skip)
+                r2.uniform(skip)
+                ref = [_poisson_ptrs_scalar(r1, mean) for _ in range(size)]
+                got = r2.poisson(mean, size)
+                assert got.dtype == np.int64
+                assert got.tolist() == ref
+                assert r2.uniform() == r1.uniform()
+        assert Rng(RngSeed(5, 5)).poisson(mean) == _poisson_ptrs_scalar(Rng(RngSeed(5, 5)), mean)
+
+    def test_log_factorial_table_grows_as_scalar_loop(self, monkeypatch):
+        # table entries depend on the order of the calls that grow it
+        tables = []
+        for draw in (lambda r: [_poisson_ptrs_scalar(r, 400.0) for _ in range(50)], lambda r: r.poisson(400.0, 50)):
+            monkeypatch.setattr(special, "_LOG_FACTORIAL_TABLE", np.zeros(1))
+            draw(Rng(RngSeed(3, 3)))
+            tables.append(special._LOG_FACTORIAL_TABLE)
+        assert tables[0].shape == tables[1].shape
+        assert np.array_equal(tables[0], tables[1])
 
 
 class TestDistributions:
