@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import CountDataset
 from .errors import DegeneracyError, ImproperEvidenceError
 from .evidence import NormalSummary
-from .mixture import McmcConfig, MixtureSpec, run_gibbs
+from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
 from .rng import Rng, RngSeed
 
 PREDICTIVE_MODES = ("prior", "posterior")
@@ -405,7 +405,8 @@ def bootstrap_alpha_cutoff(
     """Sampling distribution of the posterior weight summary under a known
     generator, reduced to its empirical q-quantile as a decision cutoff.
 
-    All-zero simulated datasets are redrawn (fresh stream) and counted.
+    All-zero simulated datasets are redrawn (fresh stream) and counted;
+    the replicas' chains then run in lockstep, one `run_gibbs_chains` call.
     """
     if generator not in _REPLICATE_FAMILIES:
         raise ValueError(f"generator must be one of {_REPLICATE_FAMILIES}")
@@ -418,16 +419,14 @@ def bootstrap_alpha_cutoff(
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
 
-    summaries = []
+    cells = []
     n_resimulated = 0
     for r in range(replicas):
         data, attempt = nonzero_counts(generator, lambda_true, n_obs, seed, 10, r)
         n_resimulated += attempt
-        chain = run_gibbs(data, spec, mcmc, seed.child(11, r, attempt))
-        if summary == "mean":
-            summaries.append(float(chain.alpha_draws.mean()))
-        else:
-            summaries.append(float(np.median(chain.alpha_draws)))
+        cells.append((data, spec, seed.child(11, r, attempt)))
+    reduce = np.mean if summary == "mean" else np.median
+    summaries = [float(reduce(chain.alpha_draws)) for chain in run_gibbs_chains(cells, mcmc)]
 
     cutoff = float(np.quantile(np.asarray(summaries), q))
     return BootstrapCutoff(

@@ -279,12 +279,11 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     counts = [d.size for d in distinct]
     starts = np.cumsum([0] + counts[:-1])
     gather = np.concatenate([i + s for i, s in zip(inverse, starts)])
-    obs_chain = np.repeat(np.arange(len(cells)), sizes)
+    obs_starts = np.cumsum([0] + sizes[:-1])
     value_chain = np.repeat(np.arange(len(cells)), counts)
-    values = np.concatenate(distinct).astype(np.float64)
-    # one call per chain, in cell order, so the log-factorial table grows
-    # as it does for chains run one at a time
-    lfact = np.concatenate([log_factorial(d) for d in distinct])
+    values = np.concatenate(distinct)
+    lfact = log_factorial(values)
+    values = values.astype(np.float64)
     obs_values = values[gather]
 
     def sweep(xs, steps):
@@ -292,9 +291,9 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
         logits = np.array([math.log(a) - math.log1p(-a) for a, _ in xs])[value_chain]
         vs = np.array([v for _, v in xs])[value_chain]
         in1 = u < _allocation_probability(values, lfact, logits, vs)[gather]
-        hit = obs_chain[in1]
-        n1s = np.bincount(hit, minlength=len(xs)).tolist()
-        s1s = np.bincount(hit, weights=obs_values[in1], minlength=len(xs)).tolist()
+        # integer-valued sums over each chain's observations, so exact
+        n1s = np.add.reduceat(in1, obs_starts).tolist()
+        s1s = np.add.reduceat(obs_values * in1, obs_starts).tolist()
         stays, moves, log_ratios = [], [], []
         for rng, (_, v), step, n, total, a0, n1, s1 in zip(rngs, xs, steps, sizes, totals, a0s, n1s, s1s):
             s1 = int(s1)
@@ -335,6 +334,13 @@ def run_gibbs(
 # marginalized random-walk Metropolis
 
 
+def _marginal_loglik(values, lfact, counts, log_alpha: float, log_1m_alpha: float, v: float) -> float:
+    """sum_i ln(alpha f1(x_i) + (1-alpha) f2(x_i)) at lambda = e^v, over
+    the distinct values of x weighted by their counts."""
+    lf1, lf2 = _component_log_pmfs(values, lfact, v)
+    return float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2) @ counts)
+
+
 def run_marginal_mh(
     data: CountDataset,
     spec: MixtureSpec,
@@ -346,17 +352,17 @@ def run_marginal_mh(
     Starts at the prior mean of the weight and at lambda = the data mean."""
     _require_nondegenerate(data)
     rng = Rng(seed)
-    values = data.values.astype(np.float64)
-    lfact = log_factorial(data.values)
+    distinct, counts = np.unique(data.values, return_counts=True)
+    lfact = log_factorial(distinct)
+    values, counts = distinct.astype(np.float64), counts.astype(np.float64)
     a0 = spec.a0
 
     def log_target(s: float, v: float) -> float:
         if v > 690.0:
             return -math.inf
-        lf1, lf2 = _component_log_pmfs(values, lfact, v)
         log_alpha = float(log_expit(s))
         log_1m_alpha = float(log_expit(-s))
-        loglik = float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2).sum())
+        loglik = _marginal_loglik(values, lfact, counts, log_alpha, log_1m_alpha, v)
         # Beta(a0,a0) prior plus logit Jacobian leaves alpha^a0 (1-alpha)^a0;
         # the 1/lambda prior is flat in ln(lambda).
         return loglik + a0 * (log_alpha + log_1m_alpha)

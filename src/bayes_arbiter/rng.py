@@ -18,7 +18,9 @@ between concurrent tasks without external exclusion.
 Draws come from a buffer of uniforms.  Each refill turns the next block
 of 32-bit outputs into uniforms at once: the LCG is jumped k steps ahead
 with precomputed tables of multiplier powers and geometric sums modulo
-2^64, which reproduces the scalar recurrence bit for bit.
+2^64, which reproduces the scalar recurrence bit for bit.  A fresh
+stream's first block is 64 uniforms, and each refill doubles it up to
+8192, so a stream costs about what it draws.
 """
 
 from __future__ import annotations
@@ -30,17 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .special import _log_factorial_held, log_factorial
+from .special import log_factorial
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 _MULT = 6364136223846793005
-_BUFFER = 1 << 14  # words per refill block
-_UNIFORMS = _BUFFER // 2
+_BUFFER = 1 << 14  # words in the largest refill block
+_FIRST_UNIFORMS = 64  # uniforms in a fresh stream's first block
 _INV_2_53 = 2.0 ** -53
-
-# k -> (a^1..a^k, 1, 1+a, ..., 1+a+..+a^{k-1}) mod 2^64, shared across instances.
-_JUMP_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -71,32 +69,50 @@ class RngSeed:
         return RngSeed(self.master_seed, idx)
 
 
-def _jump_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _JUMP_TABLES.get(k)
-    if cached is not None:
-        return cached
-    with np.errstate(over="ignore"):
-        apow = np.ones(k, dtype=np.uint64)
-        if k > 1:
-            apow[1:] = np.uint64(_MULT)
-            apow = np.cumprod(apow)  # apow[j] = a^j mod 2^64
-        gsum = np.zeros(k, dtype=np.uint64)
-        if k > 1:
-            gsum[1:] = np.cumsum(apow[:-1])  # gsum[j] = 1 + a + ... + a^{j-1}
-    _JUMP_TABLES[k] = (apow, gsum)
-    return apow, gsum
+# jump tables for the largest block, mod 2^64: _APOW[j] = a^j and
+# _GSUM[j] = 1 + a + ... + a^{j-1}
+_APOW = np.cumprod(np.concatenate([[1], np.full(_BUFFER - 1, _MULT)]).astype(np.uint64))
+_GSUM = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(_APOW[:-1])])
 
 
 def _pcg32_block(state: int, inc: int, k: int) -> tuple[np.ndarray, int]:
-    """The next k PCG32 outputs after `state` (as uint64), and the state after them."""
-    apow, gsum = _jump_tables(k)
+    """The next k <= 2^14 PCG32 outputs after `state` (as uint32), and the
+    state after them."""
     with np.errstate(over="ignore"):
-        s = apow * np.uint64(state) + gsum * np.uint64(inc)
-        xorshifted = ((s >> np.uint64(18)) ^ s) >> np.uint64(27)
-        xorshifted = xorshifted & np.uint64(_MASK32)
-        rot = s >> np.uint64(59)
-        out = (xorshifted >> rot) | (xorshifted << ((np.uint64(32) - rot) & np.uint64(31)))
-    return out & np.uint64(_MASK32), (int(s[-1]) * _MULT + inc) & _MASK64
+        s = _APOW[:k] * np.uint64(state)
+        s += _GSUM[:k] * np.uint64(inc)
+        x = s >> np.uint64(18)
+        x ^= s
+        x >>= np.uint64(27)
+        xorshifted = x.astype(np.uint32)
+        rot = (s >> np.uint64(59)).astype(np.uint32)
+    out = xorshifted >> rot
+    rot = -rot  # wraps: (32 - rot) & 31 below
+    rot &= np.uint32(31)
+    xorshifted <<= rot
+    out |= xorshifted
+    return out, (int(s[-1]) * _MULT + inc) & _MASK64
+
+
+def _poisson_inversion(u: np.ndarray, mean: float, cap: int) -> np.ndarray:
+    """Poisson(mean < 10) by inversion of the uniforms u: the least k
+    with u <= cdf(k), or cap if there is none below cap.
+
+    The cdf is summed once, in Python floats, by the recurrence
+    p(k) = p(k-1) * (mean / k).  The sum stops at the first term too small
+    to change it: every term is at least e^-mean > 4e-5 until k passes the
+    mean, and the terms only shrink after that, so the cdf is final.
+    """
+    prob = cdf = math.exp(-mean)
+    table = [cdf]
+    for j in range(1, cap):
+        prob = prob * (mean / j)
+        if cdf + prob == cdf:
+            break
+        cdf = cdf + prob
+        table.append(cdf)
+    k = np.searchsorted(table, u, side="left")
+    return np.where(k < len(table), k, cap)
 
 
 class Rng:
@@ -111,17 +127,25 @@ class Rng:
         self._buf = np.empty(0)
         self._view = memoryview(self._buf)
         self._pos = 0
+        self._block = _FIRST_UNIFORMS
 
     # ------------------------------------------------------------------
     # buffered uniforms
 
     def _refill(self) -> None:
-        """Replace the buffer with the next block of uniforms."""
-        words, self._state = _pcg32_block(self._state, self._inc, _BUFFER)
-        u64 = (words[0::2] << np.uint64(32)) | words[1::2]
-        self._buf = ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-        self._view = memoryview(self._buf)
+        """Replace the buffer with the next block of uniforms, each
+        ((hi * 2^21 + (lo >> 11)) + 1/2) * 2^-53 from a pair of words;
+        the sum is below 2^53, so float64 holds it exactly."""
+        words, self._state = _pcg32_block(self._state, self._inc, 2 * self._block)
+        buf = words[0::2].astype(np.float64)
+        buf *= 2.0**21
+        buf += words[1::2] >> np.uint32(11)
+        buf += 0.5
+        buf *= _INV_2_53
+        self._buf = buf
+        self._view = memoryview(buf)
         self._pos = 0
+        self._block = min(2 * self._block, _BUFFER // 2)
 
     def uniform(self, size: int | None = None):
         """Uniform draw(s) strictly inside (0, 1), 53-bit resolution."""
@@ -142,7 +166,7 @@ class Rng:
         need = end - self._buf.shape[0]
         while need > 0:
             self._refill()
-            self._pos = min(need, _UNIFORMS)
+            self._pos = min(need, self._buf.shape[0])
             parts.append(self._buf[: self._pos])
             need -= self._pos
         return np.concatenate(parts)
@@ -170,21 +194,8 @@ class Rng:
             return int(self.poisson(mean, 1)[0])
         if mean >= 10.0:
             return self._poisson_ptrs(mean, size)
-        u = self.uniform(size)
-        p = math.exp(-mean)
-        prob = np.full(size, p)
-        cdf = prob.copy()
-        k = np.zeros(size, dtype=np.int64)
-        active = u > cdf
-        j = 0
         cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)  # P(X > cap) is far below 2^-53
-        while active.any() and j < cap:
-            j += 1
-            prob = prob * (mean / j)
-            cdf = cdf + prob
-            k[active] = j
-            active = u > cdf
-        return k
+        return _poisson_inversion(self.uniform(size), mean, cap)
 
     def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
         """Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
@@ -218,18 +229,8 @@ class Rng:
             k = np.floor((2.0 * a / us + b) * u + mean + 0.43)
             accept = (us >= 0.07) & (v <= v_r)
             idx = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
-            # log_factorial extends its table from the last entry, so the
-            # entries depend on the order of the calls that grow it: the
-            # block ends before the first candidate that would grow it,
-            # unless that candidate is reached, and then it grows it alone.
-            lf = _log_factorial_held(k[idx].astype(np.int64))
-            if lf.size < idx.size:
-                if lf.size == 0 and np.count_nonzero(accept[: idx[0]]) < need:
-                    lf = np.array([log_factorial(int(k[idx[0]]))])
-                if lf.size < idx.size:
-                    m = idx[lf.size]
-                idx = idx[: lf.size]
             if idx.size:
+                lf = log_factorial(k[idx].astype(np.int64))
                 ratio = v[idx] * inv_alpha / (a / (us[idx] * us[idx]) + b)
                 # math.log: np.log differs from it in the last bit on some inputs
                 lhs = np.array([math.log(r) for r in ratio.tolist()])

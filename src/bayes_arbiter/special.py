@@ -1,7 +1,9 @@
 """Log-scale special functions: log-gamma, log-factorial, log-sum-exp.
 
-Everything here is pure and reentrant; the log-factorial table grows
-monotonically and is only ever appended to.
+Everything here is pure and reentrant.  The log-factorial table grows
+in powers of two, and each growth recomputes it from scratch; numpy's
+cumsum is sequential, so every entry depends on k alone and the table
+is the same whatever order of calls grew it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from scipy.special import gammaln, logsumexp
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# ln k! for k = 0..len-1; extended on demand.
+# ln k! for k = 0..len-1; len is a power of two, grown on demand.
 _LOG_FACTORIAL_TABLE = np.zeros(1)
 
 
@@ -38,21 +40,12 @@ def log_factorial(k):
         raise ValueError("log_factorial requires non-negative integers")
     top = int(arr.max()) if arr.size else 0
     if top >= _LOG_FACTORIAL_TABLE.shape[0]:
-        n_old = _LOG_FACTORIAL_TABLE.shape[0]
-        n_new = max(top + 1, 2 * n_old)
-        ext = np.cumsum(np.log(np.arange(n_old, n_new, dtype=float)))
-        _LOG_FACTORIAL_TABLE = np.concatenate(
-            [_LOG_FACTORIAL_TABLE, _LOG_FACTORIAL_TABLE[-1] + ext]
-        )
+        size = 1 << top.bit_length()
+        table = np.zeros(size)
+        np.cumsum(np.log(np.arange(1, size, dtype=float)), out=table[1:])
+        _LOG_FACTORIAL_TABLE = table
     out = _LOG_FACTORIAL_TABLE[arr]
     return float(out) if np.isscalar(k) or arr.ndim == 0 else out
-
-
-def _log_factorial_held(k: np.ndarray) -> np.ndarray:
-    """ln k! for the longest prefix of the non-negative integer array k
-    that the table already holds; the table does not grow."""
-    beyond = np.flatnonzero(k >= _LOG_FACTORIAL_TABLE.shape[0])
-    return _LOG_FACTORIAL_TABLE[k[: beyond[0]] if beyond.size else k]
 
 
 def log_sum_exp(values, axis=None, weights=None):

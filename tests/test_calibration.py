@@ -13,6 +13,7 @@ from bayes_arbiter.calibration import (
     PoissonImproperMeanModel,
     bootstrap_alpha_cutoff,
     discrepancy_mean,
+    nonzero_counts,
     discrepancy_zero_count,
     posterior_predictive_pvalue,
     posterior_predictive_replicate,
@@ -22,7 +23,7 @@ from bayes_arbiter.calibration import (
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import ImproperEvidenceError
 from bayes_arbiter.evidence import NormalSummary, log_bf01_lindley, log_bf12_shared_improper
-from bayes_arbiter.mixture import McmcConfig, MixtureSpec
+from bayes_arbiter.mixture import McmcConfig, MixtureSpec, run_gibbs
 from bayes_arbiter.rng import Rng, RngSeed
 
 
@@ -384,6 +385,26 @@ class TestBootstrapCutoff:
         a = bootstrap_alpha_cutoff(MixtureSpec(0.5), **kwargs)
         b = bootstrap_alpha_cutoff(MixtureSpec(0.5), **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "generator, lambda_true, n_obs, summary",
+        # the geometric case redraws most of its all-zero datasets
+        [("poisson", 4.0, 50, "mean"), ("geometric", 0.05, 5, "median")],
+    )
+    def test_summaries_equal_one_chain_per_replica(self, generator, lambda_true, n_obs, summary):
+        mcmc, seed = McmcConfig(iterations=500, burn_in=100), RngSeed(21)
+        got = bootstrap_alpha_cutoff(
+            MixtureSpec(0.3), generator, lambda_true, n_obs, 20, mcmc, summary, 0.2, seed
+        )
+        ref, redrawn = [], 0
+        for r in range(20):
+            data, attempt = nonzero_counts(generator, lambda_true, n_obs, seed, 10, r)
+            redrawn += attempt
+            draws = run_gibbs(data, MixtureSpec(0.3), mcmc, seed.child(11, r, attempt)).alpha_draws
+            ref.append(float(draws.mean() if summary == "mean" else np.median(draws)))
+        assert got.alpha_summaries == tuple(ref)
+        assert got.n_resimulated == redrawn
+        assert (generator == "geometric") == (redrawn > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_expit
 
 from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import DegeneracyError
@@ -13,6 +14,7 @@ from bayes_arbiter.mixture import (
     McmcConfig,
     MixtureChain,
     MixtureSpec,
+    _marginal_loglik,
     allocation_probability,
     conditional_alpha,
     grid_posterior_alpha,
@@ -159,6 +161,27 @@ class TestConditionals:
             - (s2 + n2) * (math.log1p(l2) - math.log1p(l1))
         )
         assert diff == pytest.approx(expected, abs=1e-12)
+
+
+class TestMarginalLikelihood:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 500), st.integers(1, 50)), min_size=1, max_size=40),
+        st.floats(-30.0, 30.0),
+        st.floats(-10.0, 10.0),
+    )
+    def test_grouped_equals_per_observation_sum(self, runs, s, v):
+        # runs of tied values, possibly repeated, in shuffled order (n <= 2000)
+        x = np.random.default_rng(len(runs)).permutation(np.repeat(*np.array(runs).T))
+        log_alpha, log_1m_alpha = float(log_expit(s)), float(log_expit(-s))
+        lf1, lf2 = _component_log_pmfs(x.astype(np.float64), log_factorial(x), v)
+        ref = float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2).sum())
+        distinct, counts = np.unique(x, return_counts=True)
+        got = _marginal_loglik(
+            distinct.astype(np.float64), log_factorial(distinct), counts.astype(np.float64),
+            log_alpha, log_1m_alpha, v,
+        )
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestSamplers:

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayes_arbiter import special
-from bayes_arbiter.rng import Rng, RngSeed, _pcg32_block
+from bayes_arbiter.rng import Rng, RngSeed, _pcg32_block, _poisson_inversion
 from bayes_arbiter.special import log_factorial
 
 # Scalar PCG32 reference, kept independent of the production block path.
@@ -126,15 +125,108 @@ class TestPoissonPtrs:
                 assert r2.uniform() == r1.uniform()
         assert Rng(RngSeed(5, 5)).poisson(mean) == _poisson_ptrs_scalar(Rng(RngSeed(5, 5)), mean)
 
-    def test_log_factorial_table_grows_as_scalar_loop(self, monkeypatch):
-        # table entries depend on the order of the calls that grow it
-        tables = []
-        for draw in (lambda r: [_poisson_ptrs_scalar(r, 400.0) for _ in range(50)], lambda r: r.poisson(400.0, 50)):
-            monkeypatch.setattr(special, "_LOG_FACTORIAL_TABLE", np.zeros(1))
-            draw(Rng(RngSeed(3, 3)))
-            tables.append(special._LOG_FACTORIAL_TABLE)
-        assert tables[0].shape == tables[1].shape
-        assert np.array_equal(tables[0], tables[1])
+
+class _ReferenceUniforms:
+    """Uniforms built from the scalar reference words, drawn like `Rng.uniform`."""
+
+    def __init__(self, seed: int, stream: int, k: int):
+        words = _reference_u32_stream(seed, stream, 2 * k)
+        self.u = [((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in zip(words[0::2], words[1::2])]
+        self.pos = 0
+
+    def uniform(self, size=None):
+        self.pos += 1 if size is None else size
+        return self.u[self.pos - 1] if size is None else np.array(self.u[self.pos - size : self.pos])
+
+    def normal(self, size: int) -> np.ndarray:
+        u = self.uniform(2 * size)
+        return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+
+
+class TestRefillBlocks:
+    # a fresh stream's blocks hold 64, 128, ..., 8192 uniforms, then 8192 each
+    ENDS = np.cumsum([64 << min(i, 7) for i in range(9)]).tolist()
+
+    def test_blocks_double_from_64(self):
+        rng = Rng(RngSeed(3, 1))
+        sizes = []
+        for _ in range(10):
+            rng.uniform(len(rng._buf) - rng._pos + 1)
+            sizes.append(len(rng._buf))
+        assert sizes == [64 << min(i, 7) for i in range(10)]
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_scalar_vector_and_ptrs_draws_straddle_each_block_end(self, shift):
+        # every kind of draw crosses every block end, once per shift
+        kinds = ("scalar", "vector", "ptrs")
+        rng = Rng(RngSeed(29, shift))
+        ref = _ReferenceUniforms(29, shift, self.ENDS[-1] + 200)
+        for i, end in enumerate(self.ENDS):
+            kind = kinds[(i + shift) % 3]
+            skip = end - ref.pos - 1 - shift
+            assert np.array_equal(rng.uniform(skip), ref.uniform(skip))
+            if kind == "scalar":
+                for _ in range(4):
+                    assert rng.uniform() == ref.uniform()
+            elif kind == "vector":
+                assert np.array_equal(rng.uniform(5), ref.uniform(5))
+                assert np.array_equal(rng.normal(size=3), ref.normal(3))
+            else:
+                got = rng.poisson(15.0 + i, 4 + shift)
+                assert got.tolist() == [_poisson_ptrs_scalar(ref, 15.0 + i) for _ in range(4 + shift)]
+            assert ref.pos > end
+        assert rng.uniform() == ref.uniform()
+
+
+def _poisson_inversion_loop(u: np.ndarray, mean: float, cap: int) -> np.ndarray:
+    # the vector inversion loop the cdf table replaced
+    size = u.size
+    p = math.exp(-mean)
+    prob = np.full(size, p)
+    cdf = prob.copy()
+    k = np.zeros(size, dtype=np.int64)
+    active = u > cdf
+    j = 0
+    while active.any() and j < cap:
+        j += 1
+        prob = prob * (mean / j)
+        cdf = cdf + prob
+        k[active] = j
+        active = u > cdf
+    return k
+
+
+class TestPoissonInversion:
+    @pytest.mark.parametrize("mean", [1e-3, 0.5, 4.0, 9.999])
+    def test_matches_vector_loop(self, mean):
+        cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)
+        for seed, (skip, size) in enumerate([(0, 1), (61, 7), (190, 500), (8126, 3000), (0, 20_000)]):
+            r1, r2 = Rng(RngSeed(seed, 50)), Rng(RngSeed(seed, 50))
+            r1.uniform(skip)
+            r2.uniform(skip)
+            got = r2.poisson(mean, size)
+            assert got.dtype == np.int64
+            assert got.tolist() == _poisson_inversion_loop(r1.uniform(size), mean, cap).tolist()
+            assert r2.uniform() == r1.uniform()
+        assert Rng(RngSeed(5, 5)).poisson(mean) == int(_poisson_inversion_loop(Rng(RngSeed(5, 5)).uniform(1), mean, cap)[0])
+
+    @pytest.mark.parametrize("mean", [1e-3, 0.5, 4.0, 9.999])
+    def test_cdf_ties_tails_and_forced_cap(self, mean):
+        # uniforms on, just below and just above every cdf value, and the
+        # largest uniforms, where the cdf has stopped growing below them
+        prob = c = math.exp(-mean)
+        cdf = [c]
+        for j in range(1, 81):
+            prob = prob * (mean / j)
+            c = c + prob
+            cdf.append(c)
+        cdf = np.array(cdf)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), 1.0 - 2.0 ** -np.arange(1, 54)])
+        u = u[(u > 0.0) & (u < 1.0)]
+        for cap in (1, 2, 3, 7, int(mean + 60.0 * math.sqrt(mean) + 60.0)):
+            got = _poisson_inversion(u, mean, cap)
+            assert got.tolist() == _poisson_inversion_loop(u, mean, cap).tolist()
+            assert got.max() <= cap
 
 
 class TestDistributions:

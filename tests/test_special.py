@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from bayes_arbiter import special
 from bayes_arbiter.special import (
     log_factorial,
     log_gamma,
@@ -65,6 +68,26 @@ class TestLogFactorial:
         assert log_factorial(5) == pytest.approx(math.log(120.0), abs=1e-12)
         with pytest.raises(ValueError):
             log_factorial(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 5000), max_size=4), min_size=1, max_size=8))
+    def test_any_growth_order_gives_one_call_table(self, calls):
+        # the table is module state: grow it from empty along `calls`,
+        # then in one call at the largest k, and restore it after
+        saved = special._LOG_FACTORIAL_TABLE
+        try:
+            special._LOG_FACTORIAL_TABLE = np.zeros(1)
+            got = [log_factorial(np.array(ks, dtype=np.int64)) for ks in calls]
+            grown = special._LOG_FACTORIAL_TABLE
+            special._LOG_FACTORIAL_TABLE = np.zeros(1)
+            log_factorial(max(max(ks, default=0) for ks in calls))
+            one_call = special._LOG_FACTORIAL_TABLE
+        finally:
+            special._LOG_FACTORIAL_TABLE = saved
+        assert grown.shape == one_call.shape
+        assert np.array_equal(grown, one_call)
+        for ks, lf in zip(calls, got):
+            assert np.array_equal(lf, one_call[ks])
 
 
 class TestLogSumExp:
