@@ -11,7 +11,6 @@ from .calibration import (
     CalibrationReport,
     bootstrap_alpha_cutoff,
     posterior_predictive_pvalue,
-    posterior_predictive_replicate,
     predictive_bf_tails,
 )
 from .distributions import CountDataset, log_pmf_geometric_mean, log_pmf_poisson
@@ -19,7 +18,6 @@ from .errors import AccuracyError, DegeneracyError, ImproperEvidenceError
 from .evidence import (
     LogBayesFactor,
     LogEvidence,
-    ModelWeights,
     NormalSummary,
     QuadratureConfig,
     log_bf01_lindley,
@@ -30,7 +28,6 @@ from .evidence import (
     log_marginal_geometric_improper,
     log_marginal_poisson_improper,
     log_marginal_quadrature,
-    posterior_model_probabilities,
     posterior_prob_from_log_bf,
 )
 from .experiments import (
@@ -77,7 +74,6 @@ __all__ = [
     "McmcConfig",
     "MixtureChain",
     "MixtureSpec",
-    "ModelWeights",
     "NormalSummary",
     "QuadratureConfig",
     "Rng",
@@ -99,9 +95,7 @@ __all__ = [
     "log_marginal_quadrature",
     "log_pmf_geometric_mean",
     "log_pmf_poisson",
-    "posterior_model_probabilities",
     "posterior_predictive_pvalue",
-    "posterior_predictive_replicate",
     "posterior_prob_from_log_bf",
     "posterior_summary",
     "predictive_bf_tails",

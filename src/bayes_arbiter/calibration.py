@@ -21,14 +21,7 @@ from .evidence import NormalSummary
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
 from .rng import Rng, RngSeed
 
-PREDICTIVE_MODES = ("prior", "posterior")
 _TIE_RTOL = 1e-12
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in PREDICTIVE_MODES:
-        raise ValueError(f"mode must be one of {PREDICTIVE_MODES}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -172,16 +165,13 @@ def _at_least(s: float, s_obs: float) -> bool:
     return s >= s_obs - _TIE_RTOL * max(1.0, abs(s_obs))
 
 
-def _tail(pick_model, observed, statistic, s_obs: float, upper: bool, mode: str, n_rep: int, rng: Rng):
-    """Share of n_rep valid replicates with statistic >= s_obs (upper) or
-    <= s_obs (lower), and the number of degenerate replicates redrawn.
-    pick_model(rng) chooses the model of each replicate."""
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
+def _tail(model, observed, statistic, s_obs: float, upper: bool, mode: str, n_rep: int, rng: Rng):
+    """Share of n_rep valid replicates of `model` with statistic >= s_obs
+    (upper) or <= s_obs (lower), and the number of degenerate replicates
+    redrawn."""
     sign = 1.0 if upper else -1.0
     hits = kept = degenerate = 0
     while kept < n_rep:
-        model = pick_model(rng)
         theta = _draw_param(model, mode, observed, rng)
         rep = model.replicate(theta, rng)
         try:
@@ -215,12 +205,13 @@ def predictive_bf_tails(
     monotone transform of the statistic (BF or log BF) gives the same
     probabilities.
     """
-    _check_mode(mode)
+    if mode not in ("prior", "posterior"):
+        raise ValueError("mode must be 'prior' or 'posterior'")
     if n_rep < 100:
         raise ValueError("n_rep must be at least 100")
     s_obs = float(statistic(observed))
-    p0, deg0 = _tail(lambda rng: model0, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(0)))
-    p1, deg1 = _tail(lambda rng: model1, observed, statistic, s_obs, False, mode, n_rep, Rng(seed.child(1)))
+    p0, deg0 = _tail(model0, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(0)))
+    p1, deg1 = _tail(model1, observed, statistic, s_obs, False, mode, n_rep, Rng(seed.child(1)))
     return CalibrationReport(
         p0=p0,
         p1=p1,
@@ -232,36 +223,8 @@ def predictive_bf_tails(
     )
 
 
-def predictive_bf_tails_encompassing(
-    observed,
-    model0,
-    model1,
-    statistic,
-    model0_weight: float,
-    mode: str = "posterior",
-    n_rep: int = 10_000,
-    seed: RngSeed = RngSeed(0),
-) -> float:
-    """Single-predictive variant: P(statistic >= observed) under the
-    weight-mixed predictive.
-
-    The mixing weight must be supplied by the caller; the answer depends
-    on it, which is exactly why the two-tail report is the default.
-    Degenerate replicates are redrawn, as in predictive_bf_tails.
-    """
-    _check_mode(mode)
-    if not 0.0 <= model0_weight <= 1.0:
-        raise ValueError("model0_weight must lie in [0, 1]")
-
-    def pick_model(rng):
-        return model0 if rng.uniform() < model0_weight else model1
-
-    s_obs = float(statistic(observed))
-    return _tail(pick_model, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(2)))[0]
-
-
 # ----------------------------------------------------------------------
-# posterior predictive replication and p-values
+# posterior predictive p-values
 
 
 _REPLICATE_FAMILIES = ("poisson", "geometric")
@@ -283,37 +246,6 @@ def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) 
         attempt += 1
 
 
-def _posterior_predictive(posterior_draws, family: str, n_obs: int, n_rep: int, seed: RngSeed):
-    """Yield (parameter, replicate) pairs: each replicate picks one
-    posterior draw uniformly, then samples a dataset of size n_obs from
-    the family at that parameter."""
-    if family not in _REPLICATE_FAMILIES:
-        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
-    draws = np.asarray(posterior_draws, dtype=float)
-    if draws.size == 0:
-        raise ValueError("posterior_draws must be non-empty")
-    rng = Rng(seed)
-    draw = rng.poisson if family == "poisson" else rng.geometric_mean
-    for _ in range(n_rep):
-        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
-        yield lam, draw(lam, size=n_obs)
-
-
-def posterior_predictive_replicate(
-    posterior_draws,
-    family: str,
-    n_obs: int,
-    n_rep: int,
-    seed: RngSeed = RngSeed(0),
-) -> list[np.ndarray]:
-    """Replicated datasets from the posterior predictive.
-
-    Each replicate picks one posterior draw uniformly, then samples a
-    dataset of size n_obs from the family at that parameter.
-    """
-    return [rep for _, rep in _posterior_predictive(posterior_draws, family, n_obs, n_rep, seed)]
-
-
 def posterior_predictive_pvalue(
     observed,
     posterior_draws,
@@ -324,16 +256,24 @@ def posterior_predictive_pvalue(
 ) -> float:
     """P(T(X_rep, theta) >= T(x_obs, theta) | x_obs), ties counting.
 
-    theta and X_rep are drawn jointly: one posterior draw, one dataset
-    from the family at that draw, per replicate.  A NaN discrepancy
-    raises ValueError.
+    theta and X_rep are drawn jointly: each replicate picks one posterior
+    draw uniformly, then samples a dataset of the observed size from the
+    family at that draw.  A NaN discrepancy raises ValueError.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
+    if family not in _REPLICATE_FAMILIES:
+        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
+    draws = np.asarray(posterior_draws, dtype=float)
+    if draws.size == 0:
+        raise ValueError("posterior_draws must be non-empty")
     obs_values = observed.values if isinstance(observed, CountDataset) else np.asarray(observed)
+    rng = Rng(seed)
+    draw = rng.poisson if family == "poisson" else rng.geometric_mean
     hits = 0
-    for lam, rep in _posterior_predictive(posterior_draws, family, obs_values.size, n_rep, seed):
-        t_rep = float(discrepancy(rep, lam))
+    for _ in range(n_rep):
+        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
+        t_rep = float(discrepancy(draw(lam, size=obs_values.size), lam))
         t_obs = float(discrepancy(obs_values, lam))
         if math.isnan(t_rep) or math.isnan(t_obs):
             raise ValueError(f"discrepancy is NaN at parameter {lam:.6g}")
@@ -383,12 +323,6 @@ class BootstrapCutoff:
     generator: str
     alpha_summaries: tuple[float, ...]
     n_resimulated: int
-
-    def cutoff_at(self, q: float) -> float:
-        """Quantile of the same replica set at another level."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        return float(np.quantile(np.asarray(self.alpha_summaries), q))
 
 
 def bootstrap_alpha_cutoff(

@@ -12,15 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from .distributions import CountDataset
-from .errors import AccuracyError, DegeneracyError, ImproperEvidenceError
-from .special import log_gamma, log_normal_pdf, log_sum_exp
+from .errors import AccuracyError, ImproperEvidenceError
+from .special import log_gamma, log_normal_pdf
 
 _COUNT_FAMILIES = ("poisson", "geometric")
 _BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
 _PANEL_WIDTH_SDS = 0.5  # panel width in Laplace standard deviations
+_REFINEMENT_TOL = 1e-8  # a refined rule that moves the answer by more raises AccuracyError
 
 
 # ----------------------------------------------------------------------
@@ -87,39 +88,17 @@ class LogBayesFactor:
 
 
 @dataclass(frozen=True)
-class ModelWeights:
-    """Prior model probabilities; validated to the simplex."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if len(w) == 0 or any(v < 0.0 for v in w):
-            raise ValueError("weights must be non-negative and non-empty")
-        total = sum(w)
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def equal(cls, k: int) -> "ModelWeights":
-        return cls(tuple(1.0 / k for _ in range(k)))
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     """Gauss-Legendre settings for the evidence oracle and the 2-D grid.
 
     The support is bracketed automatically where the log-integrand stays
     within 40 nats of its maximum, then split into at most `max_panels`
     panels of roughly half a Laplace standard deviation each, with
-    `nodes_per_panel` nodes per panel.  A refinement that moves the
-    answer by more than `tol` raises AccuracyError.
+    `nodes_per_panel` nodes per panel.
     """
 
     nodes_per_panel: int = 24
     max_panels: int = 128
-    tol: float = 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -261,27 +240,6 @@ def posterior_prob_from_log_bf(log_bf: float) -> float:
     return float(expit(log_bf))
 
 
-def posterior_model_probabilities(log_evidences, weights: ModelWeights):
-    """Normalized model probabilities from log evidences and prior weights."""
-    logs = np.array(
-        [
-            e.log_evidence if isinstance(e, LogEvidence) else float(e)
-            for e in log_evidences
-        ]
-    )
-    if logs.shape[0] != len(weights.weights):
-        raise ValueError("one weight per evidence required")
-    if np.any(np.isnan(logs)) or np.any(logs == math.inf):
-        raise ValueError("log evidences must be finite or -inf")
-    with np.errstate(divide="ignore"):
-        scored = logs + np.log(np.asarray(weights.weights))
-    if not np.any(scored > -math.inf):
-        raise DegeneracyError("all weighted evidences vanish; no model supported")
-    scored = scored - np.max(scored)
-    p = np.exp(scored)
-    return p / p.sum()
-
-
 # ----------------------------------------------------------------------
 # quadrature oracle
 
@@ -324,7 +282,7 @@ def _panel_nodes(lo: float, hi: float, panels: int, nodes: int):
 
 def _log_integral(log_f, lo: float, hi: float, panels: int, nodes: int) -> float:
     u, wts = _panel_nodes(lo, hi, panels, nodes)
-    return log_sum_exp(log_f(u), weights=wts)
+    return logsumexp(log_f(u), b=wts)
 
 
 def _count_log_integrand(data: CountDataset, family: str):
@@ -365,9 +323,8 @@ def log_marginal_quadrature(
 
     Integrates against the 1/lambda prior on u = ln(lambda) with composite
     Gauss-Legendre panels over an automatically bracketed support.  The
-    error estimate is the change
-    under a refined rule; exceeding `grid.tol` raises AccuracyError with
-    the estimate attached.
+    error estimate is the change under a refined rule; exceeding 1e-8
+    raises AccuracyError with the estimate attached.
     """
     if family not in _COUNT_FAMILIES:
         raise ValueError(f"family must be one of {_COUNT_FAMILIES}")
@@ -377,7 +334,7 @@ def log_marginal_quadrature(
     coarse = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel)
     fine = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel + 8)
     err = abs(fine - coarse)
-    if not math.isfinite(fine) or err > grid.tol:
+    if not math.isfinite(fine) or err > _REFINEMENT_TOL:
         raise AccuracyError(
             f"quadrature did not converge (refinement moved by {err:.3e})",
             estimate=fine,

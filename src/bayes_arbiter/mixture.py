@@ -27,7 +27,7 @@ from scipy.special import expit, log_expit, roots_jacobi
 
 from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
-from .evidence import _BRACKET_DROP, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
+from .evidence import _BRACKET_DROP, _REFINEMENT_TOL, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
 from .rng import Rng, RngSeed
 from .special import log_factorial
 
@@ -60,7 +60,6 @@ class McmcConfig:
     iterations: int = 10_000
     burn_in: int = 2_000
     initial_step: float = 0.5
-    adapt: bool = True
 
     def __post_init__(self):
         if self.iterations <= self.burn_in:
@@ -97,8 +96,6 @@ class SummaryTable:
     alpha_quantiles: dict[float, float]
     lambda_mean: float
     lambda_median: float
-    lambda_quantiles: dict[float, float]
-    n_draws: int
     mh_acceptance_rate: float
 
 
@@ -111,15 +108,7 @@ class DiscretizedPosterior:
     node_mass: np.ndarray
     mean: float
     median: float
-    log_normalizer: float
     normalization_error: float
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        cum = np.cumsum(self.node_mass)
-        mid = cum - 0.5 * self.node_mass
-        return float(np.interp(q, mid, self.alpha_grid))
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +213,7 @@ def _random_walk_chains(rngs, xs, sweep, params, config, target_acceptance, seed
             moved = rngs[c].uniform() < accept_prob
             xs[c] = moves[c] if moved else stays[c]
             if burning:
-                if config.adapt:
-                    log_steps[c] += gamma * (accept_prob - target_acceptance)
+                log_steps[c] += gamma * (accept_prob - target_acceptance)
             else:
                 accepted[c] += moved
                 alphas[c, it - config.burn_in], lambdas[c, it - config.burn_in] = params(xs[c])
@@ -394,7 +382,7 @@ def _alpha_nodes(a0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grid_posterior_alpha(
-    data: CountDataset | None,
+    data: CountDataset,
     spec: MixtureSpec,
     grid: QuadratureConfig = QuadratureConfig(),
 ) -> DiscretizedPosterior:
@@ -402,28 +390,9 @@ def grid_posterior_alpha(
 
     Gauss-Jacobi nodes on the weight axis (prior absorbed into the rule),
     composite Gauss-Legendre on u = ln(lambda) over a bracketed support.
-    `data=None` returns the Beta(a0, a0) prior itself, the zero-data check.
+    A refined grid that moves the log normalizer or the mean by more than
+    1e-8 raises AccuracyError with the mean attached.
     """
-    alpha, w_alpha = _alpha_nodes(spec.a0, _ALPHA_NODES)
-    if data is None:
-        mass = w_alpha / w_alpha.sum()
-        log_dens = (spec.a0 - 1.0) * (np.log(alpha) + np.log1p(-alpha))
-        log_norm = (
-            math.lgamma(spec.a0) * 2.0 - math.lgamma(2.0 * spec.a0)
-        )  # ln B(a0, a0)
-        density = np.exp(log_dens - log_norm)
-        mean = float(np.sum(mass * alpha))
-        post = DiscretizedPosterior(
-            alpha_grid=alpha,
-            density=density,
-            node_mass=mass,
-            mean=mean,
-            median=0.5,
-            log_normalizer=log_norm,
-            normalization_error=0.0,
-        )
-        return post
-
     _require_nondegenerate(data)
 
     def evaluate(n_alpha: int, nodes_per_panel: int, drop: float):
@@ -448,7 +417,7 @@ def grid_posterior_alpha(
         _ALPHA_NODES * 2, grid.nodes_per_panel + 8, _BRACKET_DROP + 20.0
     )
     err = max(abs(log_z - log_z_ref), abs(mean - mean_ref))
-    if err > max(grid.tol, 1e-8):
+    if err > _REFINEMENT_TOL:
         raise AccuracyError(
             f"grid refinement moved the posterior by {err:.3e}", estimate=mean
         )
@@ -466,7 +435,6 @@ def grid_posterior_alpha(
         node_mass=mass,
         mean=mean,
         median=median,
-        log_normalizer=log_z,
         normalization_error=err,
     )
 
@@ -487,21 +455,23 @@ def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
 def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_i ln(alpha f1 + (1-alpha) f2) on the (alpha, u) tensor grid.
 
-    Observations are grouped by distinct value, so the tensor is
-    (alpha, distinct values, u) rather than (alpha, n, u); the alpha axis
-    is chunked to bound the temporaries on refined grids.
+    Observations are grouped by distinct value, and each value's term is
+    added to the (alpha, u) matrix in turn, through two reused buffers.
     """
     distinct, counts = np.unique(data.values, return_counts=True)
-    vals, cnts = distinct.astype(np.float64), counts.astype(np.float64)
-    lf1, lf2 = _component_log_pmfs(vals[:, None], log_factorial(distinct)[:, None], u[None, :])
-    out = np.empty((alpha.size, u.size))
-    chunk = max(1, int(4_000_000 / max(1, vals.size * u.size)))
-    for start in range(0, alpha.size, chunk):
-        a = alpha[start : start + chunk]
-        la = np.log(a)[:, None, None]
-        l1a = np.log1p(-a)[:, None, None]
-        per_value = np.logaddexp(la + lf1[None, :, :], l1a + lf2[None, :, :])
-        out[start : start + chunk] = np.tensordot(per_value, cnts, axes=([1], [0]))
+    lf1, lf2 = _component_log_pmfs(
+        distinct.astype(np.float64)[:, None], log_factorial(distinct)[:, None], u[None, :]
+    )
+    la = np.log(alpha)[:, None]
+    l1a = np.log1p(-alpha)[:, None]
+    out = np.zeros((alpha.size, u.size))
+    t1, t2 = np.empty_like(out), np.empty_like(out)
+    for count, f1, f2 in zip(counts.astype(np.float64), lf1, lf2):
+        np.add(la, f1, out=t1)
+        np.add(l1a, f2, out=t2)
+        np.logaddexp(t1, t2, out=t1)
+        t1 *= count
+        out += t1
     return out
 
 
@@ -524,7 +494,5 @@ def posterior_summary(chain: MixtureChain, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)
         alpha_quantiles={q: float(np.quantile(a, q)) for q in qs},
         lambda_mean=float(l.mean()),
         lambda_median=float(np.median(l)),
-        lambda_quantiles={q: float(np.quantile(l, q)) for q in qs},
-        n_draws=int(a.size),
         mh_acceptance_rate=chain.mh_acceptance_rate,
     )

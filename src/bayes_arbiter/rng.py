@@ -26,6 +26,7 @@ stream's first block is 64 uniforms, and each refill doubles it up to
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,25 +95,25 @@ def _pcg32_block(state: int, inc: int, k: int) -> tuple[np.ndarray, int]:
     return out, (int(s[-1]) * _MULT + inc) & _MASK64
 
 
-def _poisson_inversion(u: np.ndarray, mean: float, cap: int) -> np.ndarray:
+def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     """Poisson(mean < 10) by inversion of the uniforms u: the least k
-    with u <= cdf(k), or cap if there is none below cap.
+    with u <= cdf(k), or the length of the cdf table if u is above it.
 
     The cdf is summed once, in Python floats, by the recurrence
     p(k) = p(k-1) * (mean / k).  The sum stops at the first term too small
     to change it: every term is at least e^-mean > 4e-5 until k passes the
-    mean, and the terms only shrink after that, so the cdf is final.
+    mean, and the terms only shrink after that (to 0, where they
+    underflow), so the cdf is final.
     """
     prob = cdf = math.exp(-mean)
     table = [cdf]
-    for j in range(1, cap):
+    for j in itertools.count(1):
         prob = prob * (mean / j)
         if cdf + prob == cdf:
             break
         cdf = cdf + prob
         table.append(cdf)
-    k = np.searchsorted(table, u, side="left")
-    return np.where(k < len(table), k, cap)
+    return np.searchsorted(table, u, side="left")
 
 
 class Rng:
@@ -135,13 +136,16 @@ class Rng:
     def _refill(self) -> None:
         """Replace the buffer with the next block of uniforms, each
         ((hi * 2^21 + (lo >> 11)) + 1/2) * 2^-53 from a pair of words;
-        the sum is below 2^53, so float64 holds it exactly."""
+        the sum is below 2^53, so float64 holds it exactly.  Adding 1/2
+        rounds the largest sum, 2^53 - 1, up to 2^53, and that one value
+        is clamped to the largest double below 1."""
         words, self._state = _pcg32_block(self._state, self._inc, 2 * self._block)
         buf = words[0::2].astype(np.float64)
         buf *= 2.0**21
         buf += words[1::2] >> np.uint32(11)
         buf += 0.5
         buf *= _INV_2_53
+        np.minimum(buf, 1.0 - _INV_2_53, out=buf)
         self._buf = buf
         self._view = memoryview(buf)
         self._pos = 0
@@ -194,8 +198,7 @@ class Rng:
             return int(self.poisson(mean, 1)[0])
         if mean >= 10.0:
             return self._poisson_ptrs(mean, size)
-        cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)  # P(X > cap) is far below 2^-53
-        return _poisson_inversion(self.uniform(size), mean, cap)
+        return _poisson_inversion(self.uniform(size), mean)
 
     def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
         """Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
@@ -283,11 +286,9 @@ class Rng:
             if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
                 return d * v
 
-    def beta(self, a: float, b: float, size: int | None = None):
-        """Beta(a, b) draw(s) as a gamma ratio, formed from log-gammas so that
+    def beta(self, a: float, b: float) -> float:
+        """Beta(a, b) draw as a gamma ratio, formed from log-gammas so that
         shapes small enough to underflow both gammas still give a draw."""
         if a <= 0.0 or b <= 0.0:
             raise ValueError("beta shapes must be positive")
-        if size is None:
-            return float(expit(self._log_gamma(a) - self._log_gamma(b)))
-        return np.array([self.beta(a, b) for _ in range(size)])
+        return float(expit(self._log_gamma(a) - self._log_gamma(b)))

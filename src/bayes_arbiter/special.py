@@ -1,4 +1,4 @@
-"""Log-scale special functions: log-gamma, log-factorial, log-sum-exp.
+"""Log-scale special functions: log-gamma, log-factorial, normal log-density.
 
 Everything here is pure and reentrant.  The log-factorial table grows
 in powers of two, and each growth recomputes it from scratch; numpy's
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -46,14 +46,6 @@ def log_factorial(k):
         _LOG_FACTORIAL_TABLE = table
     out = _LOG_FACTORIAL_TABLE[arr]
     return float(out) if np.isscalar(k) or arr.ndim == 0 else out
-
-
-def log_sum_exp(values, axis=None, weights=None):
-    """log sum_i w_i exp(v_i), max-shifted; -inf inputs are handled.
-
-    `weights`, when given, must be positive and match the reduced axis.
-    """
-    return logsumexp(values, axis=axis, b=weights)
 
 
 def log_normal_pdf(x, mean, sd):

@@ -16,9 +16,7 @@ from bayes_arbiter.calibration import (
     nonzero_counts,
     discrepancy_zero_count,
     posterior_predictive_pvalue,
-    posterior_predictive_replicate,
     predictive_bf_tails,
-    predictive_bf_tails_encompassing,
 )
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import ImproperEvidenceError
@@ -175,11 +173,6 @@ class TestPredictiveBfTails:
                 CountDataset(obs), model, model, statistic=log_bf12, mode="prior", n_rep=100, seed=RngSeed(0)
             )
             assert (rep.p0, rep.p1) == (1.0, 1.0)
-            p = predictive_bf_tails_encompassing(
-                CountDataset(obs), model, model, statistic=log_bf12, model0_weight=0.5,
-                mode="prior", n_rep=100, seed=RngSeed(0),
-            )
-            assert p == 1.0
 
     def test_improper_prior_mode_raises(self):
         obs = CountDataset([1, 2])
@@ -231,68 +224,6 @@ class TestPredictiveBfTails:
         assert rep.mc_se_p0 == math.sqrt(0.3 * 0.7 / 400)
         assert rep.mc_se_p1 == math.sqrt(0.8 * 0.2 / 400)
 
-    def test_encompassing_variant_needs_weight(self):
-        obs = NormalSummary(25, 0.3)
-        p = predictive_bf_tails_encompassing(
-            obs,
-            NormalPointNullModel(25),
-            NormalUnitPriorModel(25),
-            statistic=lindley_statistic,
-            model0_weight=0.5,
-            mode="prior",
-            n_rep=2_000,
-            seed=RngSeed(11),
-        )
-        assert 0.0 <= p <= 1.0
-        with pytest.raises(ValueError):
-            predictive_bf_tails_encompassing(
-                obs, NormalPointNullModel(25), NormalUnitPriorModel(25),
-                statistic=lindley_statistic, model0_weight=1.5,
-            )
-
-    def test_encompassing_rejects_zero_replicates(self):
-        obs = NormalSummary(25, 0.3)
-        with pytest.raises(ValueError, match="n_rep"):
-            predictive_bf_tails_encompassing(
-                obs, NormalPointNullModel(25), NormalUnitPriorModel(25),
-                statistic=lindley_statistic, model0_weight=0.5, mode="prior", n_rep=0,
-            )
-
-    def test_encompassing_redraws_degenerate_replicates(self):
-        # with an observed total of 1, all-zero replicates (BF undefined) are common
-        p = predictive_bf_tails_encompassing(
-            CountDataset([1, 0, 0]),
-            PoissonImproperMeanModel(3),
-            GeometricImproperMeanModel(3),
-            statistic=log_bf12,
-            model0_weight=0.5,
-            n_rep=200,
-            seed=RngSeed(24),
-        )
-        assert 0.0 <= p <= 1.0
-
-
-class TestPosteriorPredictiveReplicate:
-    def test_degenerate_posterior_concentrates(self):
-        reps = posterior_predictive_replicate([4.0], "poisson", n_obs=400, n_rep=100, seed=RngSeed(12))
-        means = np.array([r.mean() for r in reps])
-        # each replicate mean ~ N(4, 4/400); average of 100 of them ~ 3 sigma = 0.03
-        assert means.mean() == pytest.approx(4.0, abs=0.05)
-
-    def test_empty_request(self):
-        assert posterior_predictive_replicate([4.0], "poisson", 10, 0) == []
-
-    def test_reproducible(self):
-        a = posterior_predictive_replicate([2.0, 5.0], "geometric", 20, 5, RngSeed(13))
-        b = posterior_predictive_replicate([2.0, 5.0], "geometric", 20, 5, RngSeed(13))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            posterior_predictive_replicate([4.0], "normal", 10, 1)
-        with pytest.raises(ValueError):
-            posterior_predictive_replicate([], "poisson", 10, 1)
-
 
 class TestPosteriorPredictivePvalue:
     def test_constant_discrepancy_is_one(self):
@@ -338,6 +269,12 @@ class TestPosteriorPredictivePvalue:
         with pytest.raises(ValueError, match="n_rep"):
             posterior_predictive_pvalue(CountDataset([1, 2, 3]), [2.0], "poisson", discrepancy_mean, n_rep=0)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            posterior_predictive_pvalue(CountDataset([1, 2]), [4.0], "normal", discrepancy_mean, 1)
+        with pytest.raises(ValueError):
+            posterior_predictive_pvalue(CountDataset([1, 2]), [], "poisson", discrepancy_mean, 1)
+
     def test_shipped_discrepancies(self):
         x = np.array([0, 2, 5, 0])
         assert DISCREPANCIES["mean"](x, None) == pytest.approx(1.75)
@@ -367,9 +304,18 @@ class TestBootstrapCutoff:
         assert poisson_cutoff.cutoff > 0.5
         assert len(poisson_cutoff.alpha_summaries) == 20
 
-    def test_q_zero_is_minimum_and_monotone(self, poisson_cutoff):
-        assert poisson_cutoff.cutoff_at(0.0) == min(poisson_cutoff.alpha_summaries)
-        assert poisson_cutoff.cutoff_at(0.1) <= poisson_cutoff.cutoff_at(0.9)
+    def test_q_zero_is_minimum_and_monotone(self):
+        kwargs = dict(
+            generator="poisson",
+            lambda_true=4.0,
+            n_obs=50,
+            replicas=20,
+            mcmc=McmcConfig(iterations=600, burn_in=100),
+            seed=RngSeed(20),
+        )
+        cuts = [bootstrap_alpha_cutoff(MixtureSpec(0.5), q=q, **kwargs) for q in (0.0, 0.1, 0.9)]
+        assert cuts[0].cutoff == min(cuts[0].alpha_summaries)
+        assert cuts[0].cutoff <= cuts[1].cutoff <= cuts[2].cutoff
 
     def test_deterministic(self):
         kwargs = dict(

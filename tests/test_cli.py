@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bayes_arbiter.cli import main
@@ -154,6 +155,21 @@ class TestMixtureCommand:
             assert code == 2
             assert out == ""
             assert "a0" in err
+
+    def test_unconverged_grid_check_exit_4(self, capsys, tmp_path):
+        # 10^4 counts, half Poisson and half geometric at mean 4: the weight
+        # posterior is too narrow for the grid oracle to converge
+        gen = np.random.default_rng(0)
+        values = np.concatenate([gen.poisson(4.0, 5000), gen.geometric(0.2, 5000) - 1])
+        f = tmp_path / "counts.txt"
+        f.write_text(",".join(map(str, values)))
+        code, out, err = run_cli(
+            capsys, "mixture", "--data-file", str(f), "--iters", "300",
+            "--burn-in", "100", "--seed", "1", "--grid-check",
+        )
+        assert code == 4
+        assert out == ""
+        assert "accuracy" in err
 
 
 class TestCalibrateCommand:

@@ -11,7 +11,6 @@ from bayes_arbiter.special import (
     log_factorial,
     log_gamma,
     log_normal_pdf,
-    log_sum_exp,
 )
 
 
@@ -88,25 +87,6 @@ class TestLogFactorial:
         assert np.array_equal(grown, one_call)
         for ks, lf in zip(calls, got):
             assert np.array_equal(lf, one_call[ks])
-
-
-class TestLogSumExp:
-    def test_matches_direct_sum(self):
-        v = np.array([-3.0, 0.2, 1.7, -11.0])
-        assert log_sum_exp(v) == pytest.approx(math.log(np.sum(np.exp(v))), abs=1e-13)
-
-    def test_shift_invariance(self):
-        v = np.array([900.0, 901.0, 899.5])
-        assert log_sum_exp(v) == pytest.approx(900.0 + log_sum_exp(v - 900.0), abs=1e-12)
-
-    def test_weights_and_axis(self):
-        v = np.log(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        w = np.array([10.0, 1.0])
-        out = log_sum_exp(v, axis=1, weights=w)
-        assert np.allclose(out, np.log([12.0, 34.0]))
-
-    def test_all_neg_inf(self):
-        assert log_sum_exp(np.array([-math.inf, -math.inf])) == -math.inf
 
 
 def test_normal_cdf_reference_points():
