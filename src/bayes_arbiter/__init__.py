@@ -33,12 +33,7 @@ from .evidence import (
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
-    desk_scale_config,
     run_experiment,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_lindley,
 )
 from .mixture import (
     DiscretizedPosterior,
@@ -82,7 +77,6 @@ __all__ = [
     "allocation_probability",
     "bootstrap_alpha_cutoff",
     "conditional_alpha",
-    "desk_scale_config",
     "grid_posterior_alpha",
     "log_bf01_lindley",
     "log_bf10_normal",
@@ -100,12 +94,8 @@ __all__ = [
     "posterior_summary",
     "predictive_bf_tails",
     "run_experiment",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
     "run_gibbs",
     "run_gibbs_chains",
-    "run_lindley",
     "run_marginal_mh",
     "__version__",
 ]

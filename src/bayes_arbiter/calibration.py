@@ -191,8 +191,8 @@ def predictive_bf_tails(
     model0,
     model1,
     statistic,
-    mode: str = "posterior",
-    n_rep: int = 10_000,
+    mode: str,
+    n_rep: int,
     seed: RngSeed = RngSeed(0),
     statistic_method: str = "",
 ) -> CalibrationReport:
@@ -251,7 +251,7 @@ def posterior_predictive_pvalue(
     posterior_draws,
     family: str,
     discrepancy,
-    n_rep: int = 10_000,
+    n_rep: int,
     seed: RngSeed = RngSeed(0),
 ) -> float:
     """P(T(X_rep, theta) >= T(x_obs, theta) | x_obs), ties counting.

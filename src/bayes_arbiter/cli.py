@@ -43,7 +43,7 @@ from .evidence import (
     log_marginal_quadrature,
     posterior_prob_from_log_bf,
 )
-from .experiments import EXPERIMENTS, RIBBON_QUANTILES, desk_scale_config, run_experiment
+from .experiments import SETTINGS, ExperimentConfig, run_experiment
 from .mixture import (
     McmcConfig,
     MixtureSpec,
@@ -139,12 +139,17 @@ def _dataset_from_args(args) -> CountDataset:
     raise _usage_error("provide --data or --data-file")
 
 
-def _int_like(text: str) -> int:
+def _int_like(text: str, least: int = 1) -> int:
     # accept 1e6-style notation for counts
     v = float(text)
-    if v < 1 or not v.is_integer():
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if v < least or not v.is_integer():
+        kind = "positive" if least > 0 else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return int(v)
+
+
+def _burn_in(text: str) -> int:
+    return _int_like(text, least=0)  # 0 runs without adaptation
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -175,7 +180,7 @@ def _load_config_file(path: str) -> dict[str, str]:
 _CONFIG_PARSERS = {
     "replicas": _int_like,
     "iters": _int_like,
-    "burn_in": _int_like,
+    "burn_in": _burn_in,
     "n_grid": _int_list,
     "a0_list": _float_list,
     "lambda_true": float,
@@ -183,26 +188,35 @@ _CONFIG_PARSERS = {
 }
 
 
+def _given(args, *names, **renamed) -> dict:
+    """Library keyword -> value of each flag given, for flags that feed a
+    library default: they default to None, so the library's default applies.
+    `renamed` maps a keyword to the flag destination that feeds it."""
+    dests = {**{name: name for name in names}, **renamed}
+    return {key: getattr(args, dest) for key, dest in dests.items() if getattr(args, dest) is not None}
+
+
+def _mcmc_config(args) -> McmcConfig:
+    return McmcConfig(**_given(args, "burn_in", iterations="iters"))
+
+
 def _experiment_settings(args) -> dict:
-    """Experiment settings resolved as flag > config file > desk default.
+    """ExperimentConfig settings resolved as flag > config file.
 
     Every experiment flag defaults to None, so any value argparse parsed
-    (abbreviated option names included) wins over the file; keys set by
-    neither are left out and take the desk default.
+    (abbreviated option names included) wins over the file, whose values
+    fill the flags left unset.  Keys set by neither are left out, and
+    ExperimentConfig gives them the desk default.
     """
-    from_file = {}
     if args.config:
         for key, raw in _load_config_file(args.config).items():
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
-            from_file[key] = _CONFIG_PARSERS[key](raw)
-    settings = {}
-    for key in _CONFIG_PARSERS:
-        value = getattr(args, key)
-        if value is None:
-            value = from_file.get(key)
-        if value is not None:
-            settings[key] = value
+            if getattr(args, key) is None:
+                setattr(args, key, _CONFIG_PARSERS[key](raw))
+    settings = _given(args, "replicas", "n_grid", "a0_list", "lambda_true", "t")
+    if args.iters is not None or args.burn_in is not None:
+        settings["mcmc"] = _mcmc_config(args)
     return settings
 
 
@@ -212,7 +226,7 @@ def _experiment_settings(args) -> dict:
 
 def cmd_bf(args) -> int:
     if args.family == "normal":
-        summary = NormalSummary(args.n, args.xbar, args.theta0, args.sigma)
+        summary = NormalSummary(args.n, args.xbar, **_given(args, "theta0", "sigma"))
         bf10 = log_bf10_normal(summary)
         _print_json(
             {
@@ -246,9 +260,7 @@ def cmd_bf(args) -> int:
         "methods": [shared.method, printed.method],
     }
     if args.check_quadrature:
-        grid = QuadratureConfig(
-            nodes_per_panel=args.quad_nodes, max_panels=args.quad_panels
-        )
+        grid = QuadratureConfig(**_given(args, nodes_per_panel="quad_nodes", max_panels="quad_panels"))
         q_p = log_marginal_quadrature(data, "poisson", grid=grid)
         q_g = log_marginal_quadrature(data, "geometric", grid=grid)
         out["log_bf12_quadrature"] = q_p.log_evidence - q_g.log_evidence
@@ -259,12 +271,10 @@ def cmd_bf(args) -> int:
 
 def cmd_mixture(args) -> int:
     data = _dataset_from_args(args)
-    config = McmcConfig(iterations=args.iters, burn_in=args.burn_in)
-    spec = MixtureSpec(args.a0)
-    seed = RngSeed(args.seed)
+    spec = MixtureSpec(**_given(args, "a0"))
     runner = run_gibbs if args.kernel == "gibbs" else run_marginal_mh
-    chain = runner(data, spec, config, seed)
-    summary = posterior_summary(chain, quantiles=args.quantiles)
+    chain = runner(data, spec, _mcmc_config(args), RngSeed(args.seed))
+    summary = posterior_summary(chain, **_given(args, "quantiles"))
     out = {
         "kernel": chain.kernel,
         "a0": spec.a0,
@@ -361,15 +371,14 @@ def cmd_calibrate(args) -> int:
         return EXIT_OK
     # cutoff
     result = bootstrap_alpha_cutoff(
-        MixtureSpec(args.a0),
+        MixtureSpec(**_given(args, "a0")),
         generator=args.generator,
         lambda_true=args.lambda_true,
         n_obs=args.n_obs,
         replicas=args.replicas,
-        mcmc=McmcConfig(iterations=args.iters, burn_in=args.burn_in),
-        summary=args.summary,
-        q=args.q,
+        mcmc=_mcmc_config(args),
         seed=seed,
+        **_given(args, "summary", "q"),
     )
     _print_json(
         {
@@ -385,16 +394,20 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _manifest_config(config: ExperimentConfig) -> dict:
+    """The settings the experiment read, with McmcConfig's fields inlined."""
+    out = {"experiment": config.experiment}
+    for name in SETTINGS[config.experiment]:
+        value = getattr(config, name)
+        out.update(vars(value) if name == "mcmc" else {name: value})
+    return out
+
+
 def cmd_experiment(args) -> int:
     started = time.time()
     out_dir = Path(args.out)
-    settings = _experiment_settings(args)
-    mcmc = McmcConfig(
-        iterations=settings.pop("iters", McmcConfig.iterations),
-        burn_in=settings.pop("burn_in", McmcConfig.burn_in),
-    )
-    config = desk_scale_config(
-        args.name, RngSeed(args.seed), mcmc=mcmc, output_dir=out_dir, **settings
+    config = ExperimentConfig(
+        args.name, seed=RngSeed(args.seed), output_dir=out_dir, **_experiment_settings(args)
     )
     pre_existing = set(out_dir.glob("*")) if out_dir.exists() else set()
     try:
@@ -411,17 +424,7 @@ def cmd_experiment(args) -> int:
     manifest = _write_manifest(
         out_dir,
         command=f"experiment {args.name}",
-        config={
-            "experiment": config.experiment,
-            "n_grid": list(config.n_grid),
-            "replicas": config.replicas,
-            "a0_list": list(config.a0_list),
-            "lambda_true": config.lambda_true,
-            "iterations": config.mcmc.iterations,
-            "burn_in": config.mcmc.burn_in,
-            "t": config.t,
-            "ribbon_quantiles": list(RIBBON_QUANTILES),
-        },
+        config=_manifest_config(config),
         seed=args.seed,
         digests=digests,
         wall_time=wall,
@@ -457,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = bf_sub.add_parser("normal", help="point null vs unit-prior mean")
     p_norm.add_argument("--n", type=_int_like, required=True)
     p_norm.add_argument("--xbar", type=float, required=True)
-    p_norm.add_argument("--theta0", type=float, default=0.0)
-    p_norm.add_argument("--sigma", type=float, default=1.0)
+    p_norm.add_argument("--theta0", type=float)
+    p_norm.add_argument("--sigma", type=float)
     p_norm.set_defaults(func=cmd_bf)
     p_pg = bf_sub.add_parser("poisgeo", help="Poisson vs geometric, shared 1/lambda prior")
     p_pg.add_argument("--data", help="comma-separated counts")
@@ -467,19 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-quadrature", action="store_true",
         help="also integrate both marginals numerically and report the BF",
     )
-    p_pg.add_argument("--quad-nodes", type=_int_like, default=24)
-    p_pg.add_argument("--quad-panels", type=_int_like, default=128)
+    p_pg.add_argument("--quad-nodes", type=_int_like)
+    p_pg.add_argument("--quad-panels", type=_int_like)
     p_pg.set_defaults(func=cmd_bf)
 
     # mixture
     p_mix = sub.add_parser("mixture", help="mixture-weight posterior for observed counts")
     p_mix.add_argument("--data")
     p_mix.add_argument("--data-file")
-    p_mix.add_argument("--a0", type=float, default=0.5)
-    p_mix.add_argument("--iters", type=_int_like, default=10_000)
-    p_mix.add_argument("--burn-in", type=_int_like, default=2_000)
+    p_mix.add_argument("--a0", type=float)
+    p_mix.add_argument("--iters", type=_int_like)
+    p_mix.add_argument("--burn-in", type=_burn_in)
     p_mix.add_argument("--kernel", choices=("gibbs", "mh"), default="gibbs")
-    p_mix.add_argument("--quantiles", type=_float_list, default=(0.1, 0.25, 0.5, 0.75, 0.9))
+    p_mix.add_argument("--quantiles", type=_float_list)
     p_mix.add_argument("--grid-check", action="store_true", help="also report grid-oracle mean/median")
     p_mix.add_argument("--seed", type=_int_like, required=True)
     p_mix.set_defaults(func=cmd_mixture)
@@ -517,27 +520,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_cut.add_argument("--lambda-true", type=float, default=4.0)
     p_cut.add_argument("--n-obs", type=_int_like, required=True)
     p_cut.add_argument("--replicas", type=_int_like, default=20)
-    p_cut.add_argument("--a0", type=float, default=0.5)
-    p_cut.add_argument("--iters", type=_int_like, default=10_000)
-    p_cut.add_argument("--burn-in", type=_int_like, default=2_000)
-    p_cut.add_argument("--summary", choices=("mean", "median"), default="median")
-    p_cut.add_argument("--q", type=float, default=0.1)
+    p_cut.add_argument("--a0", type=float)
+    p_cut.add_argument("--iters", type=_int_like)
+    p_cut.add_argument("--burn-in", type=_burn_in)
+    p_cut.add_argument("--summary", choices=("mean", "median"))
+    p_cut.add_argument("--q", type=float)
     p_cut.add_argument("--seed", type=_int_like, required=True)
     p_cut.set_defaults(func=cmd_calibrate)
 
     # experiment
     p_exp = sub.add_parser("experiment", help="replication experiments with CSV/SVG output")
-    p_exp.add_argument("name", choices=EXPERIMENTS)
+    p_exp.add_argument("name", choices=SETTINGS)
     p_exp.add_argument("--seed", type=_int_like, required=True)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--config", help="flat key=value config file; flags override")
-    p_exp.add_argument("--replicas", type=_int_like, default=None)
-    p_exp.add_argument("--n-grid", type=_int_list, default=None)
-    p_exp.add_argument("--a0-list", type=_float_list, default=None)
-    p_exp.add_argument("--lambda-true", type=float, default=None)
-    p_exp.add_argument("--t", type=float, default=None)
-    p_exp.add_argument("--iters", type=_int_like, default=None)
-    p_exp.add_argument("--burn-in", type=_int_like, default=None)
+    p_exp.add_argument("--replicas", type=_int_like)
+    p_exp.add_argument("--n-grid", type=_int_list)
+    p_exp.add_argument("--a0-list", type=_float_list)
+    p_exp.add_argument("--lambda-true", type=float)
+    p_exp.add_argument("--t", type=float)
+    p_exp.add_argument("--iters", type=_int_like)
+    p_exp.add_argument("--burn-in", type=_burn_in)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

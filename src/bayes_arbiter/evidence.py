@@ -93,12 +93,17 @@ class QuadratureConfig:
 
     The support is bracketed automatically where the log-integrand stays
     within 40 nats of its maximum, then split into at most `max_panels`
-    panels of roughly half a Laplace standard deviation each, with
-    `nodes_per_panel` nodes per panel.
+    panels of roughly half a Laplace standard deviation each (at least 8
+    unless `max_panels` is smaller), with `nodes_per_panel` nodes per panel.
     """
 
     nodes_per_panel: int = 24
     max_panels: int = 128
+
+    def __post_init__(self):
+        for name in ("nodes_per_panel", "max_panels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +314,8 @@ def _count_bracket(data: CountDataset, family: str, drop: float = _BRACKET_DROP)
 
 
 def _panel_count(lo: float, hi: float, sd: float, grid: QuadratureConfig) -> int:
-    """Panels of about _PANEL_WIDTH_SDS sds on [lo, hi], between 8 and grid.max_panels."""
-    return max(8, min(grid.max_panels, math.ceil((hi - lo) / (_PANEL_WIDTH_SDS * sd))))
+    """Panels of about _PANEL_WIDTH_SDS sds on [lo, hi]: at least 8, at most grid.max_panels."""
+    return min(grid.max_panels, max(8, math.ceil((hi - lo) / (_PANEL_WIDTH_SDS * sd))))
 
 
 def log_marginal_quadrature(

@@ -40,7 +40,6 @@ from .rng import Rng, RngSeed
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENTS = ("fig1", "fig2", "fig3", "lindley")
 RIBBON_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 _MEDIAN = RIBBON_QUANTILES.index(0.5)
 
@@ -78,47 +77,63 @@ def _a0_label(a0: float) -> str:
     return f"a0_{a0:.10g}"
 
 
+_MIXTURE_SETTINGS = {
+    "n_grid": (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
+    "replicas": 20,
+    "a0_list": (0.1, 0.5, 1.0),
+    "lambda_true": 4.0,
+    "mcmc": McmcConfig(),
+}
+# the settings each experiment reads, with their desk-scale defaults
+# (full scale is a flag away); seed and output_dir are run-level
+SETTINGS = {
+    "fig1": {"n_grid": (10, 100, 1000), "replicas": 250},
+    "fig2": _MIXTURE_SETTINGS,
+    "fig3": _MIXTURE_SETTINGS,
+    "lindley": {"n_grid": (10, 100, 1000, 10_000, 100_000, 1_000_000), "t": 1.96},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of an experiment: a setting left as None takes the experiment's
+    default from SETTINGS, and one the experiment does not read raises ValueError."""
+
     experiment: str
-    n_grid: tuple[int, ...]
-    replicas: int = 20
-    a0_list: tuple[float, ...] = (0.1, 0.5, 1.0)
-    lambda_true: float = 4.0
-    mcmc: McmcConfig = McmcConfig()
+    n_grid: tuple[int, ...] | None = None
+    replicas: int | None = None
+    a0_list: tuple[float, ...] | None = None
+    lambda_true: float | None = None
+    mcmc: McmcConfig | None = None
+    t: float | None = None
     seed: RngSeed = RngSeed(0)
     output_dir: Path | None = None
-    t: float = 1.96
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
+        if self.experiment not in SETTINGS:
+            raise ValueError(f"experiment must be one of {tuple(SETTINGS)}")
+        reads = SETTINGS[self.experiment]
+        for name in ("n_grid", "replicas", "a0_list", "lambda_true", "mcmc", "t"):
+            if name in reads:
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, reads[name])
+            elif getattr(self, name) is not None:
+                raise ValueError(f"{self.experiment} does not read {name}; it reads {', '.join(reads)}")
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be non-empty and strictly ascending")
         if any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid entries must be positive")
-        if self.replicas < 1:
+        if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be at least 1")
-        if not all(math.isfinite(a) and a > 0.0 for a in self.a0_list):
-            raise ValueError("a0 values must be positive and finite")
-        if len({_a0_label(a) for a in self.a0_list}) < len(self.a0_list):
-            raise ValueError("a0 values must differ at 10 significant digits")
-        if not (math.isfinite(self.lambda_true) and self.lambda_true > 0.0):
+        if self.a0_list is not None:
+            if not all(math.isfinite(a) and a > 0.0 for a in self.a0_list):
+                raise ValueError("a0 values must be positive and finite")
+            if len({_a0_label(a) for a in self.a0_list}) < len(self.a0_list):
+                raise ValueError("a0 values must differ at 10 significant digits")
+        if self.lambda_true is not None and not (math.isfinite(self.lambda_true) and self.lambda_true > 0.0):
             raise ValueError("lambda_true must be positive and finite")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
+        if self.t is not None and not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError("t must be non-negative and finite")
-
-
-def desk_scale_config(experiment: str, seed: RngSeed, **overrides) -> ExperimentConfig:
-    """Default desk-scale settings per experiment (full scale is a flag away)."""
-    if experiment == "fig1":
-        base = dict(n_grid=(10, 100, 1000), replicas=250)
-    elif experiment in ("fig2", "fig3"):
-        base = dict(n_grid=(1, 2, 5, 10, 20, 50, 100, 200, 500, 1000), replicas=20)
-    else:
-        base = dict(n_grid=(10, 100, 1000, 10_000, 100_000, 1_000_000), replicas=1)
-    base.update(overrides)
-    return ExperimentConfig(experiment=experiment, seed=seed, **base)
 
 
 @dataclass(frozen=True)
@@ -132,11 +147,6 @@ class ExperimentResult:
     csv_rows: tuple[tuple, ...]
     artifacts: tuple[Path, ...] = ()
     n_resimulated: int = 0
-
-
-def _expect(config: ExperimentConfig, experiment: str) -> None:
-    if config.experiment != experiment:
-        raise ValueError(f"config.experiment must be {experiment!r}")
 
 
 def _ribbon_quantiles(block: np.ndarray) -> np.ndarray:
@@ -213,13 +223,12 @@ def _emit(config: ExperimentConfig, csv_rows, svgs) -> tuple[Path, ...]:
 # fig1: Bayes factor consistency sweep
 
 
-def run_fig1(config: ExperimentConfig) -> ExperimentResult:
+def _run_fig1(config: ExperimentConfig) -> ExperimentResult:
     """Spread of log BF10 under both hypotheses across replicated means.
 
     Null replicas draw xbar ~ N(0, 1/n); alternative replicas draw
     mu ~ N(0,1) then xbar ~ N(mu, 1/n) (the prior predictive).
     """
-    _expect(config, "fig1")
     values = np.empty((2, len(config.n_grid), config.replicas))
     for cell in np.ndindex(values.shape):
         hyp_idx, n_idx, _ = cell
@@ -277,29 +286,12 @@ def _run_mixture(config: ExperimentConfig) -> ExperimentResult:
     return _sweep_result(config, leads, series, n_resimulated)
 
 
-def run_fig2(config: ExperimentConfig) -> ExperimentResult:
-    """Posterior mean/median of the mixture weight over Poisson replicas."""
-    _expect(config, "fig2")
-    return _run_mixture(config)
-
-
-def run_fig3(config: ExperimentConfig) -> ExperimentResult:
-    """fig2 columns plus the posterior probability of the Poisson model.
-
-    The shared-improper route is the comparison column; the printed
-    formula is emitted alongside and its divergence logged.
-    """
-    _expect(config, "fig3")
-    return _run_mixture(config)
-
-
 # ----------------------------------------------------------------------
 # lindley: fixed test statistic against growing n
 
 
-def run_lindley(config: ExperimentConfig) -> ExperimentResult:
+def _run_lindley(config: ExperimentConfig) -> ExperimentResult:
     """log BF01 at a fixed test statistic across sample sizes."""
-    _expect(config, "lindley")
     from .svg import Line, ribbon_plot_svg
 
     t = float(config.t)
@@ -315,9 +307,9 @@ def run_lindley(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("lindley", table, CSV_HEADERS["lindley"], csv_rows, artifacts)
 
 
-_RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3, "lindley": run_lindley}
+_RUNNERS = {"fig1": _run_fig1, "fig2": _run_mixture, "fig3": _run_mixture, "lindley": _run_lindley}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch on config.experiment."""
+    """Run config.experiment and write its artifacts to config.output_dir."""
     return _RUNNERS[config.experiment](config)

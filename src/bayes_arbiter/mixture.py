@@ -62,10 +62,12 @@ class McmcConfig:
     initial_step: float = 0.5
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.iterations, self.burn_in)):
+            raise ValueError("iterations and burn_in must be integers")
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
-        if self.burn_in < 0 or self.initial_step <= 0.0:
-            raise ValueError("burn_in must be >= 0 and initial_step positive")
+        if self.burn_in < 0 or not (math.isfinite(self.initial_step) and self.initial_step > 0.0):
+            raise ValueError("burn_in must be >= 0 and initial_step positive and finite")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from bayes_arbiter.evidence import (
     log_marginal_poisson_improper,
     log_marginal_quadrature,
 )
-from bayes_arbiter.experiments import RIBBON_QUANTILES, ExperimentConfig, run_fig1, run_fig3
+from bayes_arbiter.experiments import RIBBON_QUANTILES, ExperimentConfig, run_experiment
 from bayes_arbiter.mixture import (
     McmcConfig,
     MixtureSpec,
@@ -59,7 +59,7 @@ def fig3_desk_run(tmp_path_factory):
         output_dir=tmp_path_factory.mktemp("fig3_desk"),
     )
     started = time.time()
-    result = run_fig3(config)
+    result = run_experiment(config)
     return result, time.time() - started
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_fig1_reproduction():
     config = ExperimentConfig(
         "fig1", n_grid=(10, 100, 1000), replicas=250, seed=RngSeed(20260808)
     )
-    result = run_fig1(config)
+    result = run_experiment(config)
     rows_h0_1000 = [r for r in result.csv_rows if r[1] == "H0" and r[2] == 1000]
     frac_negative = sum(1 for r in rows_h0_1000 if r[4] < 0.0) / len(rows_h0_1000)
     median = RIBBON_QUANTILES.index(0.5)

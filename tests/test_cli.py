@@ -1,10 +1,16 @@
+import argparse
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bayes_arbiter.cli import main
+from bayes_arbiter.calibration import bootstrap_alpha_cutoff
+from bayes_arbiter.cli import build_parser, main
+from bayes_arbiter.evidence import NormalSummary, QuadratureConfig
+from bayes_arbiter.experiments import ExperimentConfig
+from bayes_arbiter.mixture import McmcConfig, MixtureSpec, posterior_summary
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +127,21 @@ def test_overflowing_normal_statistic_exit_2(capsys, argv):
 
 
 class TestMixtureCommand:
+    def test_burn_in_zero_accepted(self, capsys, tmp_path):
+        out = run_json(
+            capsys, "mixture", "--data", "1,2,3", "--iters", "300", "--burn-in", "0", "--seed", "1"
+        )
+        assert out["burn_in"] == 0
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("burn_in = 0\n")
+        run_json(
+            capsys, "experiment", "fig2", "--seed", "1", "--config", str(cfgfile),
+            "--replicas", "1", "--n-grid", "5", "--a0-list", "0.5", "--iters", "200",
+            "--out", str(tmp_path / "fig2"),
+        )
+        manifest = json.loads((tmp_path / "fig2" / "run_manifest.json").read_text())
+        assert manifest["config"]["burn_in"] == 0
+
     def test_deterministic_json(self, capsys):
         argv = (
             "mixture", "--data", "4,2,5,3,0,7,1,3", "--a0", "0.5",
@@ -218,6 +239,23 @@ class TestExperimentCommand:
         assert "lindley.csv" in out["artifacts"]
         assert (tmp_path / "lin" / "run_manifest.json").exists()
 
+    def test_unread_setting_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "experiment", "lindley", "--seed", "1", "--replicas", "2",
+            "--out", str(tmp_path / "lin"),
+        )
+        assert (code, out) == (2, "")
+        assert "replicas" in err
+        assert not (tmp_path / "lin").exists()
+        cfgfile = tmp_path / "fig1.cfg"
+        cfgfile.write_text("a0_list = 0.5\n")
+        code, out, err = run_cli(
+            capsys, "experiment", "fig1", "--seed", "1", "--config", str(cfgfile),
+            "--out", str(tmp_path / "fig1"),
+        )
+        assert (code, out) == (2, "")
+        assert "a0_list" in err
+
     def test_fig2_rerun_identical_checksums(self, capsys, tmp_path):
         argv = [
             "experiment", "fig2", "--seed", "9", "--replicas", "3",
@@ -263,6 +301,9 @@ class TestExperimentCommand:
         assert manifest["seed"] == 4
         assert "wall_time_s" in manifest
         assert set(manifest["artifacts"]) == {"lindley.csv", "lindley_t_1.96.svg"}
+        assert manifest["config"] == {
+            "experiment": "lindley", "n_grid": [10, 100, 1000, 10**4, 10**5, 10**6], "t": 1.96,
+        }
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
@@ -292,3 +333,47 @@ class TestExperimentCommand:
         assert code == 2
         assert not (out_dir / "fig2.csv").exists()
         assert not (out_dir / "run_manifest.json").exists()
+
+
+# (subcommand path, flag destination, library callable, keyword the flag feeds)
+LIBRARY_FED_FLAGS = [
+    (("bf", "normal"), "theta0", NormalSummary, "theta0"),
+    (("bf", "normal"), "sigma", NormalSummary, "sigma"),
+    (("bf", "poisgeo"), "quad_nodes", QuadratureConfig, "nodes_per_panel"),
+    (("bf", "poisgeo"), "quad_panels", QuadratureConfig, "max_panels"),
+    (("mixture",), "a0", MixtureSpec, "a0"),
+    (("mixture",), "iters", McmcConfig, "iterations"),
+    (("mixture",), "burn_in", McmcConfig, "burn_in"),
+    (("mixture",), "quantiles", posterior_summary, "quantiles"),
+    (("calibrate", "cutoff"), "a0", MixtureSpec, "a0"),
+    (("calibrate", "cutoff"), "iters", McmcConfig, "iterations"),
+    (("calibrate", "cutoff"), "burn_in", McmcConfig, "burn_in"),
+    (("calibrate", "cutoff"), "summary", bootstrap_alpha_cutoff, "summary"),
+    (("calibrate", "cutoff"), "q", bootstrap_alpha_cutoff, "q"),
+    (("experiment",), "replicas", ExperimentConfig, "replicas"),
+    (("experiment",), "n_grid", ExperimentConfig, "n_grid"),
+    (("experiment",), "a0_list", ExperimentConfig, "a0_list"),
+    (("experiment",), "lambda_true", ExperimentConfig, "lambda_true"),
+    (("experiment",), "t", ExperimentConfig, "t"),
+    (("experiment",), "iters", ExperimentConfig, "mcmc"),
+    (("experiment",), "burn_in", ExperimentConfig, "mcmc"),
+]
+
+
+def _subparser(path):
+    parser = build_parser()
+    for name in path:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize(
+    "path, dest, target, keyword", LIBRARY_FED_FLAGS,
+    ids=["-".join((*path, dest)) for path, dest, *_ in LIBRARY_FED_FLAGS],
+)
+def test_library_defaults_written_once(path, dest, target, keyword):
+    # a flag that feeds a library default defaults to None and is passed on
+    # only when given, so the default is written once, in the library
+    assert inspect.signature(target).parameters[keyword].default is not inspect.Parameter.empty
+    assert _subparser(path).get_default(dest) is None

@@ -10,6 +10,7 @@ from bayes_arbiter.errors import AccuracyError, ImproperEvidenceError
 from bayes_arbiter.evidence import (
     NormalSummary,
     QuadratureConfig,
+    _panel_count,
     log_bf01_lindley,
     log_bf10_normal,
     log_bf10_normal_quadrature,
@@ -199,6 +200,16 @@ class TestQuadratureOracle:
         with pytest.raises(AccuracyError) as exc:
             log_marginal_quadrature(d, "geometric", grid=starved)
         assert exc.value.estimate is not None
+
+    def test_max_panels_is_a_cap(self):
+        # the floor of 8 panels applies first, then the cap
+        assert _panel_count(0.0, 1.0, 1.0, QuadratureConfig(max_panels=3)) == 3
+        assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig(max_panels=3)) == 3
+        assert _panel_count(0.0, 1.0, 1.0, QuadratureConfig()) == 8
+        assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig()) == 128
+        for args, name in (((0, 8), "nodes_per_panel"), ((24, 0), "max_panels")):
+            with pytest.raises(ValueError, match=name):
+                QuadratureConfig(*args)
 
 
 class TestPosteriorModelProbabilities:

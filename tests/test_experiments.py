@@ -4,12 +4,7 @@ from bayes_arbiter.experiments import (
     CSV_HEADERS,
     RIBBON_QUANTILES,
     ExperimentConfig,
-    desk_scale_config,
     run_experiment,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_lindley,
 )
 from bayes_arbiter.mixture import McmcConfig
 from bayes_arbiter.rng import RngSeed
@@ -47,12 +42,19 @@ class TestConfig:
             ExperimentConfig("fig2", n_grid=(10,), a0_list=(0.5, 0.5))
         with pytest.raises(ValueError, match="t must"):
             ExperimentConfig("lindley", n_grid=(10,), t=float("nan"))
+        # a setting the experiment does not read is refused by name
+        with pytest.raises(ValueError, match="replicas"):
+            ExperimentConfig("lindley", replicas=1)
+        with pytest.raises(ValueError, match="mcmc"):
+            ExperimentConfig("fig1", mcmc=McmcConfig())
+        with pytest.raises(ValueError, match="t;"):
+            ExperimentConfig("fig2", t=1.96)
 
     def test_desk_scale_defaults(self):
-        cfg = desk_scale_config("fig1", RngSeed(1))
+        cfg = ExperimentConfig("fig1", seed=RngSeed(1))
         assert cfg.n_grid == (10, 100, 1000)
         assert cfg.replicas == 250
-        cfg = desk_scale_config("fig2", RngSeed(1))
+        cfg = ExperimentConfig("fig2", seed=RngSeed(1))
         assert cfg.replicas == 20
         assert cfg.n_grid[0] == 1 and cfg.n_grid[-1] == 1000
 
@@ -63,7 +65,7 @@ def result(tmp_path_factory):
         "fig1", n_grid=(10, 100, 1000), replicas=60, seed=RngSeed(314),
         output_dir=tmp_path_factory.mktemp("fig1"),
     )
-    return run_fig1(cfg)
+    return run_experiment(cfg)
 
 
 class TestFig1:
@@ -98,7 +100,7 @@ class TestFig1:
 
 class TestFig2AndFig3:
     def test_fig2_schema_and_rows(self, tmp_path):
-        res = run_fig2(small_mix_config("fig2", output_dir=tmp_path))
+        res = run_experiment(small_mix_config("fig2", output_dir=tmp_path))
         assert res.csv_header == CSV_HEADERS["fig2"]
         assert len(res.csv_rows) == 2 * 4
         for row in res.csv_rows:
@@ -109,14 +111,14 @@ class TestFig2AndFig3:
 
     def test_fig2_rerun_identical_bytes(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_fig2(small_mix_config("fig2", output_dir=a_dir))
-        run_fig2(small_mix_config("fig2", output_dir=b_dir))
+        run_experiment(small_mix_config("fig2", output_dir=a_dir))
+        run_experiment(small_mix_config("fig2", output_dir=b_dir))
         for name in ("fig2.csv", "fig2_a0_0.5.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_fig3_schema_and_alpha_columns_match_fig2(self, tmp_path):
-        res2 = run_fig2(small_mix_config("fig2"))
-        res3 = run_fig3(small_mix_config("fig3", output_dir=tmp_path))
+        res2 = run_experiment(small_mix_config("fig2"))
+        res3 = run_experiment(small_mix_config("fig3", output_dir=tmp_path))
         assert res3.csv_header == CSV_HEADERS["fig3"]
         assert [r[:5] for r in res3.csv_rows] == [tuple(r) for r in res2.csv_rows]
         for row in res3.csv_rows:
@@ -127,7 +129,7 @@ class TestFig2AndFig3:
         import logging
 
         with caplog.at_level(logging.INFO, logger="bayes_arbiter.experiments"):
-            run_fig3(small_mix_config("fig3"))
+            run_experiment(small_mix_config("fig3"))
         assert any("printed-formula" in m for m in caplog.messages)
 
     def test_n1_row_exists_with_wide_median_ribbon(self):
@@ -137,7 +139,7 @@ class TestFig2AndFig3:
             "fig2", n_grid=(1, 2), replicas=20, a0_list=(0.1,),
             mcmc=McmcConfig(iterations=10_000, burn_in=2_000), seed=RngSeed(20260808),
         )
-        res = run_fig2(cfg)
+        res = run_experiment(cfg)
         assert any(r[1] == 1 for r in res.csv_rows)
         lo, *_, hi = res.table["a0_0.1"]["post_median_alpha"][0]  # n = 1
         assert hi - lo >= 0.2
@@ -148,14 +150,14 @@ class TestFig2AndFig3:
             "fig2", n_grid=(1,), replicas=40, a0_list=(0.5,), lambda_true=0.2,
             mcmc=McmcConfig(iterations=300, burn_in=50), seed=RngSeed(7),
         )
-        res = run_fig2(cfg)
+        res = run_experiment(cfg)
         assert res.n_resimulated > 0
         assert len(res.csv_rows) == 40
 
 
 class TestLindley:
     def test_table_and_csv(self, tmp_path):
-        res = run_lindley(
+        res = run_experiment(
             ExperimentConfig(
                 "lindley", n_grid=(100, 1000, 10**4, 10**5, 10**6), t=1.96, output_dir=tmp_path
             )
@@ -171,7 +173,7 @@ class TestLindley:
     def test_t_zero_exact(self):
         import math
 
-        res = run_lindley(ExperimentConfig("lindley", n_grid=(3,), t=0.0))
+        res = run_experiment(ExperimentConfig("lindley", n_grid=(3,), t=0.0))
         assert res.csv_rows[0][2] == pytest.approx(0.5 * math.log(4.0), abs=1e-14)
 
     def test_validation(self):
@@ -186,7 +188,7 @@ class TestRunExperimentDispatch:
         res = run_experiment(small_mix_config("fig2"))
         assert res.experiment == "fig2"
         res = run_experiment(
-            ExperimentConfig("lindley", n_grid=(10, 100), replicas=1, t=1.5)
+            ExperimentConfig("lindley", n_grid=(10, 100), t=1.5)
         )
         assert res.experiment == "lindley"
 

@@ -106,6 +106,13 @@ class TestSpecAndState:
             McmcConfig(iterations=100, burn_in=100)
         with pytest.raises(ValueError):
             McmcConfig(initial_step=0.0)
+        for step in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="initial_step"):
+                McmcConfig(400, 100, initial_step=step)
+        with pytest.raises(ValueError, match="iterations"):
+            McmcConfig(iterations=400.5, burn_in=100)
+        with pytest.raises(ValueError, match="burn_in"):
+            McmcConfig(iterations=400, burn_in=100.0)
 
 
 class TestConditionals:
