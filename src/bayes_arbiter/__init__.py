@@ -13,7 +13,7 @@ from .calibration import (
     posterior_predictive_pvalue,
     predictive_bf_tails,
 )
-from .distributions import CountDataset, log_pmf_geometric_mean, log_pmf_poisson
+from .distributions import CountDataset
 from .errors import AccuracyError, DegeneracyError, ImproperEvidenceError
 from .evidence import (
     LogBayesFactor,
@@ -41,10 +41,8 @@ from .mixture import (
     MixtureChain,
     MixtureSpec,
     SummaryTable,
-    allocation_probability,
     conditional_alpha,
     grid_posterior_alpha,
-    log_lambda_conditional,
     posterior_summary,
     run_gibbs,
     run_gibbs_chains,
@@ -74,7 +72,6 @@ __all__ = [
     "Rng",
     "RngSeed",
     "SummaryTable",
-    "allocation_probability",
     "bootstrap_alpha_cutoff",
     "conditional_alpha",
     "grid_posterior_alpha",
@@ -83,12 +80,9 @@ __all__ = [
     "log_bf10_normal_quadrature",
     "log_bf12_printed",
     "log_bf12_shared_improper",
-    "log_lambda_conditional",
     "log_marginal_geometric_improper",
     "log_marginal_poisson_improper",
     "log_marginal_quadrature",
-    "log_pmf_geometric_mean",
-    "log_pmf_poisson",
     "posterior_predictive_pvalue",
     "posterior_prob_from_log_bf",
     "posterior_summary",

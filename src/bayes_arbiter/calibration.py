@@ -22,6 +22,7 @@ from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
 from .rng import Rng, RngSeed
 
 _TIE_RTOL = 1e-12
+_MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class CalibrationReport:
     p1: float
     n_rep: int
     mode: str
-    statistic_method: str = ""
     n_degenerate_p0: int = 0
     n_degenerate_p1: int = 0
 
@@ -58,44 +58,38 @@ class CalibrationReport:
 
 
 class NormalPointNullModel:
-    """Known-mean model: theta pinned at theta0, replicates are xbar draws."""
+    """Known-mean model in standardized coordinates: theta pinned at 0,
+    replicates are xbar ~ N(0, 1/n)."""
 
-    def __init__(self, n: int, theta0: float = 0.0, sigma: float = 1.0):
+    def __init__(self, n: int):
         self.n = n
-        self.theta0 = theta0
-        self.sigma = sigma
 
     def draw_param_prior(self, rng: Rng) -> float:
-        return self.theta0
+        return 0.0
 
     def draw_param_posterior(self, observed: NormalSummary, rng: Rng) -> float:
-        return self.theta0
+        return 0.0
 
     def replicate(self, theta: float, rng: Rng) -> NormalSummary:
-        xbar = rng.normal(theta, self.sigma / math.sqrt(self.n))
-        return NormalSummary(self.n, xbar, self.theta0, self.sigma)
+        return NormalSummary(self.n, rng.normal(theta, 1.0 / math.sqrt(self.n)))
 
 
 class NormalUnitPriorModel:
-    """Free-mean model with the conjugate N(theta0, sigma^2) prior."""
+    """Free-mean model with the conjugate N(0, 1) prior, replicates
+    xbar ~ N(theta, 1/n)."""
 
-    def __init__(self, n: int, theta0: float = 0.0, sigma: float = 1.0):
+    def __init__(self, n: int):
         self.n = n
-        self.theta0 = theta0
-        self.sigma = sigma
 
     def draw_param_prior(self, rng: Rng) -> float:
-        return rng.normal(self.theta0, self.sigma)
+        return rng.normal(0.0, 1.0)
 
     def draw_param_posterior(self, observed: NormalSummary, rng: Rng) -> float:
         n = self.n
-        post_mean = self.theta0 + n * (observed.xbar - self.theta0) / (n + 1.0)
-        post_sd = self.sigma / math.sqrt(n + 1.0)
-        return rng.normal(post_mean, post_sd)
+        return rng.normal(n * observed.xbar / (n + 1.0), 1.0 / math.sqrt(n + 1.0))
 
     def replicate(self, theta: float, rng: Rng) -> NormalSummary:
-        xbar = rng.normal(theta, self.sigma / math.sqrt(self.n))
-        return NormalSummary(self.n, xbar, self.theta0, self.sigma)
+        return NormalSummary(self.n, rng.normal(theta, 1.0 / math.sqrt(self.n)))
 
 
 class PoissonImproperMeanModel:
@@ -194,7 +188,6 @@ def predictive_bf_tails(
     mode: str,
     n_rep: int,
     seed: RngSeed = RngSeed(0),
-    statistic_method: str = "",
 ) -> CalibrationReport:
     """Monte Carlo tail probabilities of `statistic` under both predictives.
 
@@ -217,7 +210,6 @@ def predictive_bf_tails(
         p1=p1,
         n_rep=n_rep,
         mode=mode,
-        statistic_method=statistic_method,
         n_degenerate_p0=deg0,
         n_degenerate_p1=deg1,
     )
@@ -234,16 +226,20 @@ def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) 
     """n counts from `family` at `mean`, redrawn until the total is positive.
 
     Attempt k draws from the fresh stream seed.child(*path, k); returns
-    the dataset and the number of all-zero sets redrawn.
+    the dataset and the number of all-zero sets redrawn.  If all
+    _MAX_ATTEMPTS attempts are all-zero, raises DegeneracyError.
     """
-    attempt = 0
-    while True:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    for attempt in range(_MAX_ATTEMPTS):
         rng = Rng(seed.child(*path, attempt))
         draw = rng.poisson if family == "poisson" else rng.geometric_mean
         values = draw(mean, size=n)
         if values.sum() >= 1:
             return CountDataset(values), attempt
-        attempt += 1
+    raise DegeneracyError(
+        f"{_MAX_ATTEMPTS} datasets of {n} {family} counts at mean {mean:.10g} were all zero"
+    )
 
 
 def posterior_predictive_pvalue(

@@ -330,8 +330,7 @@ def cmd_calibrate(args) -> int:
 
             method = "closed_form(improper prior)"
         report = predictive_bf_tails(
-            observed, model0, model1, statistic,
-            mode=args.mode, n_rep=args.n_rep, seed=seed, statistic_method=method,
+            observed, model0, model1, statistic, mode=args.mode, n_rep=args.n_rep, seed=seed
         )
         _print_json(
             {
@@ -345,7 +344,7 @@ def cmd_calibrate(args) -> int:
                 "mc_se_p1": report.mc_se_p1,
                 "n_degenerate_p0": report.n_degenerate_p0,
                 "n_degenerate_p1": report.n_degenerate_p1,
-                "statistic_method": report.statistic_method,
+                "statistic_method": method,
             }
         )
         return EXIT_OK

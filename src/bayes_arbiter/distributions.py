@@ -7,12 +7,13 @@ with success probability 1/(1+mean), i.e. pmf p (1-p)^x with p = 1/(1+mean).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .special import log_factorial
+
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,27 @@ class CountDataset:
         arr = np.asarray(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a non-empty 1-D sequence")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise ValueError("values must be integers")
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
+        if arr.dtype.kind == "O":
+            # Python integers beyond every numpy integer type
+            raise ValueError(f"values must fit in int64 (at most {_INT64_MAX})")
+        if arr.dtype.kind not in "iu" and not np.all(arr == np.floor(arr)):
+            raise ValueError("values must be integers")
+        if arr.min() < 0:
             raise ValueError("values must be non-negative")
+        top = arr.max()
+        if top >= 1 << 63:  # 2^63 is exact as a float; 2^63 - 1 would round up to it
+            raise ValueError(f"values must fit in int64 (at most {_INT64_MAX})")
         arr = np.ascontiguousarray(arr, dtype=np.int64)
+        total = int(arr.sum())
+        if int(top) > _INT64_MAX // arr.size:
+            # the int64 sum may have wrapped: add exactly
+            total = sum(arr.tolist())
+            if total > _INT64_MAX:
+                raise ValueError(f"the total of the values must fit in int64 (at most {_INT64_MAX})")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "n", int(arr.size))
-        object.__setattr__(self, "total", int(arr.sum()))
+        object.__setattr__(self, "total", total)
 
     @property
     def mean(self) -> float:
@@ -59,26 +70,3 @@ def _component_log_pmfs(values, lfact, u):
     xu = values * u
     return xu - np.exp(u) - lfact, xu - (values + 1.0) * np.logaddexp(0.0, u)
 
-
-def _log_pmfs(x, mean: float):
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
-    xa = np.asarray(x)
-    if np.any(xa < 0):
-        raise ValueError("x must be non-negative")
-    return _component_log_pmfs(xa, log_factorial(xa), math.log(mean))
-
-
-def log_pmf_poisson(x, mean: float):
-    """ln P(X = x) for X ~ Poisson(mean); x scalar or integer array."""
-    out = _log_pmfs(x, mean)[0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def log_pmf_geometric_mean(x, mean: float):
-    """ln P(X = x) for the mean-parameterised geometric failure count.
-
-    With p = 1/(1+mean): ln[p (1-p)^x] = x ln(mean) - (x+1) ln(1+mean).
-    """
-    out = _log_pmfs(x, mean)[1]
-    return float(out) if np.ndim(out) == 0 else out

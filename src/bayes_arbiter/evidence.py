@@ -77,15 +77,6 @@ class LogBayesFactor:
         except OverflowError:
             return math.inf
 
-    def reciprocal(self) -> "LogBayesFactor":
-        """Same comparison with the roles swapped: log BF_ji = -log BF_ij."""
-        return LogBayesFactor(
-            log_bf=-self.log_bf,
-            numerator_model=self.denominator_model,
-            denominator_model=self.numerator_model,
-            method=self.method,
-        )
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -347,11 +338,10 @@ def log_marginal_quadrature(
     return LogEvidence(fine, model=family, method="quadrature", error_estimate=err)
 
 
-def log_bf10_normal_quadrature(
-    summary: NormalSummary, grid: QuadratureConfig = QuadratureConfig()
-) -> LogBayesFactor:
+def log_bf10_normal_quadrature(summary: NormalSummary) -> LogBayesFactor:
     """Quadrature route to log_bf10_normal: integrate the standardized mean
     likelihood against the unit normal prior, then divide by the null."""
+    grid = QuadratureConfig()
     n = summary.n
     z = (summary.xbar - summary.theta0) / summary.sigma
     samp_sd = 1.0 / math.sqrt(n)

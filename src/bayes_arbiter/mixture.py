@@ -35,6 +35,7 @@ _ACCEPTANCE_HEALTHY = (0.05, 0.95)
 # step-size adaptation targets: the 1-D lambda step and the 2-D joint step
 _TARGET_ACCEPTANCE_GIBBS = 0.44
 _TARGET_ACCEPTANCE_MARGINAL = 0.35
+_INITIAL_STEP = 0.5  # random-walk scale before adaptation
 _ALPHA_NODES = 96  # mixture-weight axis of the 2-D grid
 _LOG_2 = math.log(2.0)
 
@@ -59,15 +60,14 @@ class MixtureSpec:
 class McmcConfig:
     iterations: int = 10_000
     burn_in: int = 2_000
-    initial_step: float = 0.5
 
     def __post_init__(self):
         if not all(isinstance(v, (int, np.integer)) for v in (self.iterations, self.burn_in)):
             raise ValueError("iterations and burn_in must be integers")
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
-        if self.burn_in < 0 or not (math.isfinite(self.initial_step) and self.initial_step > 0.0):
-            raise ValueError("burn_in must be >= 0 and initial_step positive and finite")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ class SummaryTable:
     alpha_quantiles: dict[float, float]
     lambda_mean: float
     lambda_median: float
-    mh_acceptance_rate: float
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,7 @@ class DiscretizedPosterior:
 
 
 # ----------------------------------------------------------------------
-# conditionals
-#
-# Each public conditional validates its arguments and calls a private core;
-# the Gibbs sweep calls the cores on the sufficient statistics (n1, n2, s1, s2).
+# conditionals, on the sufficient statistics (n1, n2, s1, s2)
 
 
 def conditional_alpha(n1: int, n2: int, a0: float) -> tuple[float, float]:
@@ -128,21 +124,9 @@ def conditional_alpha(n1: int, n2: int, a0: float) -> tuple[float, float]:
 
 
 def _allocation_probability(values, lfact, logit_alpha, u):
+    """P(component 1 | x, alpha, lambda = e^u) for each x in `values`."""
     lf1, lf2 = _component_log_pmfs(values, lfact, u)
     return expit(logit_alpha + (lf1 - lf2))
-
-
-def allocation_probability(x, alpha: float, lam: float):
-    """P(component 1 | x, alpha, lambda), from log pmfs for stability."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    xa = np.asarray(x, dtype=np.int64)
-    out = _allocation_probability(
-        xa, log_factorial(xa), math.log(alpha) - math.log1p(-alpha), math.log(lam)
-    )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
@@ -157,23 +141,6 @@ def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
     else:
         softplus = _LOG_2
     return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * softplus
-
-
-def log_lambda_conditional(lam: float, n1: int, n2: int, s1: int, s2: int) -> float:
-    """Unnormalized log density of lambda given the allocation counts.
-
-    (s1+s2-1) ln(lambda) - n1 lambda - (s2+n2) ln(1+lambda); improper
-    when s1+s2 = 0 and n1 = 0 (exponent of lambda is -1 at the origin).
-    """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if s1 + s2 == 0 and n1 == 0:
-        raise DegeneracyError(
-            "all-zero allocation to the geometric component leaves an "
-            "improper lambda conditional under the 1/lambda prior"
-        )
-    u = math.log(lam)
-    return _log_u_conditional(u, n1, n2, s1, s2) - u
 
 
 def _require_nondegenerate(data: CountDataset) -> None:
@@ -202,7 +169,7 @@ def _random_walk_chains(rngs, xs, sweep, params, config, target_acceptance, seed
     kept = config.iterations - config.burn_in
     alphas = np.empty((len(rngs), kept))
     lambdas = np.empty((len(rngs), kept))
-    log_steps = [math.log(config.initial_step)] * len(rngs)
+    log_steps = [math.log(_INITIAL_STEP)] * len(rngs)
     accepted = [0] * len(rngs)
     for it in range(config.iterations):
         stays, moves, log_ratios = sweep(xs, [math.exp(s) for s in log_steps])
@@ -379,23 +346,26 @@ def run_marginal_mh(
 def _alpha_nodes(a0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Jacobi absorbs the Beta(a0,a0) kernel, so a0 < 1 endpoint
     # singularities cost nothing; constants cancel in normalization.
-    x, w = roots_jacobi(k, a0 - 1.0, a0 - 1.0)
+    # Above a0 of about 1e4 scipy's Newton iteration for the nodes breaks
+    # down into NaN; that rule is refused here rather than warned about.
+    with np.errstate(invalid="ignore"):
+        x, w = roots_jacobi(k, a0 - 1.0, a0 - 1.0)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise AccuracyError(f"no finite {k}-node Gauss-Jacobi rule for the weight at a0 = {a0:.10g}")
     return (x + 1.0) / 2.0, w
 
 
-def grid_posterior_alpha(
-    data: CountDataset,
-    spec: MixtureSpec,
-    grid: QuadratureConfig = QuadratureConfig(),
-) -> DiscretizedPosterior:
+def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPosterior:
     """Marginal posterior of the mixture weight by tensor-grid quadrature.
 
     Gauss-Jacobi nodes on the weight axis (prior absorbed into the rule),
     composite Gauss-Legendre on u = ln(lambda) over a bracketed support.
     A refined grid that moves the log normalizer or the mean by more than
-    1e-8 raises AccuracyError with the mean attached.
+    1e-8 raises AccuracyError with the mean attached, and so does a weight
+    rule whose nodes are not finite (a0 above about 1e4).
     """
     _require_nondegenerate(data)
+    grid = QuadratureConfig()
 
     def evaluate(n_alpha: int, nodes_per_panel: int, drop: float):
         a_nodes, a_wts = _alpha_nodes(spec.a0, n_alpha)
@@ -496,5 +466,4 @@ def posterior_summary(chain: MixtureChain, quantiles=(0.1, 0.25, 0.5, 0.75, 0.9)
         alpha_quantiles={q: float(np.quantile(a, q)) for q in qs},
         lambda_mean=float(l.mean()),
         lambda_median=float(np.median(l)),
-        mh_acceptance_rate=chain.mh_acceptance_rate,
     )

@@ -40,6 +40,12 @@ _MULT = 6364136223846793005
 _BUFFER = 1 << 14  # words in the largest refill block
 _FIRST_UNIFORMS = 64  # uniforms in a fresh stream's first block
 _INV_2_53 = 2.0 ** -53
+# Largest Poisson mean: its draws lie within a few sqrt(mean) = 2^31 of it,
+# far inside int64 (2^63).
+_POISSON_MAX_MEAN = 2.0**62
+# From this geometric mean on, 1 + mean rounds to mean, so mean / (1 + mean)
+# rounds to 1 and the inversion divides by ln 1 = 0.
+_GEOMETRIC_MEAN_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -175,27 +181,21 @@ class Rng:
             need -= self._pos
         return np.concatenate(parts)
 
-    def normal(self, mean: float = 0.0, sd: float = 1.0, size: int | None = None):
-        """Gaussian draw(s) via Box-Muller; each consumes exactly two uniforms."""
+    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
+        """Gaussian draw via Box-Muller; consumes exactly two uniforms."""
         if sd <= 0.0:
             raise ValueError("sd must be positive")
-        if size is None:
-            u1 = self.uniform()
-            u2 = self.uniform()
-            return mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        u = self.uniform(2 * size)
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        return mean + sd * r * np.cos(2.0 * np.pi * u[1::2])
+        u1 = self.uniform()
+        u2 = self.uniform()
+        return mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     # ------------------------------------------------------------------
     # discrete and shape-constrained laws
 
-    def poisson(self, mean: float, size: int | None = None):
-        """Poisson draw(s); inversion below mean 10, PTRS rejection above."""
-        if mean <= 0.0:
-            raise ValueError("mean must be positive")
-        if size is None:
-            return int(self.poisson(mean, 1)[0])
+    def poisson(self, mean: float, size: int) -> np.ndarray:
+        """`size` Poisson draws; inversion below mean 10, PTRS rejection above."""
+        if not 0.0 < mean <= _POISSON_MAX_MEAN:
+            raise ValueError(f"Poisson mean must be positive and at most 2^62, got {mean:.10g}")
         if mean >= 10.0:
             return self._poisson_ptrs(mean, size)
         return _poisson_inversion(self.uniform(size), mean)
@@ -247,16 +247,14 @@ class Rng:
             need -= hits.size
         return np.concatenate(draws).astype(np.int64)
 
-    def geometric_mean(self, mean: float, size: int | None = None):
-        """Geometric (failure-count) draw(s) with the given mean.
+    def geometric_mean(self, mean: float, size: int) -> np.ndarray:
+        """`size` geometric (failure-count) draws with the given mean.
 
         Success probability is 1/(1+mean); inversion X = floor(ln U / ln(mean/(1+mean))).
         """
-        if mean <= 0.0:
-            raise ValueError("mean must be positive")
+        if not 0.0 < mean < _GEOMETRIC_MEAN_LIMIT:
+            raise ValueError(f"geometric mean must be positive and below 2^53, got {mean:.10g}")
         log_ratio = math.log(mean / (1.0 + mean))
-        if size is None:
-            return int(math.log(self.uniform()) / log_ratio)
         u = self.uniform(size)
         return np.floor(np.log(u) / log_ratio).astype(np.int64)
 

@@ -1,9 +1,6 @@
 """Log-scale special functions: log-gamma, log-factorial, normal log-density.
 
-Everything here is pure and reentrant.  The log-factorial table grows
-in powers of two, and each growth recomputes it from scratch; numpy's
-cumsum is sequential, so every entry depends on k alone and the table
-is the same whatever order of calls grew it.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -14,9 +11,6 @@ import numpy as np
 from scipy.special import gammaln
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# ln k! for k = 0..len-1; len is a power of two, grown on demand.
-_LOG_FACTORIAL_TABLE = np.zeros(1)
 
 
 def log_gamma(x):
@@ -33,18 +27,11 @@ def log_gamma(x):
 
 
 def log_factorial(k):
-    """ln k! for non-negative integers (scalar or array), via a cached table."""
-    global _LOG_FACTORIAL_TABLE
+    """ln k! = ln Gamma(k + 1) for non-negative integers (scalar or array)."""
     arr = np.asarray(k)
-    if arr.size and (np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer)):
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0):
         raise ValueError("log_factorial requires non-negative integers")
-    top = int(arr.max()) if arr.size else 0
-    if top >= _LOG_FACTORIAL_TABLE.shape[0]:
-        size = 1 << top.bit_length()
-        table = np.zeros(size)
-        np.cumsum(np.log(np.arange(1, size, dtype=float)), out=table[1:])
-        _LOG_FACTORIAL_TABLE = table
-    out = _LOG_FACTORIAL_TABLE[arr]
+    out = gammaln(arr + 1.0)
     return float(out) if np.isscalar(k) or arr.ndim == 0 else out
 
 

@@ -16,6 +16,7 @@ _MARGIN_L = 64
 _MARGIN_R = 18
 _MARGIN_T = 34
 _MARGIN_B = 46
+_BAND_OPACITY = 0.45
 
 
 def _fmt(v: float) -> str:
@@ -28,7 +29,6 @@ class Band:
     low: tuple[float, ...]
     high: tuple[float, ...]
     color: str = "#87ceeb"
-    opacity: float = 0.45
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-12 * abs(step):
         ticks.append(0.0 if abs(t) < 1e-15 else t)
+        if t + step == t:  # a range too narrow for this step to move t
+            break
         t += step
     return ticks
 
@@ -62,7 +64,6 @@ def ribbon_plot_svg(
     bands: list[Band],
     lines: list[Line],
     title: str,
-    x_label: str = "n",
     y_label: str = "",
 ) -> str:
     """Render ribbons and lines over a log10 x axis to an SVG string."""
@@ -130,7 +131,7 @@ def ribbon_plot_svg(
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.10g}" y="{_HEIGHT - 10}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">n</text>'
     )
     if y_label:
         parts.append(
@@ -144,7 +145,7 @@ def ribbon_plot_svg(
         pts += [f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in zip(reversed(xs), reversed(b.low))]
         parts.append(
             f'<polygon points="{" ".join(pts)}" fill="{b.color}" '
-            f'fill-opacity="{_fmt(b.opacity)}" stroke="none"><title>{b.label}</title></polygon>'
+            f'fill-opacity="{_fmt(_BAND_OPACITY)}" stroke="none"><title>{b.label}</title></polygon>'
         )
     for l in lines:
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in zip(xs, l.values))

@@ -19,7 +19,7 @@ from bayes_arbiter.calibration import (
     predictive_bf_tails,
 )
 from bayes_arbiter.distributions import CountDataset
-from bayes_arbiter.errors import ImproperEvidenceError
+from bayes_arbiter.errors import DegeneracyError, ImproperEvidenceError
 from bayes_arbiter.evidence import NormalSummary, log_bf01_lindley, log_bf12_shared_improper
 from bayes_arbiter.mixture import McmcConfig, MixtureSpec, run_gibbs
 from bayes_arbiter.rng import Rng, RngSeed
@@ -120,11 +120,9 @@ class TestPredictiveBfTails:
             mode="posterior",
             n_rep=400,
             seed=RngSeed(7),
-            statistic_method="closed_form",
         )
         assert 0.0 <= rep.p0 <= 1.0
         assert 0.0 <= rep.p1 <= 1.0
-        assert rep.statistic_method == "closed_form"
         # Poisson data should not look extreme under the Poisson predictive
         assert rep.p0 > 0.05
 
@@ -242,7 +240,8 @@ class TestPosteriorPredictivePvalue:
 
     def test_two_disjoint_seeds_agree(self):
         obs = CountDataset(Rng(RngSeed(16, 0)).poisson(4.0, size=40))
-        draws = 4.0 + 0.1 * Rng(RngSeed(16, 1)).normal(size=200)
+        rng = Rng(RngSeed(16, 1))
+        draws = [rng.normal(4.0, 0.1) for _ in range(200)]
         p_a = posterior_predictive_pvalue(obs, draws, "poisson", discrepancy_mean, 20_000, RngSeed(17))
         p_b = posterior_predictive_pvalue(obs, draws, "poisson", discrepancy_mean, 20_000, RngSeed(18))
         se = math.sqrt(p_a * (1 - p_a) / 20_000 + p_b * (1 - p_b) / 20_000)
@@ -265,6 +264,14 @@ class TestPosteriorPredictivePvalue:
         )
         assert p == 1.0
 
+    def test_non_finite_posterior_draw_raises(self):
+        # an infinite geometric mean drew -2^63 counts, and a NaN Poisson
+        # mean never left the inversion loop
+        obs = CountDataset([1, 2, 3])
+        for family, lam in (("geometric", math.inf), ("poisson", math.nan), ("poisson", math.inf)):
+            with pytest.raises(ValueError, match="mean must be positive"):
+                posterior_predictive_pvalue(obs, [lam], family, discrepancy_mean, n_rep=10, seed=RngSeed(14))
+
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError, match="n_rep"):
             posterior_predictive_pvalue(CountDataset([1, 2, 3]), [2.0], "poisson", discrepancy_mean, n_rep=0)
@@ -281,6 +288,22 @@ class TestPosteriorPredictivePvalue:
         assert DISCREPANCIES["variance"](x, None) == pytest.approx(np.var(x))
         assert DISCREPANCIES["max"](x, None) == 5.0
         assert DISCREPANCIES["zeros"](x, None) == 2.0
+
+
+class TestNonzeroCounts:
+    def test_redraws_are_bounded(self):
+        # e^-1e-17 rounds to 1, so every Poisson draw is 0 and no redraw can help
+        with pytest.raises(DegeneracyError, match="1000 datasets of 5 poisson counts at mean 1e-17"):
+            nonzero_counts("poisson", 1e-17, 5, RngSeed(1), 10, 0)
+        # a rare nonzero set is still found: P(all zero) = e^-0.2 per attempt
+        data, attempt = nonzero_counts("poisson", 0.2, 1, RngSeed(1), 10, 0)
+        assert data.total >= 1 and attempt >= 0
+
+    def test_rejects_empty_dataset(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            nonzero_counts("geometric", 4.0, 0, RngSeed(1))
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bootstrap_alpha_cutoff(MixtureSpec(0.5), "poisson", 4.0, 0, 20)
 
 
 @pytest.fixture(scope="module")

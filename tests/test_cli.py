@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,57 @@ class TestExperimentCommand:
         assert code == 2
         assert not (out_dir / "fig2.csv").exists()
         assert not (out_dir / "run_manifest.json").exists()
+
+
+_MCMC = ("--iters", "300", "--burn-in", "100")
+_CUTOFF = ("calibrate", "cutoff", "--n-obs", "5", "--replicas", "20", "--seed", "1", *_MCMC)
+
+# (argv, exit code, text stderr must hold); experiments also get --out
+EXIT_CODE_TABLE = [
+    # a total past int64 used to wrap to 0 and exit 3 as "all-zero"
+    (("bf", "poisgeo", "--data", "4611686018427387904,4611686018427387904"), 2, "total of the values"),
+    (("bf", "poisgeo", "--data", "9223372036854775808"), 2, "fit in int64"),
+    (("bf", "poisgeo", "--data", "18446744073709551616"), 2, "fit in int64"),
+    # a count of 10^8 used to grow a 1 GiB log-factorial table
+    (("mixture", "--data", "100000000,3", "--seed", "1", *_MCMC), 0, ""),
+    # sampler means whose draws would leave int64
+    ((*_CUTOFF, "--lambda-true", "1e19"), 2, "Poisson mean"),
+    ((*_CUTOFF, "--generator", "geometric", "--lambda-true", "1e16"), 2, "geometric mean"),
+    # every redraw all zero: these never ended
+    ((*_CUTOFF, "--lambda-true", "1e-17"), 3, "all zero"),
+    (("calibrate", "cutoff", "--n-obs", "1", "--replicas", "20", "--seed", "1", *_MCMC, "--lambda-true", "1e-6"),
+     3, "all zero"),
+    (("experiment", "fig2", "--seed", "1", "--lambda-true", "1e-17", "--n-grid", "1", "--replicas", "1",
+      "--a0-list", "0.5", *_MCMC), 3, "all zero"),
+    # every weight at the 1e-300 clip: SVG ticks over a range a few ulps wide
+    (("experiment", "fig2", "--seed", "1", "--replicas", "1", "--n-grid", "2", "--a0-list", "1e-320", *_MCMC), 0, ""),
+    # no finite Gauss-Jacobi rule: a NaN refinement passed, a NaN mean printed null
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e4", *_MCMC), 4, "Gauss-Jacobi"),
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e5", *_MCMC), 4, "Gauss-Jacobi"),
+    # one case of each remaining failure class
+    (("bf", "normal", "--n", "1"), 2, "--xbar"),
+    (("bf", "poisgeo", "--data", "two"), 2, "expected integers"),
+    (("bf", "poisgeo", "--data", "0,0"), 3, "all-zero"),
+    (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "2", "--quad-panels", "2"), 4, "accuracy"),
+]
+
+
+def test_exit_code_table(capsys, tmp_path):
+    # each accepted input ends with an answer or a typed error: the exit
+    # code, and never a traceback, a null or a RuntimeWarning
+    for i, (argv, expected, message) in enumerate(EXIT_CODE_TABLE):
+        if argv[0] == "experiment":
+            argv += ("--out", str(tmp_path / str(i)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+        out, err = capsys.readouterr()
+        assert (code, message in err) == (expected, True), (argv, err)
+        assert "null" not in out, argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
 
 
 # (subcommand path, flag destination, library callable, keyword the flag feeds)

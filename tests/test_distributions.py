@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bayes_arbiter.distributions import (
-    CountDataset,
-    log_pmf_geometric_mean,
-    log_pmf_poisson,
-)
+from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
+from bayes_arbiter.special import log_factorial
 
 
 class TestCountDataset:
@@ -32,6 +29,17 @@ class TestCountDataset:
             CountDataset([-1, 2])
         with pytest.raises(ValueError):
             CountDataset([1.5])
+        for bad in ([float("nan")], [float("inf")], [1e19], [2**63], [2**64], [2**70, 1]):
+            with pytest.raises(ValueError, match="integers|int64"):
+                CountDataset(bad)
+
+    def test_values_and_total_fit_int64(self):
+        # the largest int64 count is kept exactly, as a Python int total
+        assert CountDataset([2**63 - 1]).total == 2**63 - 1
+        assert CountDataset([2**62, 2**62 - 1]).total == 2**63 - 1
+        for bad in ([2**62, 2**62], [2**63 - 1, 1], [2**61] * 5):
+            with pytest.raises(ValueError, match="total"):
+                CountDataset(bad)
 
     def test_immutable(self):
         d = CountDataset([1, 2])
@@ -39,46 +47,54 @@ class TestCountDataset:
             d.values[0] = 9
 
 
+def log_pmfs(x, mean: float):
+    """(Poisson, geometric) log pmfs of x at `mean`, through the shared kernel."""
+    x = np.asarray(x)
+    return _component_log_pmfs(x, log_factorial(x), math.log(mean))
+
+
 class TestPoissonPmf:
     def test_point_values(self):
-        assert log_pmf_poisson(0, 1.0) == pytest.approx(-1.0, abs=1e-14)
+        assert log_pmfs(0, 1.0)[0] == pytest.approx(-1.0, abs=1e-14)
         # direct evaluation: 2 ln 4 - 4 - ln 2
-        assert log_pmf_poisson(2, 4.0) == pytest.approx(-1.9205584583201642, abs=1e-12)
+        assert log_pmfs(2, 4.0)[0] == pytest.approx(-1.9205584583201642, abs=1e-12)
 
     def test_normalizes(self):
         xs = np.arange(0, 201)
-        total = np.exp(log_pmf_poisson(xs, 4.0)).sum()
+        total = np.exp(log_pmfs(xs, 4.0)[0]).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            log_pmf_poisson(1, 0.0)
-        with pytest.raises(ValueError):
-            log_pmf_poisson(-1, 2.0)
+        # finite wherever the samplers evaluate it: u = ln(mean) up to their
+        # 690 cut, and counts up to 10^6
+        xs = np.array([0, 1, 10**6])
+        for u in (-690.0, 0.0, 690.0):
+            assert np.all(np.isfinite(_component_log_pmfs(xs, log_factorial(xs), u)[0]))
 
 
 class TestGeometricMeanPmf:
     def test_point_values(self):
-        assert log_pmf_geometric_mean(0, 1.0) == pytest.approx(math.log(0.5), abs=1e-14)
+        assert log_pmfs(0, 1.0)[1] == pytest.approx(math.log(0.5), abs=1e-14)
         # direct evaluation: 3 ln 4 - 4 ln 5
-        assert log_pmf_geometric_mean(3, 4.0) == pytest.approx(-2.2788685663767297, abs=1e-12)
+        assert log_pmfs(3, 4.0)[1] == pytest.approx(-2.2788685663767297, abs=1e-12)
 
     def test_mean_parameterisation(self):
         xs = np.arange(0, 501)
-        pmf = np.exp(log_pmf_geometric_mean(xs, 4.0))
+        pmf = np.exp(log_pmfs(xs, 4.0)[1])
         assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
         assert (xs * pmf).sum() == pytest.approx(4.0, abs=1e-8)
 
     def test_normalizes_other_means(self):
         for mean in (0.3, 1.0, 9.0):
             xs = np.arange(0, 3000)
-            assert np.exp(log_pmf_geometric_mean(xs, mean)).sum() == pytest.approx(
+            assert np.exp(log_pmfs(xs, mean)[1]).sum() == pytest.approx(
                 1.0, abs=1e-10
             )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            log_pmf_geometric_mean(0, -0.5)
+        xs = np.array([0, 1, 10**6])
+        for u in (-690.0, 0.0, 690.0):
+            assert np.all(np.isfinite(_component_log_pmfs(xs, log_factorial(xs), u)[1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,5 +109,6 @@ def test_log_pmfs_match_scipy_reference(xs, log10_mean):
     mean = 10.0**log10_mean
     ref_p = stats.poisson.logpmf(x, mean)
     ref_g = stats.geom.logpmf(x + 1, 1.0 / (1.0 + mean))
-    assert np.all(np.abs(log_pmf_poisson(x, mean) - ref_p) <= 1e-10 * np.maximum(1.0, np.abs(ref_p)))
-    assert np.all(np.abs(log_pmf_geometric_mean(x, mean) - ref_g) <= 1e-10 * np.maximum(1.0, np.abs(ref_g)))
+    lf1, lf2 = log_pmfs(x, mean)
+    assert np.all(np.abs(lf1 - ref_p) <= 1e-10 * np.maximum(1.0, np.abs(ref_p)))
+    assert np.all(np.abs(lf2 - ref_g) <= 1e-10 * np.maximum(1.0, np.abs(ref_g)))

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bayes_arbiter.experiments import (
     CSV_HEADERS,
@@ -223,3 +227,18 @@ class TestSvg:
             ribbon_plot_svg([10, 100], [Band("b", (1.0,), (2.0,))], [], "t")
         with pytest.raises(ValueError):
             ribbon_plot_svg([10, 100], [], [], "t")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300),
+        ulps=st.integers(1, 16),
+    )
+    @example(center=0.5, ulps=1)
+    def test_any_narrow_range_renders(self, center, ulps):
+        # a y range a few ulps wide gives a tick step that no longer moves
+        # the tick position; the ticks must still end
+        top = center
+        for _ in range(ulps):
+            top = math.nextafter(top, math.inf)
+        svg = ribbon_plot_svg([1, 10], [], [Line("m", (center, top))], "t")
+        assert svg.count('text-anchor="end"') <= 12

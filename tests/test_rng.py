@@ -135,7 +135,6 @@ class TestPoissonPtrs:
                 assert got.dtype == np.int64
                 assert got.tolist() == ref
                 assert r2.uniform() == r1.uniform()
-        assert Rng(RngSeed(5, 5)).poisson(mean) == _poisson_ptrs_scalar(Rng(RngSeed(5, 5)), mean)
 
 
 class _ReferenceUniforms:
@@ -150,9 +149,9 @@ class _ReferenceUniforms:
         self.pos += 1 if size is None else size
         return self.u[self.pos - 1] if size is None else np.array(self.u[self.pos - size : self.pos])
 
-    def normal(self, size: int) -> np.ndarray:
-        u = self.uniform(2 * size)
-        return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    def normal(self) -> float:
+        u1, u2 = self.uniform(), self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 class TestRefillBlocks:
@@ -182,7 +181,7 @@ class TestRefillBlocks:
                     assert rng.uniform() == ref.uniform()
             elif kind == "vector":
                 assert np.array_equal(rng.uniform(5), ref.uniform(5))
-                assert np.array_equal(rng.normal(size=3), ref.normal(3))
+                assert [rng.normal() for _ in range(3)] == [ref.normal() for _ in range(3)]
             else:
                 got = rng.poisson(15.0 + i, 4 + shift)
                 assert got.tolist() == [_poisson_ptrs_scalar(ref, 15.0 + i) for _ in range(4 + shift)]
@@ -220,7 +219,6 @@ class TestPoissonInversion:
             assert got.dtype == np.int64
             assert got.tolist() == _poisson_inversion_loop(r1.uniform(size), mean, cap).tolist()
             assert r2.uniform() == r1.uniform()
-        assert Rng(RngSeed(5, 5)).poisson(mean) == int(_poisson_inversion_loop(Rng(RngSeed(5, 5)).uniform(1), mean, cap)[0])
 
     @pytest.mark.parametrize("mean", [1e-3, 0.5, 4.0, 9.999])
     def test_cdf_ties_tails_and_forced_cap(self, mean):
@@ -244,16 +242,10 @@ class TestPoissonInversion:
 
 class TestDistributions:
     def test_normal_moments(self):
-        z = Rng(RngSeed(1, 0)).normal(2.0, 3.0, size=100_000)
+        rng = Rng(RngSeed(1, 0))
+        z = np.array([rng.normal(2.0, 3.0) for _ in range(100_000)])
         assert z.mean() == pytest.approx(2.0, abs=3 * 3.0 / math.sqrt(100_000))
         assert z.std() == pytest.approx(3.0, rel=0.02)
-
-    def test_normal_scalar_vector_agree(self):
-        r1 = Rng(RngSeed(77, 2))
-        r2 = Rng(RngSeed(77, 2))
-        vec = r2.normal(0.0, 1.0, size=20)
-        scal = np.array([r1.normal() for _ in range(20)])
-        assert np.array_equal(vec, scal)
 
     def test_poisson_mean_small(self):
         x = Rng(RngSeed(4, 0)).poisson(4.0, size=100_000)
@@ -273,7 +265,7 @@ class TestDistributions:
         assert chi2 < 60.0
 
     def test_poisson_large_mean_ptrs(self):
-        x = np.array([Rng(RngSeed(12, i)).poisson(50.0) for i in range(20_000)])
+        x = np.array([Rng(RngSeed(12, i)).poisson(50.0, 1)[0] for i in range(20_000)])
         assert x.mean() == pytest.approx(50.0, abs=3 * math.sqrt(50.0 / 20_000) + 0.2)
         assert x.var() == pytest.approx(50.0, rel=0.1)
 
@@ -311,10 +303,17 @@ class TestDistributions:
 
     def test_domain_errors(self):
         rng = Rng(RngSeed(0, 0))
-        with pytest.raises(ValueError):
-            rng.poisson(0.0)
-        with pytest.raises(ValueError):
-            rng.geometric_mean(-1.0)
+        # NaN used to hang the inversion; infinite means and means past
+        # 2^62 (Poisson) or 2^53 (geometric) gave draws outside int64
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e19):
+            with pytest.raises(ValueError, match="Poisson mean"):
+                rng.poisson(bad, 3)
+        for bad in (0.0, -1.0, math.nan, math.inf, 2.0**53):
+            with pytest.raises(ValueError, match="geometric mean"):
+                rng.geometric_mean(bad, 3)
+        # the largest accepted means still give non-negative int64 draws
+        assert rng.poisson(2.0**62, 100).min() > 0
+        assert rng.geometric_mean(2.0**53 - 1, 100).min() >= 0
         with pytest.raises(ValueError):
             rng.beta(0.0, 1.0)
         with pytest.raises(ValueError):
