@@ -294,6 +294,7 @@ def cmd_mixture(args) -> int:
         post = grid_posterior_alpha(data, spec)
         out["grid_alpha_mean"] = post.mean
         out["grid_alpha_median"] = post.median
+        out["grid_normalization_error"] = post.normalization_error
     _print_json(out)
     return EXIT_OK
 

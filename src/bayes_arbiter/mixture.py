@@ -11,10 +11,21 @@ Three independent routes to the same posterior:
 * `run_gibbs` - latent-allocation Gibbs with a random-walk Metropolis
   step on ln(lambda); `run_gibbs_chains` runs many such chains in
   lockstep,
-* `run_marginal_mh` - random-walk Metropolis on (logit alpha, ln lambda)
-  against the allocation-marginalized posterior,
+* `run_marginal_mh` - Metropolis on (logit alpha, ln lambda) against the
+  allocation-marginalized posterior: a prior proposal for logit alpha,
+  then a random-walk step on both,
 * `grid_posterior_alpha` - 2-D tensor-grid quadrature (Gauss-Jacobi in
   alpha, Gauss-Legendre in ln lambda), used as the oracle for both.
+
+Both samplers draw a fixed count of values per chain and iteration from
+the chain's own stream, a block of iterations at a time (`LaneBlocks`).
+A Gibbs iteration takes one raw 32-bit word per observation for the
+allocations, then four uniforms: the weight, drawn by inverting the Beta
+cdf, two for the Box-Muller normal of the ln(lambda) step, and the accept
+uniform.  A marginal-MH iteration takes seven uniforms: the prior
+proposal for the weight and its accept uniform, two normals and the
+accept uniform.  The only draw outside that layout is the one
+allocation in 2^32 whose word ties its threshold (see `_allocate`).
 """
 
 from __future__ import annotations
@@ -23,12 +34,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit, roots_jacobi
+from scipy.special import betaincinv, expit, log_expit, roots_jacobi
 
 from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
 from .evidence import _BRACKET_DROP, _REFINEMENT_TOL, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
-from .rng import Rng, RngSeed
+from .rng import LaneBlocks, RngSeed, _box_muller
 from .special import log_factorial
 
 _ACCEPTANCE_HEALTHY = (0.05, 0.95)
@@ -143,6 +154,27 @@ def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
     return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * softplus
 
 
+def _allocate(words, p, counts, starts, settle) -> np.ndarray:
+    """Component-1 count of each run of observations.
+
+    Run r is the counts[r] observations from starts[r] on, all with
+    P(component 1) = p[r], and words[i] is observation i's raw 32-bit word.
+    With t = p 2^32, a word below floor(t) puts its observation in
+    component 1, and a word equal to it (probability 2^-32) does so when
+    the fresh uniform settle(r) is below t - floor(t): the probability is
+    t / 2^32 = p exactly.  floor(t) is capped at 2^32 - 1, where the
+    fraction is 1, so p = 1 still gives component 1 always.
+    """
+    t = p * 2.0**32
+    floor = np.minimum(t, 2.0**32 - 1.0).astype(np.uint32)  # truncation: t >= 0
+    thresholds = floor.repeat(counts)
+    n1 = np.add.reduceat(words < thresholds, starts)
+    for i in (words == thresholds).nonzero()[0]:
+        r = np.searchsorted(starts, i, side="right") - 1
+        n1[r] += settle(r) < t[r] - floor[r]
+    return n1
+
+
 def _require_nondegenerate(data: CountDataset) -> None:
     if data.total < 1:
         raise DegeneracyError(
@@ -154,32 +186,33 @@ def _require_nondegenerate(data: CountDataset) -> None:
 # the shared random-walk loop
 
 
-def _random_walk_chains(rngs, xs, sweep, params, config, target_acceptance, seeds, kernel, step_name):
+def _random_walk_chains(lanes, xs, sweep, params, config, target_acceptance, seeds, kernel, step_name):
     """Adapted random-walk Metropolis loop over K chains in lockstep,
     shared by both samplers.
 
-    `sweep(xs, steps)` runs one iteration of every chain up to the accept
-    decision and returns per-chain lists of (next point if rejected, next
-    point if accepted, log ratio); `params(x)` maps one chain's point to
-    the recorded (alpha, lambda).  Each chain draws its accept uniform
-    from its own stream, and its step scale is Robbins-Monro adapted
-    toward the target acceptance during burn-in only.
+    `lanes` holds the chains' streams; the last uniform of each chain's
+    iteration is its accept uniform.  `sweep(xs, steps, words, uniforms)`
+    runs one iteration of every chain up to the accept decision and
+    returns per-chain lists of (next point if rejected, next point if
+    accepted, log ratio); `params(x)` maps one chain's point to the
+    recorded (alpha, lambda).  Each chain's step scale is Robbins-Monro
+    adapted toward the target acceptance during burn-in only.
     """
-    chains = range(len(rngs))
+    chains = range(len(seeds))
     kept = config.iterations - config.burn_in
-    alphas = np.empty((len(rngs), kept))
-    lambdas = np.empty((len(rngs), kept))
-    log_steps = [math.log(_INITIAL_STEP)] * len(rngs)
-    accepted = [0] * len(rngs)
-    for it in range(config.iterations):
-        stays, moves, log_ratios = sweep(xs, [math.exp(s) for s in log_steps])
+    alphas = np.empty((len(seeds), kept))
+    lambdas = np.empty((len(seeds), kept))
+    log_steps = [math.log(_INITIAL_STEP)] * len(seeds)
+    accepted = [0] * len(seeds)
+    for it, (words, uniforms) in enumerate(lanes.iterations(config.iterations)):
+        stays, moves, log_ratios = sweep(xs, [math.exp(s) for s in log_steps], words, uniforms)
         burning = it < config.burn_in
         if burning:
             gamma = (it + 1.0) ** -0.6
         for c in chains:
             log_ratio = log_ratios[c]
             accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-            moved = rngs[c].uniform() < accept_prob
+            moved = uniforms[c][-1] < accept_prob
             xs[c] = moves[c] if moved else stays[c]
             if burning:
                 log_steps[c] += gamma * (accept_prob - target_acceptance)
@@ -218,58 +251,62 @@ def _random_walk_chains(rngs, xs, sweep, params, config, target_acceptance, seed
 def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureChain]:
     """One latent-allocation Gibbs chain per (data, spec, seed) cell, run in lockstep.
 
-    Each chain draws from its own `Rng(seed)` in the order a chain run
-    alone would, so every chain equals `run_gibbs` on its cell; the
-    allocation step of all chains is one set of array operations over
-    the (chain, distinct value) pairs, gathered back to the observations.
+    Each chain reads its own stream in an order fixed by its own draws, so
+    every chain equals `run_gibbs` on its cell.  Within a chain the
+    allocation words go to the observations sorted by value; observations
+    of one value are exchangeable, so only the count of each value in
+    component 1 is drawn.  The allocation step of all chains is one set
+    of array operations over the (chain, distinct value) runs, and the
+    weights of all chains are one Beta inversion.
     """
     cells = list(cells)
     if not cells:
         return []
     for data, _, _ in cells:
         _require_nondegenerate(data)
-    rngs = [Rng(seed) for _, _, seed in cells]
-    sizes = [data.n for data, _, _ in cells]
+    seeds = [seed for _, _, seed in cells]
+    size_list = [data.n for data, _, _ in cells]
+    sizes = np.array(size_list)
     totals = [data.total for data, _, _ in cells]
-    a0s = [spec.a0 for _, spec, _ in cells]
-    distinct, inverse = zip(*(np.unique(data.values, return_inverse=True) for data, _, _ in cells))
-    counts = [d.size for d in distinct]
-    starts = np.cumsum([0] + counts[:-1])
-    gather = np.concatenate([i + s for i, s in zip(inverse, starts)])
-    obs_starts = np.cumsum([0] + sizes[:-1])
-    value_chain = np.repeat(np.arange(len(cells)), counts)
-    values = np.concatenate(distinct)
-    lfact = log_factorial(values)
-    values = values.astype(np.float64)
-    obs_values = values[gather]
+    a0s = np.array([spec.a0 for _, spec, _ in cells])
+    distinct, counts = zip(*(np.unique(data.values, return_counts=True) for data, _, _ in cells))
+    chain_starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
+    value_chain = np.repeat(np.arange(len(cells)), [d.size for d in distinct])
+    int_values = np.concatenate(distinct)
+    counts = np.concatenate(counts)
+    starts = np.cumsum(counts) - counts
+    lfact = log_factorial(int_values)
+    values = int_values.astype(np.float64)
+    # raw words: one per observation; uniforms: the weight, the two of the
+    # ln(lambda)-step normal, the accept uniform
+    lanes = LaneBlocks(seeds, sizes, 4)
 
-    def sweep(xs, steps):
-        u = np.concatenate([rng.uniform(n) for rng, n in zip(rngs, sizes)])
+    def sweep(xs, steps, words, uniforms):
         logits = np.array([math.log(a) - math.log1p(-a) for a, _ in xs])[value_chain]
         vs = np.array([v for _, v in xs])[value_chain]
-        in1 = u < _allocation_probability(values, lfact, logits, vs)[gather]
-        # integer-valued sums over each chain's observations, so exact
-        n1s = np.add.reduceat(in1, obs_starts).tolist()
-        s1s = np.add.reduceat(obs_values * in1, obs_starts).tolist()
+        p = _allocation_probability(values, lfact, logits, vs)
+        in1 = _allocate(words, p, counts, starts, lambda r: lanes.fresh_uniform(value_chain[r]))
+        n1s = np.add.reduceat(in1, chain_starts)
+        s1s = np.add.reduceat(in1 * int_values, chain_starts).tolist()
+        # conditional_alpha's shapes for all chains, one Beta inversion
+        alphas = betaincinv(a0s + n1s, a0s + (sizes - n1s), [u[0] for u in uniforms]).tolist()
         stays, moves, log_ratios = [], [], []
-        for rng, (_, v), step, n, total, a0, n1, s1 in zip(rngs, xs, steps, sizes, totals, a0s, n1s, s1s):
-            s1 = int(s1)
+        for (_, v), step, (_, u1, u2, _), n, total, n1, s1, alpha in zip(
+            xs, steps, uniforms, size_list, totals, n1s.tolist(), s1s, alphas
+        ):
             stats = (n1, n - n1, s1, total - s1)
-            alpha = float(rng.beta(*conditional_alpha(n1, n - n1, a0)))
             alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-            v_prop = v + rng.normal(0.0, step)
+            v_prop = _box_muller(v, step, u1, u2)
             stays.append((alpha, v))
             moves.append((alpha, v_prop))
             log_ratios.append(_log_u_conditional(v_prop, *stats) - _log_u_conditional(v, *stats))
         return stays, moves, log_ratios
 
-    xs = [
-        (min(max(float(rng.beta(a0, a0)), 1e-12), 1.0 - 1e-12), math.log(data.mean))
-        for rng, a0, (data, _, _) in zip(rngs, a0s, cells)
-    ]
+    alphas = np.clip(betaincinv(a0s, a0s, lanes.uniforms()), 1e-12, 1.0 - 1e-12).tolist()
+    xs = [(alpha, math.log(data.mean)) for alpha, (data, _, _) in zip(alphas, cells)]
     return _random_walk_chains(
-        rngs, xs, sweep, lambda x: (x[0], math.exp(x[1])), config,
-        _TARGET_ACCEPTANCE_GIBBS, [seed for _, _, seed in cells], "gibbs", "lambda-step",
+        lanes, xs, sweep, lambda x: (x[0], math.exp(x[1])), config,
+        _TARGET_ACCEPTANCE_GIBBS, seeds, "gibbs", "lambda-step",
     )
 
 
@@ -291,11 +328,19 @@ def run_gibbs(
 # marginalized random-walk Metropolis
 
 
-def _marginal_loglik(values, lfact, counts, log_alpha: float, log_1m_alpha: float, v: float) -> float:
-    """sum_i ln(alpha f1(x_i) + (1-alpha) f2(x_i)) at lambda = e^v, over
-    the distinct values of x weighted by their counts."""
-    lf1, lf2 = _component_log_pmfs(values, lfact, v)
+def _marginal_loglik(lf1, lf2, counts, log_alpha: float, log_1m_alpha: float) -> float:
+    """sum_i ln(alpha f1(x_i) + (1-alpha) f2(x_i)), over the distinct
+    values of x weighted by their counts, from their component log-pmfs."""
     return float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2) @ counts)
+
+
+def _logit_beta_draw(a0: float, u: float) -> float:
+    """logit of the Beta(a0, a0) draw that inverts the cdf at u.  The upper
+    half comes from the lower by symmetry, so draws near 1 keep their
+    precision; the draw is clamped at 1e-300 as the Gibbs weight is."""
+    x = max(float(betaincinv(a0, a0, min(u, 1.0 - u))), 1e-300)
+    s = math.log(x) - math.log1p(-x)
+    return s if u <= 0.5 else -s
 
 
 def run_marginal_mh(
@@ -304,37 +349,50 @@ def run_marginal_mh(
     config: McmcConfig = McmcConfig(),
     seed: RngSeed = RngSeed(0),
 ) -> MixtureChain:
-    """Random-walk Metropolis on (logit alpha, ln lambda) against the
+    """Metropolis on (logit alpha, ln lambda) against the
     allocation-marginalized posterior; validation kernel for run_gibbs.
-    Starts at the prior mean of the weight and at lambda = the data mean."""
+    Starts at the prior mean of the weight and at lambda = the data mean.
+
+    Each iteration first proposes logit alpha afresh from its prior at
+    fixed lambda, which crosses between the spikes that a small a0 puts
+    at 0 and 1, then takes an adapted random-walk step on both."""
     _require_nondegenerate(data)
-    rng = Rng(seed)
     distinct, counts = np.unique(data.values, return_counts=True)
     lfact = log_factorial(distinct)
     values, counts = distinct.astype(np.float64), counts.astype(np.float64)
     a0 = spec.a0
 
-    def log_target(s: float, v: float) -> float:
-        if v > 690.0:
-            return -math.inf
-        log_alpha = float(log_expit(s))
-        log_1m_alpha = float(log_expit(-s))
-        loglik = _marginal_loglik(values, lfact, counts, log_alpha, log_1m_alpha, v)
+    def loglik(s: float, lf) -> float:
+        return _marginal_loglik(*lf, counts, float(log_expit(s)), float(log_expit(-s)))
+
+    def log_prior(s: float) -> float:
         # Beta(a0,a0) prior plus logit Jacobian leaves alpha^a0 (1-alpha)^a0;
         # the 1/lambda prior is flat in ln(lambda).
-        return loglik + a0 * (log_alpha + log_1m_alpha)
+        return a0 * (float(log_expit(s)) + float(log_expit(-s)))
 
-    def sweep(xs, steps):
-        (x,), (step,) = xs, steps
-        s, v, cur = x
-        s_prop = s + rng.normal(0.0, step)
-        v_prop = v + rng.normal(0.0, step)
-        prop = log_target(s_prop, v_prop)
-        return [x], [(s_prop, v_prop, prop)], [prop - cur]
+    def sweep(xs, steps, _, uniforms):
+        (x,), (step,), ((u_prior, u_swap, u1, u2, u3, u4, _),) = xs, steps, uniforms
+        s, v, ll, lf = x
+        # the proposal density is the prior's, so the ratio is the likelihood's
+        s_new = _logit_beta_draw(a0, u_prior)
+        ll_new = loglik(s_new, lf)
+        if ll_new >= ll or u_swap < math.exp(ll_new - ll):
+            s, ll = s_new, ll_new
+            x = (s, v, ll, lf)
+        s_prop = _box_muller(s, step, u1, u2)
+        v_prop = _box_muller(v, step, u3, u4)
+        if v_prop > 690.0:
+            return [x], [x], [-math.inf]
+        lf_prop = _component_log_pmfs(values, lfact, v_prop)
+        ll_prop = loglik(s_prop, lf_prop)
+        return [x], [(s_prop, v_prop, ll_prop, lf_prop)], [ll_prop + log_prior(s_prop) - (ll + log_prior(s))]
 
     v = math.log(data.mean)
+    lf = _component_log_pmfs(values, lfact, v)
+    # uniforms: the prior proposal and its accept uniform, two per normal of
+    # the joint step, then the joint step's accept uniform
     return _random_walk_chains(
-        [rng], [(0.0, v, log_target(0.0, v))], sweep, lambda x: (expit(x[0]), math.exp(x[1])),
+        LaneBlocks([seed], [0], 7), [(0.0, v, loglik(0.0, lf), lf)], sweep, lambda x: (expit(x[0]), math.exp(x[1])),
         config, _TARGET_ACCEPTANCE_MARGINAL, [seed], "marginal_mh", "joint-step",
     )[0]
 

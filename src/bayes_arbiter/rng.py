@@ -15,12 +15,14 @@ Passing the same (master_seed, stream_index) always replays the same
 draw sequence; each `Rng` owns private state and must not be shared
 between concurrent tasks without external exclusion.
 
-Draws come from a buffer of uniforms.  Each refill turns the next block
-of 32-bit outputs into uniforms at once: the LCG is jumped k steps ahead
-with precomputed tables of multiplier powers and geometric sums modulo
-2^64, which reproduces the scalar recurrence bit for bit.  A fresh
+Draws come from blocks of 32-bit outputs computed at once: the LCG is
+jumped k steps ahead with precomputed tables of multiplier powers and
+geometric sums modulo 2^64, which reproduces the scalar recurrence bit
+for bit.  An `Rng` turns each block into a buffer of uniforms; a fresh
 stream's first block is 64 uniforms, and each refill doubles it up to
-8192, so a stream costs about what it draws.
+8192, so a stream costs about what it draws.  `LaneBlocks` draws the
+streams of many lockstep chains together, a block of iterations at a
+time, with a fixed number of words per chain and iteration.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from .special import log_factorial
 
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
-_BUFFER = 1 << 14  # words in the largest refill block
+_BLOCK_WORDS = 1 << 14  # words in the largest refill, and in a lane block of several iterations
 _FIRST_UNIFORMS = 64  # uniforms in a fresh stream's first block
 _INV_2_53 = 2.0 ** -53
-# Largest Poisson mean: its draws lie within a few sqrt(mean) = 2^31 of it,
-# far inside int64 (2^63).
-_POISSON_MAX_MEAN = 2.0**62
+# Largest Poisson mean.  Above about 1e14 PTRS's log acceptance test
+# subtracts numbers whose rounding error exceeds the test's own scale, and
+# the draws spread wider than the Poisson law (sd 1.18 sqrt(mean) at 1e16).
+_POISSON_MAX_MEAN = 2.0**46
 # From this geometric mean on, 1 + mean rounds to mean, so mean / (1 + mean)
 # rounds to 1 and the inversion divides by ln 1 = 0.
 _GEOMETRIC_MEAN_LIMIT = 2.0**53
@@ -76,29 +79,143 @@ class RngSeed:
         return RngSeed(self.master_seed, idx)
 
 
-# jump tables for the largest block, mod 2^64: _APOW[j] = a^j and
-# _GSUM[j] = 1 + a + ... + a^{j-1}
-_APOW = np.cumprod(np.concatenate([[1], np.full(_BUFFER - 1, _MULT)]).astype(np.uint64))
-_GSUM = np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(_APOW[:-1])])
+def _jump_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^j, 1 + a + ... + a^(j-1)) mod 2^64 for j = 0..k: j steps of the
+    LCG take state s to a^j s + (1 + ... + a^(j-1)) inc."""
+    apow = np.cumprod(np.concatenate([[1], np.full(k, _MULT)]).astype(np.uint64))
+    return apow, np.concatenate([np.zeros(1, dtype=np.uint64), np.cumsum(apow[:-1])])
 
 
-def _pcg32_block(state: int, inc: int, k: int) -> tuple[np.ndarray, int]:
-    """The next k <= 2^14 PCG32 outputs after `state` (as uint32), and the
-    state after them."""
-    with np.errstate(over="ignore"):
-        s = _APOW[:k] * np.uint64(state)
-        s += _GSUM[:k] * np.uint64(inc)
-        x = s >> np.uint64(18)
-        x ^= s
-        x >>= np.uint64(27)
-        xorshifted = x.astype(np.uint32)
-        rot = (s >> np.uint64(59)).astype(np.uint32)
+_APOW, _GSUM = _jump_tables(_BLOCK_WORDS)
+
+
+def _seed_state(seed: RngSeed) -> tuple[int, int]:
+    """(state, increment) of the stream `seed` before its first output."""
+    inc = ((seed.stream_index << 1) | 1) & _MASK64
+    return ((inc + seed.master_seed) * _MULT + inc) & _MASK64, inc
+
+
+def _pcg32_block(state, jump_mult, jump_add) -> np.ndarray:
+    """PCG32 outputs (uint32) at the LCG states jump_mult * state + jump_add
+    mod 2^64, elementwise with broadcasting.
+
+    With jump_mult = _APOW[j] and jump_add = _GSUM[j] * inc, the entry is
+    the output j steps past `state` on the stream with increment inc, so
+    one call draws a block of any number of lanes, each entry of `state`
+    (uint64) a lane.
+    """
+    s = jump_mult * state
+    s += jump_add
+    x = s >> np.uint64(18)
+    x ^= s
+    x >>= np.uint64(27)
+    xorshifted = x.astype(np.uint32)
+    rot = (s >> np.uint64(59)).astype(np.uint32)
     out = xorshifted >> rot
     rot = -rot  # wraps: (32 - rot) & 31 below
     rot &= np.uint32(31)
     xorshifted <<= rot
     out |= xorshifted
-    return out, (int(s[-1]) * _MULT + inc) & _MASK64
+    return out
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """One uniform per pair of consecutive words along the last axis,
+    ((hi * 2^21 + (lo >> 11)) + 1/2) * 2^-53; the sum is below 2^53, so
+    float64 holds it exactly.  Adding 1/2 rounds the largest sum,
+    2^53 - 1, up to 2^53, and that one value is clamped to the largest
+    double below 1."""
+    u = words[..., 0::2].astype(np.float64)
+    u *= 2.0**21
+    u += words[..., 1::2] >> np.uint32(11)
+    u += 0.5
+    u *= _INV_2_53
+    np.minimum(u, 1.0 - _INV_2_53, out=u)
+    return u
+
+
+def _box_muller(mean: float, sd: float, u1: float, u2: float) -> float:
+    """The Gaussian draw of the uniforms (u1, u2), by Box-Muller."""
+    return mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+class LaneBlocks:
+    """The streams of K lockstep chains, drawn a block of iterations at a time.
+
+    Lane c is the stream of `Rng(seeds[c])`.  Each iteration takes the
+    next raw[c] words of lane c as raw 32-bit words, then the next
+    2 * `uniforms` words as that many uniforms.  A block holds as many
+    whole iterations as fit in 2^14 words over all lanes, and at least
+    one.  `fresh_uniform` draws one more uniform from a lane just past
+    the current iteration, and the next block starts after it.  Every
+    lane thus reads its stream in an order fixed by its own draws alone,
+    whatever the other lanes and wherever blocks start: a chain run with
+    others draws what it draws alone.
+    """
+
+    def __init__(self, seeds, raw, uniforms: int):
+        lanes = len(seeds)
+        self.state, inc = (np.array(v, dtype=np.uint64) for v in zip(*map(_seed_state, seeds)))
+        self._inc = inc
+        raw = np.asarray(raw, dtype=np.int64)
+        self._widths = raw + 2 * uniforms
+        self._raw_total = int(raw.sum())
+        self._shape = (lanes, uniforms)
+        self._iters = max(1, _BLOCK_WORDS // int(self._widths.sum()))
+        # columns: every lane's raw words, lane after lane, then every
+        # lane's uniform words; steps past the state at the block's start
+        lane_ids = np.arange(lanes)
+        col_lane = np.concatenate([np.repeat(lane_ids, raw), np.repeat(lane_ids, 2 * uniforms)])
+        col_step = np.concatenate([
+            np.arange(self._raw_total) - np.repeat(np.cumsum(raw) - raw, raw),
+            np.repeat(raw, 2 * uniforms) + np.tile(np.arange(2 * uniforms), lanes),
+        ])
+        steps = np.arange(self._iters)[:, None] * self._widths[col_lane] + col_step
+        most = self._iters * int(self._widths.max())
+        self._apow, self._gsum = (_APOW, _GSUM) if most <= _BLOCK_WORDS else _jump_tables(most)
+        self._col_lane = col_lane
+        self._mult = self._apow[steps]
+        self._add = self._gsum[steps] * inc[col_lane]
+        self._start = self.state
+        self._row = 0
+        self._cut = False
+
+    def _advance(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        return self._apow[steps] * start + self._gsum[steps] * self._inc
+
+    def uniforms(self, lanes=slice(None)) -> np.ndarray:
+        """The next uniform of each of the given lanes (all by default)."""
+        state = self.state[lanes]
+        inc = self._inc[lanes]
+        words = _pcg32_block(state[:, None], self._apow[:2], self._gsum[:2] * inc[:, None])
+        self.state[lanes] = self._apow[2] * state + self._gsum[2] * inc
+        return _uniforms(words)[:, 0]
+
+    def fresh_uniform(self, lane: int) -> float:
+        """One more uniform of `lane`, drawn past the current iteration;
+        the block ends with that iteration."""
+        if not self._cut:
+            self.state = self._advance(self._start, (self._row + 1) * self._widths)
+            self._cut = True
+        return float(self.uniforms([lane])[0])
+
+    def iterations(self, count: int):
+        """Yield per iteration the raw words of all lanes (one uint32
+        array, lane after lane) and each lane's uniforms (a list of lists)."""
+        done = 0
+        while done < count:
+            rows = min(self._iters, count - done)
+            self._start = start = self.state
+            words = _pcg32_block(start[self._col_lane], self._mult[:rows], self._add[:rows])
+            self.state = self._advance(start, rows * self._widths)
+            uniforms = _uniforms(words[:, self._raw_total:]).reshape(rows, *self._shape).tolist()
+            for row in range(rows):
+                self._row = row
+                self._cut = False
+                yield words[row, : self._raw_total], uniforms[row]
+                done += 1
+                if self._cut:
+                    break
 
 
 def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
@@ -127,10 +244,7 @@ class Rng:
 
     def __init__(self, seed: RngSeed):
         self.seed = seed
-        self._inc = (((seed.stream_index << 1) | 1)) & _MASK64
-        state = (0 * _MULT + self._inc) & _MASK64
-        state = (state + (seed.master_seed & _MASK64)) & _MASK64
-        self._state = (state * _MULT + self._inc) & _MASK64
+        self._state, self._inc = _seed_state(seed)
         self._buf = np.empty(0)
         self._view = memoryview(self._buf)
         self._pos = 0
@@ -140,22 +254,15 @@ class Rng:
     # buffered uniforms
 
     def _refill(self) -> None:
-        """Replace the buffer with the next block of uniforms, each
-        ((hi * 2^21 + (lo >> 11)) + 1/2) * 2^-53 from a pair of words;
-        the sum is below 2^53, so float64 holds it exactly.  Adding 1/2
-        rounds the largest sum, 2^53 - 1, up to 2^53, and that one value
-        is clamped to the largest double below 1."""
-        words, self._state = _pcg32_block(self._state, self._inc, 2 * self._block)
-        buf = words[0::2].astype(np.float64)
-        buf *= 2.0**21
-        buf += words[1::2] >> np.uint32(11)
-        buf += 0.5
-        buf *= _INV_2_53
-        np.minimum(buf, 1.0 - _INV_2_53, out=buf)
-        self._buf = buf
+        """Replace the buffer with the next block of uniforms, one lane of
+        the block kernel."""
+        k = 2 * self._block
+        words = _pcg32_block(np.uint64(self._state), _APOW[:k], _GSUM[:k] * np.uint64(self._inc))
+        self._state = (int(_APOW[k]) * self._state + int(_GSUM[k]) * self._inc) & _MASK64
+        self._buf = buf = _uniforms(words)
         self._view = memoryview(buf)
         self._pos = 0
-        self._block = min(2 * self._block, _BUFFER // 2)
+        self._block = min(2 * self._block, _BLOCK_WORDS // 2)
 
     def uniform(self, size: int | None = None):
         """Uniform draw(s) strictly inside (0, 1), 53-bit resolution."""
@@ -185,9 +292,7 @@ class Rng:
         """Gaussian draw via Box-Muller; consumes exactly two uniforms."""
         if sd <= 0.0:
             raise ValueError("sd must be positive")
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return _box_muller(mean, sd, self.uniform(), self.uniform())
 
     # ------------------------------------------------------------------
     # discrete and shape-constrained laws
@@ -195,7 +300,7 @@ class Rng:
     def poisson(self, mean: float, size: int) -> np.ndarray:
         """`size` Poisson draws; inversion below mean 10, PTRS rejection above."""
         if not 0.0 < mean <= _POISSON_MAX_MEAN:
-            raise ValueError(f"Poisson mean must be positive and at most 2^62, got {mean:.10g}")
+            raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
         if mean >= 10.0:
             return self._poisson_ptrs(mean, size)
         return _poisson_inversion(self.uniform(size), mean)

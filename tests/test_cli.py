@@ -161,6 +161,14 @@ class TestMixtureCommand:
         )
         assert out["kernel"] == "marginal_mh"
 
+    def test_grid_check_reports_the_grid_error(self, capsys):
+        out = run_json(
+            capsys, "mixture", "--data", "4,2,5,3", "--iters", "500",
+            "--burn-in", "100", "--seed", "3", "--grid-check",
+        )
+        assert 0.0 < out["grid_alpha_mean"] < 1.0
+        assert 0.0 <= out["grid_normalization_error"] <= 1e-8
+
     def test_degenerate_exit_3(self, capsys):
         code, _, _ = run_cli(
             capsys, "mixture", "--data", "0,0,0", "--iters", "500",
@@ -366,6 +374,8 @@ EXIT_CODE_TABLE = [
     (("bf", "poisgeo", "--data", "two"), 2, "expected integers"),
     (("bf", "poisgeo", "--data", "0,0"), 3, "all-zero"),
     (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "2", "--quad-panels", "2"), 4, "accuracy"),
+    # numpy's Gauss-Legendre rule overflowed with a traceback (exit 1)
+    (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "1e19"), 2, "at most 512"),
 ]
 
 

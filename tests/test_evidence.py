@@ -197,9 +197,10 @@ class TestQuadratureOracle:
         assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig(max_panels=3)) == 3
         assert _panel_count(0.0, 1.0, 1.0, QuadratureConfig()) == 8
         assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig()) == 128
-        for args, name in (((0, 8), "nodes_per_panel"), ((24, 0), "max_panels")):
+        for args, name in (((0, 8), "nodes_per_panel"), ((24, 0), "max_panels"), ((513, 8), "at most 512")):
             with pytest.raises(ValueError, match=name):
                 QuadratureConfig(*args)
+        assert QuadratureConfig(512).nodes_per_panel == 512
 
 
 class TestPosteriorModelProbabilities:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import log_expit
+from scipy.special import betaincinv, log_expit
 
+from bayes_arbiter import mixture as mixture_module
+from bayes_arbiter import rng as rng_module
 from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import AccuracyError, DegeneracyError
 from bayes_arbiter.evidence import QuadratureConfig
@@ -14,6 +16,7 @@ from bayes_arbiter.mixture import (
     McmcConfig,
     MixtureChain,
     MixtureSpec,
+    _allocate,
     _allocation_probability,
     _log_u_conditional,
     _marginal_loglik,
@@ -24,7 +27,7 @@ from bayes_arbiter.mixture import (
     run_gibbs_chains,
     run_marginal_mh,
 )
-from bayes_arbiter.rng import Rng, RngSeed
+from bayes_arbiter.rng import _APOW, _GSUM, Rng, RngSeed
 from bayes_arbiter.special import log_factorial
 
 
@@ -59,32 +62,56 @@ def _reference_log_u_conditional(u, n1, n2, s1, s2):
     return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * float(np.logaddexp(0.0, u))
 
 
-def _reference_gibbs(data, spec, seed, config):
-    """One latent-allocation Gibbs chain, one scalar sweep per iteration."""
-    from scipy.special import expit
+class _ReferenceStream:
+    """One chain's PCG32 stream, read a few words at a time."""
 
-    rng = Rng(seed)
-    values = data.values.astype(np.float64)
-    lfact = log_factorial(data.values)
+    def __init__(self, seed: RngSeed):
+        rng = Rng(seed)
+        self.state, self.inc = rng._state, rng._inc
+
+    def words(self, k: int) -> np.ndarray:
+        out = rng_module._pcg32_block(np.uint64(self.state), _APOW[:k], _GSUM[:k] * np.uint64(self.inc))
+        self.state = (int(_APOW[k]) * self.state + int(_GSUM[k]) * self.inc) % 2**64
+        return out
+
+    def uniforms(self, m: int) -> list[float]:
+        w = self.words(2 * m).tolist()
+        return [min(((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53) for hi, lo in zip(w[0::2], w[1::2])]
+
+
+def _reference_gibbs(data, spec, seed, config):
+    """One latent-allocation Gibbs chain, one iteration at a time: n
+    allocation words for the observations sorted by value, then the
+    weight, two Box-Muller and the accept uniform, then one uniform per
+    word that ties its threshold."""
+    stream = _ReferenceStream(seed)
+    x = np.sort(data.values)
+    values = x.astype(np.float64)
+    lfact = log_factorial(x)
     n, total = data.n, data.total
     kept = config.iterations - config.burn_in
     alphas, lambdas = np.empty(kept), np.empty(kept)
     log_step = math.log(_INITIAL_STEP)
     accepted = 0
-    alpha = min(max(float(rng.beta(spec.a0, spec.a0)), 1e-12), 1.0 - 1e-12)
+    alpha = min(max(float(betaincinv(spec.a0, spec.a0, stream.uniforms(1)[0])), 1e-12), 1.0 - 1e-12)
     v = math.log(data.mean)
     for it in range(config.iterations):
-        lf1, lf2 = _component_log_pmfs(values, lfact, v)
-        in1 = rng.uniform(n) < expit((math.log(alpha) - math.log1p(-alpha)) + (lf1 - lf2))
+        words = stream.words(n)
+        u_alpha, u1, u2, u_accept = stream.uniforms(4)
+        t = mixture_module._allocation_probability(values, lfact, math.log(alpha) - math.log1p(-alpha), v) * 2.0**32
+        floor = np.minimum(np.floor(t), 2.0**32 - 1.0)
+        in1 = words < floor
+        for i in np.flatnonzero(words == floor):
+            in1[i] = stream.uniforms(1)[0] < t[i] - floor[i]
         n1 = int(in1.sum())
-        s1 = int(in1.dot(values))
+        s1 = int(x[in1].sum())
         counts = (n1, n - n1, s1, total - s1)
-        alpha = float(rng.beta(*conditional_alpha(n1, n - n1, spec.a0)))
+        alpha = float(betaincinv(*conditional_alpha(n1, n - n1, spec.a0), u_alpha))
         alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-        v_prop = v + rng.normal(0.0, math.exp(log_step))
+        v_prop = v + math.exp(log_step) * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         log_ratio = _reference_log_u_conditional(v_prop, *counts) - _reference_log_u_conditional(v, *counts)
         accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = rng.uniform() < accept_prob
+        moved = u_accept < accept_prob
         if moved:
             v = v_prop
         if it < config.burn_in:
@@ -93,6 +120,11 @@ def _reference_gibbs(data, spec, seed, config):
             accepted += moved
             alphas[it - config.burn_in], lambdas[it - config.burn_in] = alpha, math.exp(v)
     return alphas, lambdas, accepted / kept
+
+
+def _batch_means_se(draws: np.ndarray, batches: int = 40) -> float:
+    means = draws[: draws.size // batches * batches].reshape(batches, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(batches))
 
 
 class TestSpecAndState:
@@ -149,6 +181,40 @@ class TestConditionals:
         assert p.shape == (3,)
         assert np.all((p > 0) & (p < 1))
 
+    def test_tied_words_settle_to_the_exact_probability(self):
+        # p on, just above and just below multiples of 2^-32, from below
+        # 2^-32 up to 1, where floor(p 2^32) is capped at 2^32 - 1
+        t = np.array([0.3, 1.0, 1.25, 2.0**31 - 0.5, 2.0**31, 2.0**31 + 0.25, 2.0**32 - 0.75, 2.0**32])
+        p = t * 2.0**-32
+        floor = np.minimum(np.floor(t), 2.0**32 - 1.0)
+        frac = t - floor
+        assert np.all((floor + frac) * 2.0**-32 == p)  # P(component 1), exactly
+        reps = 20_000
+        counts = np.full(t.size, reps)
+        starts = np.arange(t.size) * reps
+        rng = Rng(RngSeed(5))
+        settled = []
+
+        def settle(r):
+            settled.append(r)
+            return rng.uniform()
+
+        tied = np.repeat(floor.astype(np.uint32), reps)
+        n1 = _allocate(tied, p, counts, starts, settle)
+        assert len(settled) == tied.size
+        sd = np.sqrt(reps * frac * (1.0 - frac))
+        assert np.all(np.abs(n1 - reps * frac) <= 4.0 * sd)
+        assert n1[frac == 0.0].tolist() == [0, 0] and n1[-1] == reps
+        # one below the threshold is always component 1, one above never
+        # (no word is above 2^32 - 1), and neither draws a uniform
+        settled.clear()
+        for keep, shift, expected in ((floor > 0, -1, reps), (floor < 2.0**32 - 1.0, 1, 0)):
+            k = int(keep.sum())
+            words = np.repeat(floor[keep] + shift, reps).astype(np.uint32)
+            got = _allocate(words, p[keep], counts[:k], starts[:k], settle)
+            assert got.tolist() == [expected] * k
+        assert not settled
+
     def test_log_lambda_conditional_reference(self):
         # at lambda = 1 (u = 0): s u - n1 e^u - (s2 + n2) ln 2 = -1
         assert _log_u_conditional(0.0, n1=1, n2=0, s1=1, s2=0) == pytest.approx(-1.0, abs=1e-14)
@@ -190,8 +256,8 @@ class TestMarginalLikelihood:
         ref = float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2).sum())
         distinct, counts = np.unique(x, return_counts=True)
         got = _marginal_loglik(
-            distinct.astype(np.float64), log_factorial(distinct), counts.astype(np.float64),
-            log_alpha, log_1m_alpha, v,
+            *_component_log_pmfs(distinct.astype(np.float64), log_factorial(distinct), v),
+            counts.astype(np.float64), log_alpha, log_1m_alpha,
         )
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -206,6 +272,26 @@ class TestSamplers:
         assert np.array_equal(a.lambda_draws, b.lambda_draws)
         assert a.mh_acceptance_rate == b.mh_acceptance_rate
 
+    @staticmethod
+    def _check_lockstep_against_reference(cells, config):
+        chains = run_gibbs_chains(cells, config)
+        refs = [_reference_gibbs(*cell, config) for cell in cells]
+        for chain, cell, (alphas, lambdas, rate) in zip(chains, cells, refs):
+            assert np.array_equal(chain.alpha_draws, alphas)
+            assert np.array_equal(chain.lambda_draws, lambdas)
+            assert chain.mh_acceptance_rate == rate
+            assert bool(chain.warnings) == (not 0.05 <= rate <= 0.95)
+            assert chain.seed == cell[2]
+        for chain, back in zip(chains, reversed(run_gibbs_chains(cells[::-1], config))):
+            assert np.array_equal(chain.alpha_draws, back.alpha_draws)
+            assert np.array_equal(chain.lambda_draws, back.lambda_draws)
+            assert (chain.mh_acceptance_rate, chain.warnings) == (back.mh_acceptance_rate, back.warnings)
+        single = run_gibbs(*cells[4][:2], config, cells[4][2])
+        assert np.array_equal(single.alpha_draws, chains[4].alpha_draws)
+        assert np.array_equal(single.lambda_draws, chains[4].lambda_draws)
+        assert (single.mh_acceptance_rate, single.warnings) == (chains[4].mh_acceptance_rate, chains[4].warnings)
+        return chains
+
     @pytest.mark.parametrize("config", [McmcConfig(1_000, 300), McmcConfig(600, 0)])
     def test_lockstep_chains_match_scalar_reference(self, config):
         # without adaptation (burn_in = 0) the fixed initial step is far too
@@ -217,24 +303,24 @@ class TestSamplers:
                 (n, a0) for n in sizes for a0 in (0.001, 0.5, 3.0)
             )
         ]
-        chains = run_gibbs_chains(cells, config)
-        refs = [_reference_gibbs(*cell, config) for cell in cells]
-        for chain, cell, (alphas, lambdas, rate) in zip(chains, cells, refs):
-            assert np.array_equal(chain.alpha_draws, alphas)
-            assert np.array_equal(chain.lambda_draws, lambdas)
-            assert chain.mh_acceptance_rate == rate
-            assert bool(chain.warnings) == (not 0.05 <= rate <= 0.95)
-            assert chain.seed == cell[2]
+        chains = self._check_lockstep_against_reference(cells, config)
         if config.burn_in == 0:
             assert all(chain.warnings for chain in chains[-3:])
-        for chain, back in zip(chains, reversed(run_gibbs_chains(cells[::-1], config))):
-            assert np.array_equal(chain.alpha_draws, back.alpha_draws)
-            assert np.array_equal(chain.lambda_draws, back.lambda_draws)
-            assert (chain.mh_acceptance_rate, chain.warnings) == (back.mh_acceptance_rate, back.warnings)
-        single = run_gibbs(*cells[4][:2], config, cells[4][2])
-        assert np.array_equal(single.alpha_draws, chains[4].alpha_draws)
-        assert np.array_equal(single.lambda_draws, chains[4].lambda_draws)
-        assert (single.mh_acceptance_rate, single.warnings) == (chains[4].mh_acceptance_rate, chains[4].warnings)
+
+    def test_lockstep_chains_match_reference_when_words_tie(self, monkeypatch):
+        # every word in {0, 1, 2, 3} and every threshold 2 + 1/2: a quarter
+        # of the allocations tie and draw a fresh uniform, which ends the
+        # block, in every lane and most iterations
+        block = rng_module._pcg32_block
+        monkeypatch.setattr(rng_module, "_pcg32_block", lambda *args: block(*args) & np.uint32(3))
+        monkeypatch.setattr(
+            mixture_module, "_allocation_probability", lambda values, *_: np.full(np.shape(values), 2.5 * 2.0**-32)
+        )
+        cells = [
+            (pinned_dataset(n, stream=i), MixtureSpec(a0), RngSeed(43, i))
+            for i, (n, a0) in enumerate((n, a0) for n in (1, 10, 40) for a0 in (0.5, 3.0))
+        ]
+        self._check_lockstep_against_reference(cells, McmcConfig(120, 20))
 
     def test_marginal_mh_deterministic(self):
         data = pinned_dataset(20)
@@ -292,6 +378,22 @@ class TestSamplers:
         assert abs(g.alpha_draws.mean() - grid.mean) <= 0.02
         assert abs(m.alpha_draws.mean() - grid.mean) <= 0.02
         assert abs(g.alpha_draws.mean() - m.alpha_draws.mean()) <= 0.02
+
+    def test_samplers_within_four_batch_means_se_of_grid(self):
+        # 12 nonzero Poisson(4) datasets per (a0, n) cell at the desk chain
+        # length; each chain's weight mean must sit within 4 batch-means
+        # standard errors (40 batches) of the grid oracle's.  Without its
+        # prior proposal, marginal MH missed by up to 6.3 at a0 = 0.1.
+        cells = [
+            (pinned_dataset(n, stream=100 + seed), MixtureSpec(a0), RngSeed(2026, seed))
+            for a0 in (0.1, 0.5, 1.0) for n in (10, 100) for seed in range(12)
+        ]
+        gibbs = run_gibbs_chains(cells, McmcConfig())
+        for (data, spec, seed), chain in zip(cells, gibbs):
+            grid = grid_posterior_alpha(data, spec).mean
+            for c in (chain, run_marginal_mh(data, spec, McmcConfig(), seed.child(1))):
+                gap = abs(c.alpha_draws.mean() - grid)
+                assert gap <= 4.0 * _batch_means_se(c.alpha_draws), (c.kernel, spec.a0, data.n, seed)
 
     def test_mixture_truth_with_lambda_fixed_structure(self):
         # data drawn from the 50/50 mixture itself: posterior mass should sit

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bayes_arbiter.rng import Rng, RngSeed, _pcg32_block, _poisson_inversion
+from bayes_arbiter.rng import _APOW, _GSUM, LaneBlocks, Rng, RngSeed, _pcg32_block, _poisson_inversion
 from bayes_arbiter.special import log_factorial
 
 # Scalar PCG32 reference, kept independent of the production block path.
@@ -30,9 +30,30 @@ class TestRawStream:
     def test_block_path_matches_scalar_recurrence(self):
         ref = _reference_u32_stream(42, 7, 300)
         rng = Rng(RngSeed(42, 7))
-        words, state = _pcg32_block(rng._state, rng._inc, 200)
-        rest, _ = _pcg32_block(state, rng._inc, 100)
+        inc = np.uint64(rng._inc)
+        words = _pcg32_block(np.uint64(rng._state), _APOW[:200], _GSUM[:200] * inc)
+        state = (int(_APOW[200]) * rng._state + int(_GSUM[200]) * rng._inc) % 2**64
+        rest = _pcg32_block(np.uint64(state), _APOW[:100], _GSUM[:100] * inc)
         assert words.tolist() + rest.tolist() == ref
+
+    def test_lanes_read_each_stream_in_order(self):
+        # three lanes of different widths in blocks of several iterations,
+        # fresh uniforms taken mid-block, and a lane wider than the jump
+        # tables, against the scalar recurrence of each stream
+        seeds = [RngSeed(42, 7), RngSeed(43, 0), RngSeed(44, 9)]
+        for raw in ([3, 0, 40], [20_000, 1, 2]):
+            lanes = LaneBlocks(seeds, raw, 2)
+            refs = [_ReferenceWords(s.master_seed, s.stream_index, 30 * (r + 4) + 10) for s, r in zip(seeds, raw)]
+            starts = lanes.uniforms()
+            assert starts.tolist() == [_to_uniform(*ref.take(2)) for ref in refs]
+            for it, (words, uniforms) in enumerate(lanes.iterations(30)):
+                expected = []
+                for ref, r in zip(refs, raw):
+                    expected.extend(ref.take(r))
+                assert words.tolist() == expected
+                assert uniforms == [[_to_uniform(*ref.take(2)), _to_uniform(*ref.take(2))] for ref in refs]
+                if it in (1, 2, 7):
+                    assert lanes.fresh_uniform(it % 3) == _to_uniform(*refs[it % 3].take(2))
 
     def test_scalar_and_vector_draws_across_refills(self):
         # the buffer holds 8192 uniforms; these calls straddle three refills
@@ -54,7 +75,7 @@ class TestRawStream:
         # the largest pair of words rounds to 1.0 before the clamp; PTRS
         # (mean >= 10) never accepts a constant stream, so it stays out
         monkeypatch.setattr(
-            "bayes_arbiter.rng._pcg32_block", lambda state, inc, k: (np.full(k, 0xFFFFFFFF, dtype=np.uint32), state)
+            "bayes_arbiter.rng._pcg32_block", lambda state, mult, add: np.full(np.shape(mult), 0xFFFFFFFF, dtype=np.uint32)
         )
         rng = Rng(RngSeed(3))
         assert rng.uniform() < 1.0
@@ -137,12 +158,28 @@ class TestPoissonPtrs:
                 assert r2.uniform() == r1.uniform()
 
 
+def _to_uniform(hi: int, lo: int) -> float:
+    return ((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53
+
+
+class _ReferenceWords:
+    """The first k scalar reference words of a stream, read in order."""
+
+    def __init__(self, seed: int, stream: int, k: int):
+        self.w = _reference_u32_stream(seed, stream, k)
+        self.pos = 0
+
+    def take(self, k: int) -> list[int]:
+        self.pos += k
+        return self.w[self.pos - k : self.pos]
+
+
 class _ReferenceUniforms:
     """Uniforms built from the scalar reference words, drawn like `Rng.uniform`."""
 
     def __init__(self, seed: int, stream: int, k: int):
         words = _reference_u32_stream(seed, stream, 2 * k)
-        self.u = [((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in zip(words[0::2], words[1::2])]
+        self.u = [_to_uniform(hi, lo) for hi, lo in zip(words[0::2], words[1::2])]
         self.pos = 0
 
     def uniform(self, size=None):
@@ -269,6 +306,14 @@ class TestDistributions:
         assert x.mean() == pytest.approx(50.0, abs=3 * math.sqrt(50.0 / 20_000) + 0.2)
         assert x.var() == pytest.approx(50.0, rel=0.1)
 
+    def test_poisson_moments_at_the_largest_mean(self):
+        # at 1e16 PTRS's acceptance test rounded so coarsely that the sd
+        # was 1.18 sqrt(mean)
+        mean, n = 2.0**46, 20_000
+        x = Rng(RngSeed(13, 0)).poisson(mean, n).astype(np.float64)
+        assert abs(x.mean() - mean) <= 4.0 * math.sqrt(mean / n)
+        assert x.std() / math.sqrt(mean) == pytest.approx(1.0, abs=0.03)
+
     def test_geometric_mean_parameterisation(self):
         x = Rng(RngSeed(21, 0)).geometric_mean(4.0, size=100_000)
         # var = mean (1 + mean) = 20
@@ -304,15 +349,16 @@ class TestDistributions:
     def test_domain_errors(self):
         rng = Rng(RngSeed(0, 0))
         # NaN used to hang the inversion; infinite means and means past
-        # 2^62 (Poisson) or 2^53 (geometric) gave draws outside int64
-        for bad in (0.0, -1.0, math.nan, math.inf, 1e19):
+        # 2^53 (geometric) gave draws outside int64, and Poisson means past
+        # 2^46 a law too wide (see test_poisson_moments_at_the_largest_mean)
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e19, 1e14):
             with pytest.raises(ValueError, match="Poisson mean"):
                 rng.poisson(bad, 3)
         for bad in (0.0, -1.0, math.nan, math.inf, 2.0**53):
             with pytest.raises(ValueError, match="geometric mean"):
                 rng.geometric_mean(bad, 3)
         # the largest accepted means still give non-negative int64 draws
-        assert rng.poisson(2.0**62, 100).min() > 0
+        assert rng.poisson(2.0**46, 100).min() > 0
         assert rng.geometric_mean(2.0**53 - 1, 100).min() >= 0
         with pytest.raises(ValueError):
             rng.beta(0.0, 1.0)
