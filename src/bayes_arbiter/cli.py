@@ -77,6 +77,16 @@ def _round10(obj):
     return obj
 
 
+# JSON has no infinity: a Bayes factor past the largest double prints as this
+# bound, and its log field keeps the value
+_BF_OVERFLOW = f">{sys.float_info.max:.10g}"
+
+
+def _linear_bf(bf) -> float | str:
+    value = bf.bf
+    return value if math.isfinite(value) else _BF_OVERFLOW
+
+
 def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(_round10(obj), indent=2) + "\n")
 
@@ -236,7 +246,7 @@ def cmd_bf(args) -> int:
                 "theta0": summary.theta0,
                 "sigma": summary.sigma,
                 "log_bf10": bf10.log_bf,
-                "bf10": bf10.bf,
+                "bf10": _linear_bf(bf10),
                 "log_bf01": -bf10.log_bf,
                 "method": bf10.method,
             }
@@ -252,9 +262,9 @@ def cmd_bf(args) -> int:
         "log_marginal_poisson": log_marginal_poisson_improper(data).log_evidence,
         "log_marginal_geometric": log_marginal_geometric_improper(data).log_evidence,
         "log_bf12_shared": shared.log_bf,
-        "bf12_shared": shared.bf,
+        "bf12_shared": _linear_bf(shared),
         "log_bf12_printed": printed.log_bf,
-        "bf12_printed": printed.bf,
+        "bf12_printed": _linear_bf(printed),
         "post_prob_m1_shared": posterior_prob_from_log_bf(shared.log_bf),
         "post_prob_m1_printed": posterior_prob_from_log_bf(printed.log_bf),
         "methods": [shared.method, printed.method],
@@ -302,7 +312,7 @@ def cmd_mixture(args) -> int:
 def cmd_lindley(args) -> int:
     bf = log_bf01_lindley(args.n, args.t)
     _print_json(
-        {"t": args.t, "n": args.n, "log_bf01": bf.log_bf, "bf01": bf.bf, "method": bf.method}
+        {"t": args.t, "n": args.n, "log_bf01": bf.log_bf, "bf01": _linear_bf(bf), "method": bf.method}
     )
     return EXIT_OK
 

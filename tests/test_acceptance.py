@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter.calibration import (
     NormalPointNullModel,
     NormalUnitPriorModel,
@@ -163,19 +164,39 @@ def test_criterion_5_mixture_sampler_three_routes():
     )
 
 
-def test_criterion_6_conjugacy_exactness():
+def test_criterion_6_conjugacy_exactness(monkeypatch):
     started = time.time()
     checked = 0
     for a0 in (0.1, 0.5, 1.0):
-        for n1 in range(0, 31):
-            for n2 in range(0, 31 - n1):
-                a, b = conditional_alpha(n1, n2, a0)
-                assert a == a0 + n1
-                assert b == a0 + n2
-                checked += 1
+        splits = [(n1, n2) for n1 in range(0, 31) for n2 in range(0, 31 - n1)]
+        for n1, n2 in splits:
+            a, b = conditional_alpha(n1, n2, a0)
+            assert a == a0 + n1
+            assert b == a0 + n2
+            checked += 1
+        # the array form the Gibbs sweep calls, all splits at once
+        n1s, n2s = np.array(splits).T
+        a, b = conditional_alpha(n1s, n2s, np.full(len(splits), a0))
+        assert np.array_equal(a, a0 + n1s) and np.array_equal(b, a0 + n2s)
+    # the Gibbs weight step takes its Beta shapes from conditional_alpha
+    calls = []
+
+    def spy(n1, n2, a0):
+        calls.append((n1, n2, a0))
+        return conditional_alpha(n1, n2, a0)
+
+    monkeypatch.setattr(mixture_module, "conditional_alpha", spy)
+    data = CountDataset([0, 1, 2, 3, 5, 8])
+    run_gibbs(data, MixtureSpec(0.5), McmcConfig(iterations=50, burn_in=10), RngSeed(6))
+    assert len(calls) == 50
+    assert all(n1 + n2 == data.n and a0 == 0.5 for n1, n2, a0 in calls)
     elapsed = time.time() - started
     assert elapsed < 1.0
-    report(6, f"conditional weight exactly Beta(a0+n1, a0+n2) on {checked} splits, {elapsed:.2f}s")
+    report(
+        6,
+        f"conditional weight exactly Beta(a0+n1, a0+n2) on {checked} splits, scalar and array, "
+        f"and in each of {len(calls)} Gibbs iterations, {elapsed:.2f}s",
+    )
 
 
 def test_criterion_7_fig2_trend(fig3_desk_run):

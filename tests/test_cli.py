@@ -38,6 +38,15 @@ class TestBfCommand:
         assert out["log_bf12_printed"] == pytest.approx(14.76348599, abs=1e-7)
         assert out["methods"] == ["closed_form", "printed_formula"]
 
+    def test_overflowing_factor_prints_a_bound(self, capsys):
+        out = run_json(capsys, "bf", "poisgeo", "--data", "100000000")
+        assert out["bf12_printed"] == ">1.797693135e+308"
+        assert out["log_bf12_printed"] == 3484136205.0
+        assert out["bf12_shared"] == 1.0
+        out = run_json(capsys, "bf", "normal", "--n", "1000000", "--xbar", "10")
+        assert out["bf10"] == ">1.797693135e+308"
+        assert out["log_bf10"] == pytest.approx(49999943.09, abs=0.01)
+
     def test_poisgeo_degenerate_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "bf", "poisgeo", "--data", "0,0")
         assert code == 3
@@ -353,6 +362,9 @@ EXIT_CODE_TABLE = [
     (("bf", "poisgeo", "--data", "4611686018427387904,4611686018427387904"), 2, "total of the values"),
     (("bf", "poisgeo", "--data", "9223372036854775808"), 2, "fit in int64"),
     (("bf", "poisgeo", "--data", "18446744073709551616"), 2, "fit in int64"),
+    # a Bayes factor past the largest double printed null
+    (("bf", "poisgeo", "--data", "100000000"), 0, ""),
+    (("bf", "normal", "--n", "1000000", "--xbar", "10"), 0, ""),
     # a count of 10^8 used to grow a 1 GiB log-factorial table
     (("mixture", "--data", "100000000,3", "--seed", "1", *_MCMC), 0, ""),
     # sampler means whose draws would leave int64

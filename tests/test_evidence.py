@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import AccuracyError, ImproperEvidenceError
 from bayes_arbiter.evidence import (
+    _REFINEMENT_TOL,
     NormalSummary,
     QuadratureConfig,
     _panel_count,
@@ -22,6 +23,7 @@ from bayes_arbiter.evidence import (
     posterior_prob_from_log_bf,
 )
 from bayes_arbiter.rng import Rng, RngSeed
+from bayes_arbiter.special import log_gamma
 
 
 class TestNormalClosedForms:
@@ -221,3 +223,28 @@ def test_reciprocal_identity_property(n, xbar):
     total = log_bf10_normal(NormalSummary(n, xbar)).log_bf + log_bf01_lindley(n, t).log_bf
     assert abs(total) <= 1e-12
 
+
+
+@st.composite
+def _count_datasets(draw):
+    # totals up to 1e6 - n, so every ln Gamma argument of the closed form
+    # stays in log_gamma's documented domain [0.5, 1e6]
+    n = draw(st.integers(min_value=1, max_value=300))
+    total = draw(st.integers(min_value=1, max_value=10**6 - n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return CountDataset(np.random.default_rng(seed).multinomial(total, [1.0 / n] * n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_count_datasets())
+def test_shared_bf_matches_quadrature_property(data):
+    closed = log_bf12_shared_improper(data).log_bf
+    quadrature = (
+        log_marginal_quadrature(data, "poisson").log_evidence
+        - log_marginal_quadrature(data, "geometric").log_evidence
+    )
+    # each quadrature is refined to _REFINEMENT_TOL; each ln Gamma of the
+    # closed form is within 1e-12 max(1, |ln Gamma|)
+    log_gammas = (log_gamma(float(data.total + data.n)), log_gamma(float(data.n)))
+    tol = 2 * _REFINEMENT_TOL + sum(1e-12 * max(1.0, abs(g)) for g in log_gammas)
+    assert abs(closed - quadrature) <= tol, (data.n, data.total, closed - quadrature)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaincinv, log_expit
+from scipy.special import betaincinv, log_expit, logsumexp
 
 from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter import rng as rng_module
 from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import AccuracyError, DegeneracyError
-from bayes_arbiter.evidence import QuadratureConfig
+from bayes_arbiter.evidence import _BRACKET_DROP, QuadratureConfig, _panel_nodes
 from bayes_arbiter.mixture import (
     _INITIAL_STEP,
     McmcConfig,
@@ -20,6 +20,8 @@ from bayes_arbiter.mixture import (
     _allocation_probability,
     _log_u_conditional,
     _marginal_loglik,
+    _mixture_loglik_grid,
+    _mixture_u_bracket,
     conditional_alpha,
     grid_posterior_alpha,
     posterior_summary,
@@ -160,6 +162,13 @@ class TestConditionals:
                     a, b = conditional_alpha(n1, n2, a0)
                     assert a == a0 + n1
                     assert b == a0 + n2
+
+    def test_conditional_alpha_arrays_and_domain(self):
+        a, b = conditional_alpha(np.array([0, 3]), np.array([5, 2]), np.array([0.5, 2.0]))
+        assert np.array_equal(a, [0.5, 5.0]) and np.array_equal(b, [5.5, 4.0])
+        for a0 in (0.0, -1.0, math.nan, np.array([0.5, 0.0]), np.array([math.nan, 0.5])):
+            with pytest.raises(ValueError, match="a0 must be positive"):
+                conditional_alpha(1, 2, a0)
 
     def test_allocation_probability_reference_points(self):
         # alpha = 1/2 (logit 0) and lambda = 1 (u = 0)
@@ -411,7 +420,100 @@ class TestSamplers:
         assert abs(m.alpha_draws.mean() - grid.mean) <= 0.02
 
 
+def _logaddexp_loglik_grid(values, counts, alpha, u):
+    """The grid log-likelihood as count-weighted per-cell logaddexp."""
+    lf1, lf2 = _component_log_pmfs(values.astype(np.float64)[:, None], log_factorial(values)[:, None], u[None, :])
+    la, l1a = np.log(alpha)[:, None], np.log1p(-alpha)[:, None]
+    return sum(c * np.logaddexp(la + f1, l1a + f2) for c, f1, f2 in zip(counts, lf1, lf2))
+
+
+def _grouped_logaddexp_kernel(data, alpha, u):
+    return _logaddexp_loglik_grid(*np.unique(data.values, return_counts=True), alpha, u)
+
+
+def _grid_case(n: int, family: int) -> CountDataset:
+    """Poisson(4) with one outlier at 60, geometric of mean 4, Poisson(200), half zeros."""
+    gen = np.random.default_rng([n, family])
+    if family == 0:
+        values = gen.poisson(4.0, n)
+        values[-1] = 60
+    elif family == 1:
+        values = gen.geometric(0.2, n) - 1
+    elif family == 2:
+        values = gen.poisson(200.0, n)
+    else:
+        values = gen.poisson(4.0, n)
+        values[: n // 2] = 0
+    if values.sum() < 1:
+        values[-1] = 1
+    return CountDataset(values)
+
+
+def _recording(kernel, grids):
+    """`kernel`, appending each log-likelihood matrix it returns to `grids`."""
+
+    def run(*args):
+        grids.append(kernel(*args))
+        return grids[-1]
+
+    return run
+
+
+def _base_log_normalizer(data, a0, loglik):
+    """ln Z of `loglik` over the grid oracle's first (unrefined) grid."""
+    _, a_wts = mixture_module._alpha_nodes(a0, mixture_module._ALPHA_NODES)
+    grid = QuadratureConfig()
+    lo, hi, panels = _mixture_u_bracket(data, grid, _BRACKET_DROP)
+    _, u_wts = _panel_nodes(lo, hi, panels, grid.nodes_per_panel)
+    return logsumexp(loglik, b=a_wts[:, None] * u_wts[None, :])
+
+
+# weights down to 1e-300 and up to 1 - 1e-15, where one mixture term is
+# negligible against the other
+_EXTREME_WEIGHTS = (1e-300, 1e-20, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 1e-15)
+
+
 class TestGridPosterior:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=40),
+        st.lists(st.floats(1e-300, 1.0 - 1e-16), max_size=5),
+        st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+    )
+    def test_kernel_matches_per_observation_logaddexp(self, values, alphas, us):
+        values = np.array(values)
+        alpha = np.array(_EXTREME_WEIGHTS + tuple(alphas))
+        u = np.array(us)
+        got = _mixture_loglik_grid(CountDataset(values), alpha, u)
+        ref = _logaddexp_loglik_grid(values, np.ones(values.size), alpha, u)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_grid_matches_the_logaddexp_kernel(self, monkeypatch):
+        # 24 of the (n, a0, family) cases: every n with every family, each
+        # a0 once per family; (1000, 50, Poisson(200)) fails refinement
+        # under both kernels
+        a0s = (0.001, 0.01, 0.1, 1.0, 5.0, 50.0)
+        for family in range(4):
+            for i, n in enumerate((1, 3, 10, 50, 300, 1000)):
+                data, spec = _grid_case(n, family), MixtureSpec(a0s[(2 * family - i) % 6])
+                runs = []
+                for kernel in (_mixture_loglik_grid, _grouped_logaddexp_kernel):
+                    grids = []
+                    monkeypatch.setattr(mixture_module, "_mixture_loglik_grid", _recording(kernel, grids))
+                    try:
+                        post = grid_posterior_alpha(data, spec)
+                        runs.append((post.mean, post.median, grids))
+                    except AccuracyError as exc:  # the refined grid moved it: no median
+                        runs.append((exc.estimate, None, grids))
+                (mean, median, grids), (ref_mean, ref_median, ref_grids) = runs
+                case = (n, spec.a0, family)
+                assert abs(mean - ref_mean) <= 1e-13, case
+                assert (median is None) == (ref_median is None), case
+                if median is not None:
+                    assert abs(median - ref_median) <= 1e-12, case
+                log_z, ref_log_z = (_base_log_normalizer(data, spec.a0, g[0]) for g in (grids, ref_grids))
+                assert abs(log_z - ref_log_z) <= 1e-11, case
+
     def test_normalization_and_location(self):
         post = grid_posterior_alpha(pinned_dataset(20), MixtureSpec(0.5))
         assert post.node_mass.sum() == pytest.approx(1.0, abs=1e-12)
