@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import fdtri
 
 from .distributions import CountDataset
 from .errors import DegeneracyError, ImproperEvidenceError
@@ -129,9 +130,10 @@ class GeometricImproperMeanModel:
     def draw_param_posterior(self, observed: CountDataset, rng: Rng) -> float:
         if observed.total < 1:
             raise DegeneracyError("posterior is improper for an all-zero dataset")
-        # 1/(1+lambda) ~ Beta(n, S), i.e. lambda = B/(1-B) with B ~ Beta(S, n)
-        b = min(rng.beta(float(observed.total), float(self.n)), 1.0 - 1e-15)
-        return b / (1.0 - b)
+        # lambda | x ~ BetaPrime(S, n) = (S/n) F(2S, 2n), by the F inverse cdf
+        # at one uniform; B/(1-B) with B ~ Beta(S, n) rounds B to 1 at large S
+        s = float(observed.total)
+        return s / self.n * float(fdtri(2.0 * s, 2.0 * self.n, rng.uniform()))
 
     def replicate(self, lam: float, rng: Rng) -> CountDataset:
         return CountDataset(rng.geometric_mean(lam, size=self.n))

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit, gammaln, logsumexp
 
 from .distributions import CountDataset
 from .errors import AccuracyError, ImproperEvidenceError
-from .special import log_gamma, log_normal_pdf
+from .special import log_normal_pdf
 
 _COUNT_FAMILIES = ("poisson", "geometric")
 _BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
@@ -172,7 +172,7 @@ def log_marginal_poisson_improper(data: CountDataset) -> LogEvidence:
     """
     _require_positive_total(data)
     value = (
-        log_gamma(float(data.total))
+        gammaln(float(data.total))
         - data.total * math.log(data.n)
         - data.log_factorial_sum
     )
@@ -187,9 +187,9 @@ def log_marginal_geometric_improper(data: CountDataset) -> LogEvidence:
     """
     _require_positive_total(data)
     value = (
-        log_gamma(float(data.total))
-        + log_gamma(float(data.n))
-        - log_gamma(float(data.total + data.n))
+        gammaln(float(data.total))
+        + gammaln(float(data.n))
+        - gammaln(float(data.total + data.n))
     )
     return LogEvidence(value, model="geometric")
 
@@ -202,10 +202,10 @@ def log_bf12_shared_improper(data: CountDataset) -> LogBayesFactor:
     """
     _require_positive_total(data)
     value = (
-        log_gamma(float(data.total + data.n))
+        gammaln(float(data.total + data.n))
         - data.total * math.log(data.n)
         - data.log_factorial_sum
-        - log_gamma(float(data.n))
+        - gammaln(float(data.n))
     )
     return LogBayesFactor(
         log_bf=value,
@@ -226,8 +226,8 @@ def log_bf12_printed(data: CountDataset) -> LogBayesFactor:
     value = (
         data.total * math.log(data.n)
         + data.log_factorial_sum
-        + log_gamma(float(data.n + 2 + data.total))
-        - log_gamma(float(data.n + 2))
+        + gammaln(float(data.n + 2 + data.total))
+        - gammaln(float(data.n + 2))
     )
     return LogBayesFactor(
         log_bf=value,

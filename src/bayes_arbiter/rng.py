@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import betaincinv, gammaincinv
 
 from .special import log_factorial
 
@@ -363,35 +363,14 @@ class Rng:
         u = self.uniform(size)
         return np.floor(np.log(u) / log_ratio).astype(np.int64)
 
-    def _log_gamma(self, shape: float) -> float:
-        """ln of a Gamma(shape, 1) draw; finite where the draw itself underflows."""
-        if shape < 1.0:
-            # Valid for 0 < shape < 1: Gamma(shape) ~ Gamma(shape + 1) * U^(1/shape).
-            return self._log_gamma(shape + 1.0) + math.log(self.uniform()) / shape
-        return math.log(self.gamma(shape))
-
     def gamma(self, shape: float) -> float:
-        """Gamma(shape, 1) draw via Marsaglia-Tsang, boosted below shape 1."""
-        if shape <= 0.0:
-            raise ValueError("shape must be positive")
-        if shape < 1.0:
-            return math.exp(self._log_gamma(shape))
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = (1.0 + c * x) ** 3
-            if v <= 0.0:
-                continue
-            u = self.uniform()
-            if u < 1.0 - 0.0331 * x * x * x * x:
-                return d * v
-            if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
+        """Gamma(shape, 1) draw: the inverse cdf at one uniform."""
+        if not 0.0 < shape < math.inf:
+            raise ValueError(f"gamma shape must be positive and finite, got {shape!r}")
+        return float(gammaincinv(shape, self.uniform()))
 
     def beta(self, a: float, b: float) -> float:
-        """Beta(a, b) draw as a gamma ratio, formed from log-gammas so that
-        shapes small enough to underflow both gammas still give a draw."""
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("beta shapes must be positive")
-        return float(expit(self._log_gamma(a) - self._log_gamma(b)))
+        """Beta(a, b) draw: the inverse cdf at one uniform."""
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"beta shapes must be positive and finite, got {a!r} and {b!r}")
+        return float(betaincinv(a, b, self.uniform()))

@@ -1,4 +1,4 @@
-"""Log-scale special functions: log-gamma, log-factorial, normal log-density.
+"""Log-scale special functions: log-factorial, normal log-density.
 
 Everything here is pure and reentrant.
 """
@@ -11,19 +11,6 @@ import numpy as np
 from scipy.special import gammaln
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (scalar or array).
-
-    Raises ValueError off the positive half-line.  Accuracy:
-    |error| <= 1e-12 * max(1, |ln Gamma(x)|) on [0.5, 1e6].
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(np.isnan(arr)):
-        raise ValueError("log_gamma requires x > 0")
-    out = gammaln(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def log_factorial(k):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy import stats
+from scipy.special import betaincinv, gammaincinv, ndtr
 
 from bayes_arbiter.calibration import (
     CalibrationReport,
@@ -221,6 +222,47 @@ class TestPredictiveBfTails:
         rep = CalibrationReport(p0=0.3, p1=0.8, n_rep=400, mode="prior")
         assert rep.mc_se_p0 == math.sqrt(0.3 * 0.7 / 400)
         assert rep.mc_se_p1 == math.sqrt(0.8 * 0.2 / 400)
+
+
+def _dataset(total: int, n: int) -> CountDataset:
+    return CountDataset([total] + [0] * (n - 1))
+
+
+# (S, n): from one count to the largest int64 totals, and one count in 10^5
+POSTERIOR_CASES = [(1, 1), (10, 4), (1225, 50), (10**14, 1), (9 * 10**18, 1), (1, 10**5)]
+
+
+class TestCountPosteriors:
+    @pytest.mark.parametrize("total, n", POSTERIOR_CASES)
+    def test_law(self, total, n):
+        # lambda | x is Gamma(S, rate n) under Poisson sampling and
+        # BetaPrime(S, n) under geometric sampling; a clamp at B = 1 - 1e-15
+        # put 9% of the geometric draws on one value at S = 1e14
+        data = _dataset(total, n)
+        for model, law, stream in (
+            (PoissonImproperMeanModel(n), stats.gamma(total, scale=1.0 / n), 0),
+            (GeometricImproperMeanModel(n), stats.betaprime(total, n), 1),
+        ):
+            rng = Rng(RngSeed(40, stream))
+            draws = np.array([model.draw_param_posterior(data, rng) for _ in range(4000)])
+            assert np.all(np.isfinite(draws) & (draws > 0.0))
+            assert stats.kstest(draws, law.cdf).pvalue > 0.01, type(model).__name__
+
+    def test_each_draw_takes_one_uniform(self):
+        def after(draw):
+            rng = Rng(RngSeed(41))
+            value = draw(rng)
+            return value, rng.uniform()
+
+        u, next_u = Rng(RngSeed(41)).uniform(2).tolist()
+        for shape in (1e-3, 0.5, 1.0, 50.5, 1e14):
+            assert after(lambda r: r.gamma(shape)) == (gammaincinv(shape, u), next_u)
+        for a, b in ((1e-3, 0.5), (0.5, 0.5), (37.0, 10.0), (1e14, 1.0)):
+            assert after(lambda r: r.beta(a, b)) == (betaincinv(a, b, u), next_u)
+        for total, n in POSTERIOR_CASES:
+            data = _dataset(total, n)
+            for model in (PoissonImproperMeanModel(n), GeometricImproperMeanModel(n)):
+                assert after(lambda r: model.draw_param_posterior(data, r))[1] == next_u
 
 
 class TestPosteriorPredictivePvalue:

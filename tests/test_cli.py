@@ -370,6 +370,10 @@ EXIT_CODE_TABLE = [
     # sampler means whose draws would leave int64
     ((*_CUTOFF, "--lambda-true", "1e19"), 2, "Poisson mean"),
     ((*_CUTOFF, "--generator", "geometric", "--lambda-true", "1e16"), 2, "geometric mean"),
+    # posterior draws past 2^53: a clamp at B = 1 - 1e-15 capped them and
+    # printed p_value 0.0
+    (("calibrate", "pvalue", "--family", "geometric", "--data", "5000000000000000", "--n-rep", "200",
+      "--posterior-draws", "200", "--seed", "1"), 2, "below 2^53"),
     # every redraw all zero: these never ended
     ((*_CUTOFF, "--lambda-true", "1e-17"), 3, "all zero"),
     (("calibrate", "cutoff", "--n-obs", "1", "--replicas", "20", "--seed", "1", *_MCMC, "--lambda-true", "1e-6"),

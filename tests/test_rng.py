@@ -360,12 +360,15 @@ class TestDistributions:
         # the largest accepted means still give non-negative int64 draws
         assert rng.poisson(2.0**46, 100).min() > 0
         assert rng.geometric_mean(2.0**53 - 1, 100).min() >= 0
-        with pytest.raises(ValueError):
-            rng.beta(0.0, 1.0)
+        # non-finite shapes used to give nan, 1.0 or 0.0 without an error
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma shape"):
+                rng.gamma(bad)
+        for a, b in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="beta shapes"):
+                rng.beta(a, b)
         with pytest.raises(ValueError):
             rng.normal(0.0, 0.0)
-        with pytest.raises(ValueError):
-            rng.gamma(-2.0)
 
 
 class TestRngSeed:

@@ -5,49 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from bayes_arbiter.special import (
-    log_factorial,
-    log_gamma,
-    log_normal_pdf,
-)
-
-
-class TestLogGamma:
-    def test_exact_small_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-        assert log_gamma(6.0) == pytest.approx(math.log(120.0), abs=1e-12)
-
-    def test_against_lgamma_wide_range(self):
-        # abs error <= 1e-12 * max(1, |ln Gamma|); the relative form is what
-        # float64 can represent once ln Gamma exceeds ~1e4.
-        xs = np.concatenate(
-            [
-                np.linspace(0.5, 10.0, 501),
-                np.linspace(10.0, 5000.0, 500),
-                np.logspace(4, 6, 50),
-            ]
-        )
-        ours = log_gamma(xs)
-        ref = np.array([math.lgamma(float(x)) for x in xs])
-        tol = 1e-12 * np.maximum(1.0, np.abs(ref))
-        assert np.all(np.abs(ours - ref) <= tol)
-
-    def test_recurrence(self):
-        xs = np.arange(0.5, 100.5, 0.5)
-        lhs = log_gamma(xs + 1.0)
-        rhs = log_gamma(xs) + np.log(xs)
-        assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-    def test_reflection_region(self):
-        for x in (0.01, 0.1, 0.3, 0.49):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), abs=1e-11)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.2)
+from bayes_arbiter.special import log_factorial, log_normal_pdf
 
 
 class TestLogFactorial:
