@@ -28,7 +28,6 @@ time, with a fixed number of words per chain and iteration.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +45,8 @@ _INV_2_53 = 2.0 ** -53
 # subtracts numbers whose rounding error exceeds the test's own scale, and
 # the draws spread wider than the Poisson law (sd 1.18 sqrt(mean) at 1e16).
 _POISSON_MAX_MEAN = 2.0**46
+# Poisson means below this are drawn by inversion of one cdf table.
+_POISSON_TABLE_LIMIT = 512.0
 # From this geometric mean on, 1 + mean rounds to mean, so mean / (1 + mean)
 # rounds to 1 and the inversion divides by ln 1 = 0.
 _GEOMETRIC_MEAN_LIMIT = 2.0**53
@@ -219,24 +220,25 @@ class LaneBlocks:
 
 
 def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
-    """Poisson(mean < 10) by inversion of the uniforms u: the least k
+    """Poisson(mean < 512) by inversion of the uniforms u: the least k
     with u <= cdf(k), or the length of the cdf table if u is above it.
 
-    The cdf is summed once, in Python floats, by the recurrence
-    p(k) = p(k-1) * (mean / k).  The sum stops at the first term too small
-    to change it: every term is at least e^-mean > 4e-5 until k passes the
-    mean, and the terms only shrink after that (to 0, where they
-    underflow), so the cdf is final.
+    The terms p(0) = e^-mean and p(k) = p(k-1) * (mean / k) are
+    multiplied, then summed, in order: the same float operations as a
+    scalar loop over k.  The table ends at the first term too small to
+    change the sum; the cdf rises at every term before it and holds its
+    largest value from there on.  Up to k = mean, p(k) >= cdf(k-1) / k, so
+    that end comes after the mode, where the terms only shrink (to 0,
+    where they underflow).  The array runs 10 sd and 40 terms past the
+    mean, beyond that end.  Below mean 512, e^-mean is a normal double
+    and the array holds under 800 terms.
     """
-    prob = cdf = math.exp(-mean)
-    table = [cdf]
-    for j in itertools.count(1):
-        prob = prob * (mean / j)
-        if cdf + prob == cdf:
-            break
-        cdf = cdf + prob
-        table.append(cdf)
-    return np.searchsorted(table, u, side="left")
+    ks = np.arange(float(int(mean + 10.0 * math.sqrt(mean) + 40.0)))
+    ks[0] = 1.0
+    terms = mean / ks  # p(k) / p(k-1) at k >= 1
+    terms[0] = math.exp(-mean)
+    cdf = np.add.accumulate(np.multiply.accumulate(terms))
+    return np.searchsorted(cdf[: cdf.argmax() + 1], u, side="left")
 
 
 class Rng:
@@ -298,10 +300,11 @@ class Rng:
     # discrete and shape-constrained laws
 
     def poisson(self, mean: float, size: int) -> np.ndarray:
-        """`size` Poisson draws; inversion below mean 10, PTRS rejection above."""
+        """`size` Poisson draws: inversion of one cdf table below mean 512,
+        PTRS rejection from there up to 2^46."""
         if not 0.0 < mean <= _POISSON_MAX_MEAN:
             raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
-        if mean >= 10.0:
+        if mean >= _POISSON_TABLE_LIMIT:
             return self._poisson_ptrs(mean, size)
         return _poisson_inversion(self.uniform(size), mean)
 
@@ -319,7 +322,7 @@ class Rng:
         inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
         v_r = 0.9277 - 3.6224 / (b - 2.0)
         log_mean = math.log(mean)
-        draws = []
+        draws = [np.empty(0)]  # what size 0 concatenates to
         need = size
         while need:
             pairs = (self._buf.shape[0] - self._pos) // 2

@@ -41,6 +41,19 @@ class TestCountDataset:
             with pytest.raises(ValueError, match="total"):
                 CountDataset(bad)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 1000), st.integers(0, 2**62 // 200)),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_log_factorial_sum_is_the_sum_of_log_factorial(self, values):
+        # the property skips log_factorial's checks, not its value
+        d = CountDataset(values)
+        assert d.log_factorial_sum == float(np.sum(log_factorial(d.values)))
+
     def test_immutable(self):
         d = CountDataset([1, 2])
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayes_arbiter.rng import _APOW, _GSUM, LaneBlocks, Rng, RngSeed, _pcg32_block, _poisson_inversion
 from bayes_arbiter.special import log_factorial
@@ -73,7 +74,7 @@ class TestRawStream:
 
     def test_all_ones_words_give_uniforms_below_one(self, monkeypatch):
         # the largest pair of words rounds to 1.0 before the clamp; PTRS
-        # (mean >= 10) never accepts a constant stream, so it stays out
+        # (mean >= 512) never accepts a constant stream, so it stays out
         monkeypatch.setattr(
             "bayes_arbiter.rng._pcg32_block", lambda state, mult, add: np.full(np.shape(mult), 0xFFFFFFFF, dtype=np.uint32)
         )
@@ -140,7 +141,8 @@ def _poisson_ptrs_scalar(rng: Rng, mean: float) -> int:
 
 
 class TestPoissonPtrs:
-    @pytest.mark.parametrize("mean", [10.0, 15.0, 37.5, 400.0])
+    # PTRS holds from mean 10; Rng.poisson sends it the means from 512 up
+    @pytest.mark.parametrize("mean", [10.0, 15.0, 37.5, 400.0, 512.0, 600.0, 4000.0, 1e6])
     def test_vector_matches_scalar_loop(self, mean):
         for seed in range(10):
             for size in (1, 7, 100, 3000):
@@ -152,10 +154,17 @@ class TestPoissonPtrs:
                 r1.uniform(skip)
                 r2.uniform(skip)
                 ref = [_poisson_ptrs_scalar(r1, mean) for _ in range(size)]
-                got = r2.poisson(mean, size)
+                got = r2._poisson_ptrs(mean, size)
                 assert got.dtype == np.int64
                 assert got.tolist() == ref
                 assert r2.uniform() == r1.uniform()
+
+    def test_poisson_draws_by_table_below_512_and_by_ptrs_from_512(self):
+        for mean, table in ((511.9, True), (np.nextafter(512.0, 0.0), True), (512.0, False), (600.0, False)):
+            r1, r2 = Rng(RngSeed(7, 41)), Rng(RngSeed(7, 41))
+            ref = _poisson_inversion(r1.uniform(50), mean) if table else r1._poisson_ptrs(mean, 50)
+            assert r2.poisson(mean, 50).tolist() == ref.tolist()
+            assert r2.uniform() == r1.uniform()
 
 
 def _to_uniform(hi: int, lo: int) -> float:
@@ -220,8 +229,8 @@ class TestRefillBlocks:
                 assert np.array_equal(rng.uniform(5), ref.uniform(5))
                 assert [rng.normal() for _ in range(3)] == [ref.normal() for _ in range(3)]
             else:
-                got = rng.poisson(15.0 + i, 4 + shift)
-                assert got.tolist() == [_poisson_ptrs_scalar(ref, 15.0 + i) for _ in range(4 + shift)]
+                got = rng.poisson(512.0 + i, 4 + shift)
+                assert got.tolist() == [_poisson_ptrs_scalar(ref, 512.0 + i) for _ in range(4 + shift)]
             assert ref.pos > end
         assert rng.uniform() == ref.uniform()
 
@@ -244,8 +253,25 @@ def _poisson_inversion_loop(u: np.ndarray, mean: float, cap: int) -> np.ndarray:
     return k
 
 
+_INVERSION_MEANS = [1e-3, 0.5, 4.0, 9.999, 10.0, 15.0, 37.5, 400.0, 511.9]
+
+
+def _poisson_cdf_loop(mean: float) -> list[float]:
+    # the scalar recurrence the table is built by, to its first term too
+    # small to change the sum
+    prob = c = math.exp(-mean)
+    cdf = [c]
+    for j in range(1, 10_000):
+        prob = prob * (mean / j)
+        if c + prob == c:
+            return cdf
+        c = c + prob
+        cdf.append(c)
+    raise AssertionError(f"no end to the cdf at mean {mean}")
+
+
 class TestPoissonInversion:
-    @pytest.mark.parametrize("mean", [1e-3, 0.5, 4.0, 9.999])
+    @pytest.mark.parametrize("mean", _INVERSION_MEANS)
     def test_matches_vector_loop(self, mean):
         cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)
         for seed, (skip, size) in enumerate([(0, 1), (61, 7), (190, 500), (8126, 3000), (0, 20_000)]):
@@ -257,14 +283,15 @@ class TestPoissonInversion:
             assert got.tolist() == _poisson_inversion_loop(r1.uniform(size), mean, cap).tolist()
             assert r2.uniform() == r1.uniform()
 
-    @pytest.mark.parametrize("mean", [1e-3, 0.5, 4.0, 9.999])
+    @pytest.mark.parametrize("mean", _INVERSION_MEANS)
     def test_cdf_ties_tails_and_forced_cap(self, mean):
         # uniforms on, just below and just above every cdf value, and the
         # largest uniforms, where the cdf has stopped growing below them;
         # above the last cdf value the length of the cdf table is the draw
+        cap = int(mean + 60.0 * math.sqrt(mean) + 60.0)
         prob = c = math.exp(-mean)
         cdf = [c]
-        for j in range(1, 81):
+        for j in range(1, cap + 1):
             prob = prob * (mean / j)
             c = c + prob
             cdf.append(c)
@@ -273,8 +300,22 @@ class TestPoissonInversion:
         u = u[(u > 0.0) & (u < 1.0)]
         below = u <= cdf[-1]
         got = _poisson_inversion(u, mean)
-        assert got[below].tolist() == _poisson_inversion_loop(u[below], mean, 80).tolist()
+        assert got[below].tolist() == _poisson_inversion_loop(u[below], mean, cap).tolist()
         assert np.all(got[~below] == np.argmax(cdf == cdf[-1]) + 1)
+
+    def test_table_is_the_scalar_recurrence_at_many_means(self):
+        # the table equals the scalar cdf bit for bit, and it ends (at the
+        # first repeated cdf value) inside the array it is cut from: a
+        # table value off by one bit moves a draw at a uniform on it or
+        # next to it, and a table cut short moves the draw above it
+        rs = np.random.default_rng(2024)
+        means = np.concatenate([np.geomspace(1e-6, 511.99, 1000), rs.uniform(0.0, 512.0, 1000)])
+        for mean in means[means > 0.0].tolist():
+            cdf = np.array(_poisson_cdf_loop(mean))
+            assert cdf.size < int(mean + 10.0 * math.sqrt(mean) + 40.0)
+            u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [1.0 - 2.0**-53]])
+            u = u[(u > 0.0) & (u < 1.0)]
+            assert np.array_equal(_poisson_inversion(u, mean), np.searchsorted(cdf, u, side="left")), mean
 
 
 class TestDistributions:
@@ -306,6 +347,20 @@ class TestDistributions:
         assert x.mean() == pytest.approx(50.0, abs=3 * math.sqrt(50.0 / 20_000) + 0.2)
         assert x.var() == pytest.approx(50.0, rel=0.1)
 
+    @pytest.mark.parametrize("mean", [15.0, 511.9, 600.0])
+    def test_poisson_chi2_against_scipy(self, mean):
+        # the cdf table below 512, PTRS from 512 on; cells hold at least
+        # 20 expected draws, the tails pooled into the end cells
+        n = 200_000
+        x = Rng(RngSeed(14, int(mean))).poisson(mean, n)
+        ks = np.flatnonzero(n * stats.poisson.pmf(np.arange(2 * int(mean) + 100), mean) >= 20.0)
+        lo, hi = int(ks[0]), int(ks[-1])
+        counts = np.bincount(np.clip(x, lo, hi) - lo, minlength=hi - lo + 1)
+        cdf = stats.poisson.cdf(np.arange(lo, hi), mean)
+        expected = n * np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+        assert expected.min() >= 20.0
+        assert stats.chisquare(counts, expected).pvalue > 1e-3
+
     def test_poisson_moments_at_the_largest_mean(self):
         # at 1e16 PTRS's acceptance test rounded so coarsely that the sd
         # was 1.18 sqrt(mean)
@@ -313,6 +368,14 @@ class TestDistributions:
         x = Rng(RngSeed(13, 0)).poisson(mean, n).astype(np.float64)
         assert abs(x.mean() - mean) <= 4.0 * math.sqrt(mean / n)
         assert x.std() / math.sqrt(mean) == pytest.approx(1.0, abs=0.03)
+
+    def test_size_zero_draws_nothing(self):
+        # PTRS used to raise "need at least one array to concatenate"
+        rng, ref = Rng(RngSeed(15, 0)), Rng(RngSeed(15, 0))
+        for got in (rng.poisson(4.0, 0), rng.poisson(15.0, 0), rng.poisson(600.0, 0), rng.geometric_mean(4.0, 0)):
+            assert got.dtype == np.int64
+            assert got.size == 0
+        assert rng.uniform() == ref.uniform()
 
     def test_geometric_mean_parameterisation(self):
         x = Rng(RngSeed(21, 0)).geometric_mean(4.0, size=100_000)
