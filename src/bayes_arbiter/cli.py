@@ -52,7 +52,7 @@ from .mixture import (
     run_gibbs,
     run_marginal_mh,
 )
-from .rng import Rng, RngSeed
+from .rng import STREAM_LAYOUT, Rng, RngSeed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,6 +106,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "artifacts": digests,
         "wall_time_s": round(wall_time, 3),
         "version": __version__,
+        "stream_layout": STREAM_LAYOUT,
     }
     path = out_dir / "run_manifest.json"
     tmp = out_dir / "run_manifest.json.tmp"
@@ -159,7 +160,7 @@ def _int_like(text: str, least: int = 1) -> int:
 
 
 def _burn_in(text: str) -> int:
-    return _int_like(text, least=0)  # 0 runs without adaptation
+    return _int_like(text, least=0)  # 0 keeps every draw
 
 
 def _float_list(text: str) -> tuple[float, ...]:

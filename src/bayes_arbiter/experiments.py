@@ -126,8 +126,8 @@ class ExperimentConfig:
         if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if self.a0_list is not None:
-            if not all(math.isfinite(a) and a > 0.0 for a in self.a0_list):
-                raise ValueError("a0 values must be positive and finite")
+            for a0 in self.a0_list:
+                MixtureSpec(a0)  # refuses a0 outside (0, 1000]
             if len({_a0_label(a) for a in self.a0_list}) < len(self.a0_list):
                 raise ValueError("a0 values must differ at 10 significant digits")
         if self.lambda_true is not None and not (math.isfinite(self.lambda_true) and self.lambda_true > 0.0):

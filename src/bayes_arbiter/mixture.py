@@ -8,9 +8,9 @@ is needed.
 
 Three independent routes to the same posterior:
 
-* `run_gibbs` - latent-allocation Gibbs with a random-walk Metropolis
-  step on ln(lambda); `run_gibbs_chains` runs many such chains in
-  lockstep,
+* `run_gibbs` - latent-allocation Gibbs in which every step is an exact
+  conditional draw, lambda's through an auxiliary Gamma variable;
+  `run_gibbs_chains` runs many such chains in lockstep,
 * `run_marginal_mh` - Metropolis on (logit alpha, ln lambda) against the
   allocation-marginalized posterior: a prior proposal for logit alpha,
   then a random-walk step on both,
@@ -18,13 +18,13 @@ Three independent routes to the same posterior:
   alpha, Gauss-Legendre in ln lambda), used as the oracle for both.
 
 Both samplers draw a fixed count of values per chain and iteration from
-the chain's own stream, a block of iterations at a time (`LaneBlocks`).
-A Gibbs iteration takes one raw 32-bit word per observation for the
-allocations, then four uniforms: the weight, drawn by inverting the Beta
-cdf, two for the Box-Muller normal of the ln(lambda) step, and the accept
-uniform.  A marginal-MH iteration takes seven uniforms: the prior
-proposal for the weight and its accept uniform, two normals and the
-accept uniform.  The only draw outside that layout is the one
+the chain's own stream.  A Gibbs iteration takes one raw 32-bit word per
+observation for the allocations, then three uniforms: the weight, drawn
+by inverting the Beta cdf, then the auxiliary omega and lambda, each
+drawn by inverting a Gamma cdf.  Gibbs chains draw a block of iterations
+at a time (`LaneBlocks`).  A marginal-MH iteration takes seven uniforms:
+the prior proposal for the weight and its accept uniform, two normals
+and the accept uniform.  The only draw outside that layout is the one
 allocation in 2^32 whose word ties its threshold (see `_allocate`).
 """
 
@@ -34,21 +34,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, expit, log_expit, roots_jacobi
+from scipy.special import betaincinv, expit, gammaincinv, log_expit, logit, roots_jacobi
 
 from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
 from .evidence import _BRACKET_DROP, _REFINEMENT_TOL, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
-from .rng import LaneBlocks, RngSeed, _box_muller
+from .rng import LaneBlocks, Rng, RngSeed, _box_muller
 from .special import log_factorial
 
 _ACCEPTANCE_HEALTHY = (0.05, 0.95)
-# step-size adaptation targets: the 1-D lambda step and the 2-D joint step
-_TARGET_ACCEPTANCE_GIBBS = 0.44
-_TARGET_ACCEPTANCE_MARGINAL = 0.35
+_TARGET_ACCEPTANCE = 0.35  # of marginal MH's adapted joint step
 _INITIAL_STEP = 0.5  # random-walk scale before adaptation
 _ALPHA_NODES = 96  # mixture-weight axis of the 2-D grid
-_LOG_2 = math.log(2.0)
+# Largest a0.  From about 1403 on, the grid oracle's refined (192-node)
+# weight rule has no finite nodes, and near 1e16 betaincinv returns NaN.
+_MAX_A0 = 1000.0
 
 
 # ----------------------------------------------------------------------
@@ -58,13 +58,14 @@ _LOG_2 = math.log(2.0)
 @dataclass(frozen=True)
 class MixtureSpec:
     """Fixed-role (1 = Poisson, 2 = geometric) two-component mixture with
-    one shared mean parameter and a Beta(a0, a0) prior on the weight."""
+    one shared mean parameter and a Beta(a0, a0) prior on the weight,
+    0 < a0 <= 1000."""
 
     a0: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.a0) and self.a0 > 0.0):
-            raise ValueError("a0 must be positive and finite")
+        if not 0.0 < self.a0 <= _MAX_A0:
+            raise ValueError(f"a0 must be positive and at most {_MAX_A0:g}, got {self.a0!r}")
 
 
 @dataclass(frozen=True)
@@ -144,20 +145,6 @@ def _allocation_probability(values, lfact, logit_alpha, u):
     return expit(logit_alpha + (lf1 - lf2))
 
 
-def _log_u_conditional(u: float, n1: int, n2: int, s1: int, s2: int) -> float:
-    # density of u = ln(lambda): lambda^(s1+s2) e^(-n1 lambda) (1+lambda)^-(s2+n2)
-    if u > 690.0:
-        return -math.inf
-    # ln(1 + e^u) by the same operations as np.logaddexp(0.0, u)
-    if u > 0.0:
-        softplus = u + math.log1p(math.exp(-u))
-    elif u < 0.0:
-        softplus = math.log1p(math.exp(u))
-    else:
-        softplus = _LOG_2
-    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * softplus
-
-
 def _allocate(words, p, counts, starts, settle) -> np.ndarray:
     """Component-1 count of each run of observations.
 
@@ -179,73 +166,25 @@ def _allocate(words, p, counts, starts, settle) -> np.ndarray:
     return n1
 
 
+def _lambda_step(lam, n1, m, total, u_omega, u_lambda):
+    """The next lambda given z, from the current one, elementwise.
+
+    lambda | z has density lambda^(S-1) e^(-n1 lambda) (1+lambda)^-m, with
+    S = total and m = s2 + n2.  Given omega | lambda ~ Gamma(m, rate
+    1 + lambda), which is 0 at m = 0, lambda is Gamma(S, rate n1 + omega);
+    each draw inverts its Gamma cdf at its uniform.  S >= 1, and n1 = 0
+    forces m >= 1, so both draws are proper.
+    """
+    # gammaincinv(0, u) is NaN, which fmax replaces by 0
+    omega = np.fmax(gammaincinv(m, u_omega), 0.0) / (1.0 + lam)
+    return gammaincinv(total, u_lambda) / (n1 + omega)
+
+
 def _require_nondegenerate(data: CountDataset) -> None:
     if data.total < 1:
         raise DegeneracyError(
             "all-zero dataset: the 1/lambda prior gives an improper posterior"
         )
-
-
-# ----------------------------------------------------------------------
-# the shared random-walk loop
-
-
-def _random_walk_chains(lanes, xs, sweep, params, config, target_acceptance, seeds, kernel, step_name):
-    """Adapted random-walk Metropolis loop over K chains in lockstep,
-    shared by both samplers.
-
-    `lanes` holds the chains' streams; the last uniform of each chain's
-    iteration is its accept uniform.  `sweep(xs, steps, words, uniforms)`
-    runs one iteration of every chain up to the accept decision and
-    returns per-chain lists of (next point if rejected, next point if
-    accepted, log ratio); `params(x)` maps one chain's point to the
-    recorded (alpha, lambda).  Each chain's step scale is Robbins-Monro
-    adapted toward the target acceptance during burn-in only.
-    """
-    chains = range(len(seeds))
-    kept = config.iterations - config.burn_in
-    alphas = np.empty((len(seeds), kept))
-    lambdas = np.empty((len(seeds), kept))
-    log_steps = [math.log(_INITIAL_STEP)] * len(seeds)
-    accepted = [0] * len(seeds)
-    for it, (words, uniforms) in enumerate(lanes.iterations(config.iterations)):
-        stays, moves, log_ratios = sweep(xs, [math.exp(s) for s in log_steps], words, uniforms)
-        burning = it < config.burn_in
-        if burning:
-            gamma = (it + 1.0) ** -0.6
-        for c in chains:
-            log_ratio = log_ratios[c]
-            accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-            moved = uniforms[c][-1] < accept_prob
-            xs[c] = moves[c] if moved else stays[c]
-            if burning:
-                log_steps[c] += gamma * (accept_prob - target_acceptance)
-            else:
-                accepted[c] += moved
-                alphas[c, it - config.burn_in], lambdas[c, it - config.burn_in] = params(xs[c])
-
-    out = []
-    for c in chains:
-        rate = accepted[c] / kept
-        warnings = ()
-        if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
-            warnings = (
-                f"{step_name} acceptance {rate:.3f} outside "
-                f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
-            )
-        out.append(
-            MixtureChain(
-                alpha_draws=alphas[c],
-                lambda_draws=lambdas[c],
-                iterations=config.iterations,
-                burn_in=config.burn_in,
-                mh_acceptance_rate=rate,
-                seed=seeds[c],
-                kernel=kernel,
-                warnings=warnings,
-            )
-        )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -260,8 +199,8 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     allocation words go to the observations sorted by value; observations
     of one value are exchangeable, so only the count of each value in
     component 1 is drawn.  The allocation step of all chains is one set
-    of array operations over the (chain, distinct value) runs, and the
-    weights of all chains are one Beta inversion.
+    of array operations over the (chain, distinct value) runs, and each
+    of the weight, omega and lambda steps of all chains is one inversion.
     """
     cells = list(cells)
     if not cells:
@@ -269,9 +208,8 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     for data, _, _ in cells:
         _require_nondegenerate(data)
     seeds = [seed for _, _, seed in cells]
-    size_list = [data.n for data, _, _ in cells]
-    sizes = np.array(size_list)
-    totals = [data.total for data, _, _ in cells]
+    sizes = np.array([data.n for data, _, _ in cells])
+    totals = np.array([data.total for data, _, _ in cells])
     a0s = np.array([spec.a0 for _, spec, _ in cells])
     distinct, counts = zip(*(np.unique(data.values, return_counts=True) for data, _, _ in cells))
     chain_starts = np.cumsum([0] + [d.size for d in distinct[:-1]])
@@ -281,37 +219,33 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     starts = np.cumsum(counts) - counts
     lfact = log_factorial(int_values)
     values = int_values.astype(np.float64)
-    # raw words: one per observation; uniforms: the weight, the two of the
-    # ln(lambda)-step normal, the accept uniform
-    lanes = LaneBlocks(seeds, sizes, 4)
-
-    def sweep(xs, steps, words, uniforms):
-        logits = np.array([math.log(a) - math.log1p(-a) for a, _ in xs])[value_chain]
-        vs = np.array([v for _, v in xs])[value_chain]
-        p = _allocation_probability(values, lfact, logits, vs)
+    # raw words: one per observation; uniforms: the weight, omega, lambda
+    lanes = LaneBlocks(seeds, sizes, 3)
+    alpha = np.clip(betaincinv(a0s, a0s, lanes.uniforms()), 1e-12, 1.0 - 1e-12)
+    lam = np.array([data.mean for data, _, _ in cells])
+    kept = config.iterations - config.burn_in
+    alphas, lambdas = np.empty((len(cells), kept)), np.empty((len(cells), kept))
+    for it, (words, uniforms) in enumerate(lanes.iterations(config.iterations)):
+        u_alpha, u_omega, u_lambda = uniforms.T
+        p = _allocation_probability(values, lfact, logit(alpha)[value_chain], np.log(lam)[value_chain])
         in1 = _allocate(words, p, counts, starts, lambda r: lanes.fresh_uniform(value_chain[r]))
-        n1s = np.add.reduceat(in1, chain_starts)
-        s1s = np.add.reduceat(in1 * int_values, chain_starts).tolist()
-        shapes = conditional_alpha(n1s, sizes - n1s, a0s)
-        alphas = betaincinv(*shapes, [u[0] for u in uniforms]).tolist()
-        stays, moves, log_ratios = [], [], []
-        for (_, v), step, (_, u1, u2, _), n, total, n1, s1, alpha in zip(
-            xs, steps, uniforms, size_list, totals, n1s.tolist(), s1s, alphas
-        ):
-            stats = (n1, n - n1, s1, total - s1)
-            alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-            v_prop = _box_muller(v, step, u1, u2)
-            stays.append((alpha, v))
-            moves.append((alpha, v_prop))
-            log_ratios.append(_log_u_conditional(v_prop, *stats) - _log_u_conditional(v, *stats))
-        return stays, moves, log_ratios
-
-    alphas = np.clip(betaincinv(a0s, a0s, lanes.uniforms()), 1e-12, 1.0 - 1e-12).tolist()
-    xs = [(alpha, math.log(data.mean)) for alpha, (data, _, _) in zip(alphas, cells)]
-    return _random_walk_chains(
-        lanes, xs, sweep, lambda x: (x[0], math.exp(x[1])), config,
-        _TARGET_ACCEPTANCE_GIBBS, seeds, "gibbs", "lambda-step",
-    )
+        n1 = np.add.reduceat(in1, chain_starts)
+        s1 = np.add.reduceat(in1 * int_values, chain_starts)
+        # m = s2 + n2, summed in float64: in int64 it can pass 2^63
+        m = np.add(totals - s1, sizes - n1, dtype=np.float64)
+        alpha = betaincinv(*conditional_alpha(n1, sizes - n1, a0s), u_alpha).clip(1e-300, 1.0 - 1e-16)
+        lam = _lambda_step(lam, n1, m, totals, u_omega, u_lambda)
+        if it >= config.burn_in:
+            alphas[:, it - config.burn_in] = alpha
+            lambdas[:, it - config.burn_in] = lam
+    # every step is an exact conditional draw, so every draw is accepted
+    return [
+        MixtureChain(
+            alpha_draws=a, lambda_draws=l, iterations=config.iterations, burn_in=config.burn_in,
+            mh_acceptance_rate=1.0, seed=seed,
+        )
+        for a, l, seed in zip(alphas, lambdas, seeds)
+    ]
 
 
 def run_gibbs(
@@ -320,9 +254,13 @@ def run_gibbs(
     config: McmcConfig = McmcConfig(),
     seed: RngSeed = RngSeed(0),
 ) -> MixtureChain:
-    """Latent-allocation Gibbs sweep: {z | alpha, lambda} -> {alpha | z} -> {lambda | z}.
+    """Latent-allocation Gibbs sweep: {z | alpha, lambda} -> {alpha | z} ->
+    {omega | lambda, z} -> {lambda | omega, z}.
 
-    The lambda step is a Gaussian random walk on ln(lambda).
+    Every step is an exact draw from its conditional, so the chain has no
+    step size to adapt and reports an acceptance rate of 1.  The auxiliary
+    omega turns the Beta-prime factor (1+lambda)^-m of the lambda
+    conditional into a Gamma one (Damien, Wakefield & Walker 1999).
     Deterministic given (data, spec, config, seed).
     """
     return run_gibbs_chains([(data, spec, seed)], config)[0]
@@ -374,31 +312,53 @@ def run_marginal_mh(
         # the 1/lambda prior is flat in ln(lambda).
         return a0 * (float(log_expit(s)) + float(log_expit(-s)))
 
-    def sweep(xs, steps, _, uniforms):
-        (x,), (step,), ((u_prior, u_swap, u1, u2, u3, u4, _),) = xs, steps, uniforms
-        s, v, ll, lf = x
+    s, v = 0.0, math.log(data.mean)
+    lf = _component_log_pmfs(values, lfact, v)
+    ll = loglik(s, lf)
+    log_step = math.log(_INITIAL_STEP)
+    kept = config.iterations - config.burn_in
+    alphas, lambdas = np.empty(kept), np.empty(kept)
+    accepted = 0
+    rng = Rng(seed)
+    for it in range(config.iterations):
+        # the prior proposal and its accept uniform, two per normal of the
+        # joint step, then the joint step's accept uniform
+        u_prior, u_swap, u1, u2, u3, u4, u_accept = rng.uniform(7).tolist()
         # the proposal density is the prior's, so the ratio is the likelihood's
         s_new = _logit_beta_draw(a0, u_prior)
         ll_new = loglik(s_new, lf)
         if ll_new >= ll or u_swap < math.exp(ll_new - ll):
             s, ll = s_new, ll_new
-            x = (s, v, ll, lf)
+        step = math.exp(log_step)
         s_prop = _box_muller(s, step, u1, u2)
         v_prop = _box_muller(v, step, u3, u4)
-        if v_prop > 690.0:
-            return [x], [x], [-math.inf]
-        lf_prop = _component_log_pmfs(values, lfact, v_prop)
-        ll_prop = loglik(s_prop, lf_prop)
-        return [x], [(s_prop, v_prop, ll_prop, lf_prop)], [ll_prop + log_prior(s_prop) - (ll + log_prior(s))]
+        log_ratio = -math.inf  # past v = 690, e^v overflows: reject
+        if v_prop <= 690.0:
+            lf_prop = _component_log_pmfs(values, lfact, v_prop)
+            ll_prop = loglik(s_prop, lf_prop)
+            log_ratio = ll_prop + log_prior(s_prop) - (ll + log_prior(s))
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        moved = u_accept < accept_prob
+        if moved:
+            s, v, ll, lf = s_prop, v_prop, ll_prop, lf_prop
+        if it < config.burn_in:
+            # Robbins-Monro adaptation of the step, during burn-in only
+            log_step += (it + 1.0) ** -0.6 * (accept_prob - _TARGET_ACCEPTANCE)
+        else:
+            accepted += moved
+            alphas[it - config.burn_in], lambdas[it - config.burn_in] = expit(s), math.exp(v)
 
-    v = math.log(data.mean)
-    lf = _component_log_pmfs(values, lfact, v)
-    # uniforms: the prior proposal and its accept uniform, two per normal of
-    # the joint step, then the joint step's accept uniform
-    return _random_walk_chains(
-        LaneBlocks([seed], [0], 7), [(0.0, v, loglik(0.0, lf), lf)], sweep, lambda x: (expit(x[0]), math.exp(x[1])),
-        config, _TARGET_ACCEPTANCE_MARGINAL, [seed], "marginal_mh", "joint-step",
-    )[0]
+    rate = accepted / kept
+    warnings = ()
+    if not _ACCEPTANCE_HEALTHY[0] <= rate <= _ACCEPTANCE_HEALTHY[1]:
+        warnings = (
+            f"joint-step acceptance {rate:.3f} outside "
+            f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
+        )
+    return MixtureChain(
+        alpha_draws=alphas, lambda_draws=lambdas, iterations=config.iterations, burn_in=config.burn_in,
+        mh_acceptance_rate=rate, seed=seed, kernel="marginal_mh", warnings=warnings,
+    )
 
 
 # ----------------------------------------------------------------------

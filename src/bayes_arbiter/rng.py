@@ -36,6 +36,11 @@ from scipy.special import betaincinv, gammaincinv
 
 from .special import log_factorial
 
+# Version of the order in which the samplers read their streams, recorded
+# in each run manifest.  A change that alters what a fixed seed draws on
+# purpose increments it; 1 was the layout with four uniforms per Gibbs
+# iteration.
+STREAM_LAYOUT = 2
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 _BLOCK_WORDS = 1 << 14  # words in the largest refill, and in a lane block of several iterations
@@ -202,14 +207,14 @@ class LaneBlocks:
 
     def iterations(self, count: int):
         """Yield per iteration the raw words of all lanes (one uint32
-        array, lane after lane) and each lane's uniforms (a list of lists)."""
+        array, lane after lane) and each lane's uniforms (one row per lane)."""
         done = 0
         while done < count:
             rows = min(self._iters, count - done)
             self._start = start = self.state
             words = _pcg32_block(start[self._col_lane], self._mult[:rows], self._add[:rows])
             self.state = self._advance(start, rows * self._widths)
-            uniforms = _uniforms(words[:, self._raw_total:]).reshape(rows, *self._shape).tolist()
+            uniforms = _uniforms(words[:, self._raw_total:]).reshape(rows, *self._shape)
             for row in range(rows):
                 self._row = row
                 self._cut = False
@@ -309,7 +314,8 @@ class Rng:
         return _poisson_inversion(self.uniform(size), mean)
 
     def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
-        """Hoermann's transformed rejection with squeeze (PTRS), mean >= 10.
+        """Hoermann's transformed rejection with squeeze (PTRS); `poisson`
+        takes it from mean 512 on, and the method holds from mean 10.
 
         Each candidate is one (u, v) pair of consecutive uniforms.  Pairs
         are judged as arrays, a block at a time straight from the buffer

@@ -318,6 +318,7 @@ class TestExperimentCommand:
         assert manifest["command"] == "experiment lindley"
         assert manifest["seed"] == 4
         assert "wall_time_s" in manifest
+        assert manifest["stream_layout"] == 2
         assert set(manifest["artifacts"]) == {"lindley.csv", "lindley_t_1.96.svg"}
         assert manifest["config"] == {
             "experiment": "lindley", "n_grid": [10, 100, 1000, 10**4, 10**5, 10**6], "t": 1.96,
@@ -367,6 +368,8 @@ EXIT_CODE_TABLE = [
     (("bf", "normal", "--n", "1000000", "--xbar", "10"), 0, ""),
     # a count of 10^8 used to grow a 1 GiB log-factorial table
     (("mixture", "--data", "100000000,3", "--seed", "1", *_MCMC), 0, ""),
+    # a total near 2^63: Gibbs's m = s2 + n2 passes the int64 range
+    (("mixture", "--data", "9223372036854775806,1", "--seed", "1", *_MCMC), 0, ""),
     # sampler means whose draws would leave int64
     ((*_CUTOFF, "--lambda-true", "1e19"), 2, "Poisson mean"),
     ((*_CUTOFF, "--generator", "geometric", "--lambda-true", "1e16"), 2, "geometric mean"),
@@ -382,9 +385,16 @@ EXIT_CODE_TABLE = [
       "--a0-list", "0.5", *_MCMC), 3, "all zero"),
     # every weight at the 1e-300 clip: SVG ticks over a range a few ulps wide
     (("experiment", "fig2", "--seed", "1", "--replicas", "1", "--n-grid", "2", "--a0-list", "1e-320", *_MCMC), 0, ""),
-    # no finite Gauss-Jacobi rule: a NaN refinement passed, a NaN mean printed null
-    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e4", *_MCMC), 4, "Gauss-Jacobi"),
-    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e5", *_MCMC), 4, "Gauss-Jacobi"),
+    # a0 above 1000 is refused.  Past about 1403 the grid check has no
+    # finite Gauss-Jacobi rule (it exited 4; a NaN refinement once passed
+    # and printed null), near 1e16 betaincinv's NaN weights printed null,
+    # and at 1e308 MH warned in logaddexp
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e4", *_MCMC), 2, "at most 1000"),
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--grid-check", "--a0", "1e5", *_MCMC), 2, "at most 1000"),
+    (("mixture", "--data", "1,2,3", "--a0", "1e16", "--iters", "200", "--burn-in", "50", "--seed", "1"), 2, "at most 1000"),
+    (("calibrate", "cutoff", "--a0", "1e16", "--lambda-true", "4", "--n-obs", "3", "--replicas", "20",
+      "--iters", "30", "--burn-in", "10", "--seed", "1"), 2, "at most 1000"),
+    (("mixture", "--data", "1,2,3", "--kernel", "mh", "--a0", "1e308", "--seed", "1", *_MCMC), 2, "at most 1000"),
     # one case of each remaining failure class
     (("bf", "normal", "--n", "1"), 2, "--xbar"),
     (("bf", "poisgeo", "--data", "two"), 2, "expected integers"),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaincinv, log_expit, logsumexp
+from scipy import integrate
+from scipy.special import betaincinv, gammaincinv, log_expit, logit, logsumexp
 
 from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter import rng as rng_module
@@ -12,13 +13,12 @@ from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import AccuracyError, DegeneracyError
 from bayes_arbiter.evidence import _BRACKET_DROP, QuadratureConfig, _panel_nodes
 from bayes_arbiter.mixture import (
-    _INITIAL_STEP,
     McmcConfig,
     MixtureChain,
     MixtureSpec,
     _allocate,
     _allocation_probability,
-    _log_u_conditional,
+    _lambda_step,
     _marginal_loglik,
     _mixture_loglik_grid,
     _mixture_u_bracket,
@@ -33,8 +33,9 @@ from bayes_arbiter.rng import _APOW, _GSUM, Rng, RngSeed
 from bayes_arbiter.special import log_factorial
 
 
-def pinned_dataset(n: int, stream: int = 0, mean: float = 4.0) -> CountDataset:
-    values = Rng(RngSeed(777, stream)).poisson(mean, size=n)
+def pinned_dataset(n: int, stream: int = 0, mean: float = 4.0, geometric: bool = False) -> CountDataset:
+    rng = Rng(RngSeed(777, stream))
+    values = rng.geometric_mean(mean, n) if geometric else rng.poisson(mean, size=n)
     if values.sum() < 1:
         values[0] = 1
     return CountDataset(values)
@@ -58,12 +59,6 @@ def make_chain(alpha_values) -> MixtureChain:
     )
 
 
-def _reference_log_u_conditional(u, n1, n2, s1, s2):
-    if u > 690.0:
-        return -math.inf
-    return (s1 + s2) * u - n1 * math.exp(u) - (s2 + n2) * float(np.logaddexp(0.0, u))
-
-
 class _ReferenceStream:
     """One chain's PCG32 stream, read a few words at a time."""
 
@@ -84,8 +79,8 @@ class _ReferenceStream:
 def _reference_gibbs(data, spec, seed, config):
     """One latent-allocation Gibbs chain, one iteration at a time: n
     allocation words for the observations sorted by value, then the
-    weight, two Box-Muller and the accept uniform, then one uniform per
-    word that ties its threshold."""
+    weight, omega and lambda uniforms, then one uniform per word that ties
+    its threshold."""
     stream = _ReferenceStream(seed)
     x = np.sort(data.values)
     values = x.astype(np.float64)
@@ -93,35 +88,26 @@ def _reference_gibbs(data, spec, seed, config):
     n, total = data.n, data.total
     kept = config.iterations - config.burn_in
     alphas, lambdas = np.empty(kept), np.empty(kept)
-    log_step = math.log(_INITIAL_STEP)
-    accepted = 0
     alpha = min(max(float(betaincinv(spec.a0, spec.a0, stream.uniforms(1)[0])), 1e-12), 1.0 - 1e-12)
-    v = math.log(data.mean)
+    lam = data.mean
     for it in range(config.iterations):
         words = stream.words(n)
-        u_alpha, u1, u2, u_accept = stream.uniforms(4)
-        t = mixture_module._allocation_probability(values, lfact, math.log(alpha) - math.log1p(-alpha), v) * 2.0**32
+        u_alpha, u_omega, u_lambda = stream.uniforms(3)
+        t = mixture_module._allocation_probability(values, lfact, logit(alpha), np.log(lam)) * 2.0**32
         floor = np.minimum(np.floor(t), 2.0**32 - 1.0)
         in1 = words < floor
         for i in np.flatnonzero(words == floor):
             in1[i] = stream.uniforms(1)[0] < t[i] - floor[i]
         n1 = int(in1.sum())
         s1 = int(x[in1].sum())
-        counts = (n1, n - n1, s1, total - s1)
         alpha = float(betaincinv(*conditional_alpha(n1, n - n1, spec.a0), u_alpha))
         alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
-        v_prop = v + math.exp(log_step) * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        log_ratio = _reference_log_u_conditional(v_prop, *counts) - _reference_log_u_conditional(v, *counts)
-        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = u_accept < accept_prob
-        if moved:
-            v = v_prop
-        if it < config.burn_in:
-            log_step += (it + 1.0) ** -0.6 * (accept_prob - 0.44)
-        else:
-            accepted += moved
-            alphas[it - config.burn_in], lambdas[it - config.burn_in] = alpha, math.exp(v)
-    return alphas, lambdas, accepted / kept
+        m = total - s1 + n - n1
+        omega = float(gammaincinv(m, u_omega)) / (1.0 + lam) if m else 0.0
+        lam = float(gammaincinv(total, u_lambda)) / (n1 + omega)
+        if it >= config.burn_in:
+            alphas[it - config.burn_in], lambdas[it - config.burn_in] = alpha, lam
+    return alphas, lambdas
 
 
 def _batch_means_se(draws: np.ndarray, batches: int = 40) -> float:
@@ -131,9 +117,10 @@ def _batch_means_se(draws: np.ndarray, batches: int = 40) -> float:
 
 class TestSpecAndState:
     def test_component_roles_are_fixed(self):
-        for a0 in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        for a0 in (0.0, -1.0, math.nan, math.inf, 1000.0000000001, 1e16, 1e308):
+            with pytest.raises(ValueError, match="a0 must be positive and at most 1000"):
                 MixtureSpec(a0=a0)
+        assert MixtureSpec(a0=1000.0).a0 == 1000.0
 
     def test_mcmc_config_validation(self):
         with pytest.raises(ValueError):
@@ -224,30 +211,49 @@ class TestConditionals:
             assert got.tolist() == [expected] * k
         assert not settled
 
-    def test_log_lambda_conditional_reference(self):
-        # at lambda = 1 (u = 0): s u - n1 e^u - (s2 + n2) ln 2 = -1
-        assert _log_u_conditional(0.0, n1=1, n2=0, s1=1, s2=0) == pytest.approx(-1.0, abs=1e-14)
+    @pytest.mark.parametrize(
+        "n1, n2, s1, s2",
+        [
+            (5, 5, 20, 15),  # both components
+            (10, 0, 30, 0),  # m = 0, every count in component 1: omega = 0
+            (0, 10, 0, 25),  # n1 = 0: omega alone makes the rate positive
+            (1, 50, 2, 150),  # geometric-heavy
+        ],
+    )
+    def test_lambda_step_keeps_the_lambda_conditional(self, n1, n2, s1, s2):
+        # 3000 independent (omega, lambda) chains, 50 steps each from
+        # lambda = 1 on fresh uniforms: the mean and variance of lambda match
+        # those of lambda^(S-1) e^(-n1 lambda) (1+lambda)^-m by quadrature
+        total, m = s1 + s2, s2 + n2
+        lanes, steps = 3000, 50
+        gen = np.random.default_rng([n1, n2, s1, s2])
+        lam = np.ones(lanes)
+        for _ in range(steps):
+            lam = _lambda_step(lam, n1, m, total, gen.random(lanes), gen.random(lanes))
 
-    def test_log_lambda_conditional_degenerate(self):
-        # past u = 690 e^u would overflow: the density is cut to zero there,
-        # so the random walk rejects such a proposal instead of producing NaN
-        assert _log_u_conditional(690.5, n1=4, n2=6, s1=9, s2=11) == -math.inf
-        assert math.isfinite(_log_u_conditional(690.0, n1=4, n2=6, s1=9, s2=11))
+        def log_density(x):
+            return (total - 1) * np.log(x) - n1 * x - m * np.log1p(x)
 
-    def test_log_lambda_conditional_ratio_structure(self):
-        # MH ratios depend only on differences; check against the expanded
-        # form of the density of u = ln(lambda), which is lambda times the
-        # density of lambda
-        n1, n2, s1, s2 = 4, 6, 9, 11
-        l1, l2 = 2.0, 3.5
-        u1, u2 = math.log(l1), math.log(l2)
-        diff = _log_u_conditional(u2, n1, n2, s1, s2) - _log_u_conditional(u1, n1, n2, s1, s2)
-        expected = (
-            (s1 + s2) * math.log(l2 / l1)
-            - n1 * (l2 - l1)
-            - (s2 + n2) * (math.log1p(l2) - math.log1p(l1))
-        )
-        assert diff == pytest.approx(expected, abs=1e-12)
+        grid = np.geomspace(1e-3, 1e3, 2001)
+        mode = grid[np.argmax(log_density(grid))]
+        shift = log_density(mode)
+        raw = [
+            sum(
+                integrate.quad(lambda x: x**k * np.exp(log_density(x) - shift), lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+                for lo, hi in ((0.0, mode), (mode, np.inf))
+            )
+            for k in range(5)
+        ]
+        mean = raw[1] / raw[0]
+        central = [sum(math.comb(k, j) * raw[j] / raw[0] * (-mean) ** (k - j) for j in range(k + 1)) for k in range(5)]
+        var, mu4 = central[2], central[4]
+        if m == 0:  # Gamma(S, rate n1)
+            assert (mean, var) == pytest.approx((total / n1, total / n1**2), rel=1e-9)
+        if n1 == 0:  # Beta-prime(S, m - S)
+            b = m - total
+            assert (mean, var) == pytest.approx((total / (b - 1), total * (m - 1) / ((b - 1) ** 2 * (b - 2))), rel=1e-9)
+        assert abs(lam.mean() - mean) <= 4.0 * math.sqrt(var / lanes)
+        assert abs(lam.var() - var) <= 4.0 * math.sqrt((mu4 - var**2) / lanes)
 
 
 class TestMarginalLikelihood:
@@ -285,26 +291,22 @@ class TestSamplers:
     def _check_lockstep_against_reference(cells, config):
         chains = run_gibbs_chains(cells, config)
         refs = [_reference_gibbs(*cell, config) for cell in cells]
-        for chain, cell, (alphas, lambdas, rate) in zip(chains, cells, refs):
+        for chain, cell, (alphas, lambdas) in zip(chains, cells, refs):
             assert np.array_equal(chain.alpha_draws, alphas)
             assert np.array_equal(chain.lambda_draws, lambdas)
-            assert chain.mh_acceptance_rate == rate
-            assert bool(chain.warnings) == (not 0.05 <= rate <= 0.95)
+            # every step is an exact conditional draw
+            assert (chain.mh_acceptance_rate, chain.warnings) == (1.0, ())
             assert chain.seed == cell[2]
         for chain, back in zip(chains, reversed(run_gibbs_chains(cells[::-1], config))):
             assert np.array_equal(chain.alpha_draws, back.alpha_draws)
             assert np.array_equal(chain.lambda_draws, back.lambda_draws)
-            assert (chain.mh_acceptance_rate, chain.warnings) == (back.mh_acceptance_rate, back.warnings)
         single = run_gibbs(*cells[4][:2], config, cells[4][2])
         assert np.array_equal(single.alpha_draws, chains[4].alpha_draws)
         assert np.array_equal(single.lambda_draws, chains[4].lambda_draws)
-        assert (single.mh_acceptance_rate, single.warnings) == (chains[4].mh_acceptance_rate, chains[4].warnings)
-        return chains
 
     @pytest.mark.parametrize("config", [McmcConfig(1_000, 300), McmcConfig(600, 0)])
     def test_lockstep_chains_match_scalar_reference(self, config):
-        # without adaptation (burn_in = 0) the fixed initial step is far too
-        # wide for the lambda conditional of 3000 counts, and those chains warn
+        # burn_in = 0 keeps every draw from the first iteration on
         sizes = (1, 10, 1000) if config.burn_in else (1, 10, 3000)
         cells = [
             (pinned_dataset(n, stream=i), MixtureSpec(a0), RngSeed(41, i))
@@ -312,9 +314,7 @@ class TestSamplers:
                 (n, a0) for n in sizes for a0 in (0.001, 0.5, 3.0)
             )
         ]
-        chains = self._check_lockstep_against_reference(cells, config)
-        if config.burn_in == 0:
-            assert all(chain.warnings for chain in chains[-3:])
+        self._check_lockstep_against_reference(cells, config)
 
     def test_lockstep_chains_match_reference_when_words_tie(self, monkeypatch):
         # every word in {0, 1, 2, 3} and every threshold 2 + 1/2: a quarter
@@ -349,15 +349,14 @@ class TestSamplers:
             assert 0.0 <= chain.mh_acceptance_rate <= 1.0
 
     def test_unhealthy_acceptance_rate_warns(self):
-        # no burn-in, so no adaptation: the fixed initial step is far wider
-        # than the posterior of 3000 counts, and acceptance stays near zero
+        # no burn-in, so no adaptation: marginal MH's fixed initial step is
+        # far wider than the posterior of 3000 counts, and acceptance stays
+        # near zero
         data = pinned_dataset(3000)
-        cfg = McmcConfig(iterations=1_500, burn_in=0)
-        for runner in (run_gibbs, run_marginal_mh):
-            chain = runner(data, MixtureSpec(0.5), cfg, RngSeed(8, 0))
-            assert chain.mh_acceptance_rate < 0.05
-            assert chain.warnings
-            assert "acceptance" in chain.warnings[0]
+        chain = run_marginal_mh(data, MixtureSpec(0.5), McmcConfig(iterations=1_500, burn_in=0), RngSeed(8, 0))
+        assert chain.mh_acceptance_rate < 0.05
+        assert chain.warnings
+        assert "acceptance" in chain.warnings[0]
 
     def test_degenerate_dataset_rejected(self):
         zeros = CountDataset([0, 0, 0, 0])
@@ -369,7 +368,7 @@ class TestSamplers:
     @settings(max_examples=40, deadline=None)
     @given(log10_a0=st.floats(min_value=-4.0, max_value=3.0), seed=st.integers(min_value=0, max_value=2**32))
     def test_any_a0_gives_weights_in_unit_interval(self, log10_a0, seed):
-        # a0 near 1e-4 underflows both gamma draws of a Beta(a0, a0) draw
+        # from a0 = 1e-4, where most Beta(a0, a0) draws sit within 1e-300 of 0 or 1, to 1000
         a0 = 10.0**log10_a0
         rng = Rng(RngSeed(seed))
         draws = np.array([rng.beta(a0, a0) for _ in range(50)])
@@ -390,12 +389,17 @@ class TestSamplers:
 
     def test_samplers_within_four_batch_means_se_of_grid(self):
         # 12 nonzero Poisson(4) datasets per (a0, n) cell at the desk chain
-        # length; each chain's weight mean must sit within 4 batch-means
-        # standard errors (40 batches) of the grid oracle's.  Without its
-        # prior proposal, marginal MH missed by up to 6.3 at a0 = 0.1.
+        # length, and 12 geometric ones of mean 4 per n at a0 = 0.5, where
+        # Gibbs's lambda step mixes slowest; each chain's weight mean must
+        # sit within 4 batch-means standard errors (40 batches) of the grid
+        # oracle's.  Without its prior proposal, marginal MH missed by up to
+        # 6.3 at a0 = 0.1.
         cells = [
             (pinned_dataset(n, stream=100 + seed), MixtureSpec(a0), RngSeed(2026, seed))
             for a0 in (0.1, 0.5, 1.0) for n in (10, 100) for seed in range(12)
+        ] + [
+            (pinned_dataset(n, stream=200 + seed, geometric=True), MixtureSpec(0.5), RngSeed(2027, seed))
+            for n in (10, 100) for seed in range(12)
         ]
         gibbs = run_gibbs_chains(cells, McmcConfig())
         for (data, spec, seed), chain in zip(cells, gibbs):
@@ -551,6 +555,15 @@ class TestGridPosterior:
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneracyError):
             grid_posterior_alpha(CountDataset([0, 0]), MixtureSpec(0.5))
+
+    def test_weight_rule_without_finite_nodes_raises_accuracy_error(self):
+        # MixtureSpec refuses a0 above 1000; past about 1403 scipy's
+        # Gauss-Jacobi nodes turn NaN, and the rule is refused, not used
+        for k in (mixture_module._ALPHA_NODES, 2 * mixture_module._ALPHA_NODES):
+            nodes, weights = mixture_module._alpha_nodes(1000.0, k)
+            assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+        with pytest.raises(AccuracyError, match="Gauss-Jacobi"):
+            mixture_module._alpha_nodes(1e5, mixture_module._ALPHA_NODES)
 
 
 class TestPosteriorSummary:

@@ -52,7 +52,7 @@ class TestRawStream:
                 for ref, r in zip(refs, raw):
                     expected.extend(ref.take(r))
                 assert words.tolist() == expected
-                assert uniforms == [[_to_uniform(*ref.take(2)), _to_uniform(*ref.take(2))] for ref in refs]
+                assert uniforms.tolist() == [[_to_uniform(*ref.take(2)), _to_uniform(*ref.take(2))] for ref in refs]
                 if it in (1, 2, 7):
                     assert lanes.fresh_uniform(it % 3) == _to_uniform(*refs[it % 3].take(2))
 
@@ -118,8 +118,9 @@ class TestRawStream:
 
 
 def _poisson_ptrs_scalar(rng: Rng, mean: float) -> int:
-    # Hoermann's transformed rejection with squeeze (PTRS), mean >= 10,
-    # one candidate (u, v) pair at a time.
+    # Hoermann's transformed rejection with squeeze (PTRS), one candidate
+    # (u, v) pair at a time; `Rng.poisson` takes it from mean 512 on, and
+    # the method holds from mean 10, where these tests start.
     b = 0.931 + 2.53 * math.sqrt(mean)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
