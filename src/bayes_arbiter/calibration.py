@@ -14,16 +14,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtri
+from scipy.special import fdtri, gammaincinv, ndtri
 
-from .distributions import CountDataset
+from .distributions import CountDataset, count_totals, log_factorial_sums
 from .errors import DegeneracyError, ImproperEvidenceError
-from .evidence import NormalSummary
+from .evidence import NormalSummary, _log_bf01, _log_bf12, log_bf01_lindley, log_bf12_shared_improper
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
 from .rng import Rng, RngSeed
 
 _TIE_RTOL = 1e-12
 _MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
+_BLOCK_VALUES = 1 << 15  # replicate values drawn at once: memory stays flat in n_rep
+_MAX_POSTERIOR_DRAWS = 10**7  # 80 MB
+_REPLICATE_FAMILIES = ("poisson", "geometric")  # model 0 and model 1 of the count tails
 
 
 @dataclass(frozen=True)
@@ -54,174 +57,134 @@ class CalibrationReport:
 
 
 # ----------------------------------------------------------------------
-# model adapters: draw a parameter (prior or posterior), then a replicate
-# dataset of the observed size
+# replicates, a block of parameters and datasets at a time
 
 
-class NormalPointNullModel:
-    """Known-mean model in standardized coordinates: theta pinned at 0,
-    replicates are xbar ~ N(0, 1/n)."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def draw_param_prior(self, rng: Rng) -> float:
-        return 0.0
-
-    def draw_param_posterior(self, observed: NormalSummary, rng: Rng) -> float:
-        return 0.0
-
-    def replicate(self, theta: float, rng: Rng) -> NormalSummary:
-        return NormalSummary(self.n, rng.normal(theta, 1.0 / math.sqrt(self.n)))
-
-
-class NormalUnitPriorModel:
-    """Free-mean model with the conjugate N(0, 1) prior, replicates
-    xbar ~ N(theta, 1/n)."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def draw_param_prior(self, rng: Rng) -> float:
-        return rng.normal(0.0, 1.0)
-
-    def draw_param_posterior(self, observed: NormalSummary, rng: Rng) -> float:
-        n = self.n
-        return rng.normal(n * observed.xbar / (n + 1.0), 1.0 / math.sqrt(n + 1.0))
-
-    def replicate(self, theta: float, rng: Rng) -> NormalSummary:
-        return NormalSummary(self.n, rng.normal(theta, 1.0 / math.sqrt(self.n)))
+def lambda_posterior_draws(data: CountDataset, family: str, size: int, rng: Rng) -> np.ndarray:
+    """At most 10^7 draws of lambda | x under the 1/lambda prior, each the
+    inverse cdf at one uniform of `rng`: Gamma(S, rate n) under Poisson
+    sampling, BetaPrime(S, n) = (S/n) F(2S, 2n) under geometric sampling
+    (B/(1-B) with B ~ Beta(S, n) rounds B to 1 at large S)."""
+    if family not in _REPLICATE_FAMILIES:
+        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
+    if size > _MAX_POSTERIOR_DRAWS:
+        raise ValueError(f"at most {_MAX_POSTERIOR_DRAWS} posterior draws, got {size}")
+    if data.total < 1:
+        raise DegeneracyError("posterior is improper for an all-zero dataset")
+    s = float(data.total)
+    u = rng.uniform(size)
+    if family == "poisson":
+        return gammaincinv(s, u) / data.n
+    return s / data.n * fdtri(2.0 * s, 2.0 * data.n, u)
 
 
-class PoissonImproperMeanModel:
-    """Poisson sampling with the improper 1/lambda prior on the mean."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def draw_param_prior(self, rng: Rng) -> float:
-        raise ImproperEvidenceError(
-            "the 1/lambda prior is improper: no prior predictive exists; "
-            "use mode='posterior'"
-        )
-
-    def draw_param_posterior(self, observed: CountDataset, rng: Rng) -> float:
-        if observed.total < 1:
-            raise DegeneracyError("posterior is improper for an all-zero dataset")
-        # lambda | x ~ Gamma(S, rate n)
-        return rng.gamma(float(observed.total)) / observed.n
-
-    def replicate(self, lam: float, rng: Rng) -> CountDataset:
-        return CountDataset(rng.poisson(lam, size=self.n))
+def _count_rows(family: str, means: np.ndarray, n: int, rng: Rng) -> np.ndarray:
+    """One row of n counts from `family` at each of `means`, row after row from `rng`."""
+    draw = rng.poisson if family == "poisson" else rng.geometric_mean
+    rows = np.empty((means.size, n), dtype=np.int64)
+    for i, mean in enumerate(means.tolist()):
+        rows[i] = draw(mean, n)
+    return rows
 
 
-class GeometricImproperMeanModel:
-    """Mean-parameterised geometric sampling with the 1/lambda prior."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def draw_param_prior(self, rng: Rng) -> float:
-        raise ImproperEvidenceError(
-            "the 1/lambda prior is improper: no prior predictive exists; "
-            "use mode='posterior'"
-        )
-
-    def draw_param_posterior(self, observed: CountDataset, rng: Rng) -> float:
-        if observed.total < 1:
-            raise DegeneracyError("posterior is improper for an all-zero dataset")
-        # lambda | x ~ BetaPrime(S, n) = (S/n) F(2S, 2n), by the F inverse cdf
-        # at one uniform; B/(1-B) with B ~ Beta(S, n) rounds B to 1 at large S
-        s = float(observed.total)
-        return s / self.n * float(fdtri(2.0 * s, 2.0 * self.n, rng.uniform()))
-
-    def replicate(self, lam: float, rng: Rng) -> CountDataset:
-        return CountDataset(rng.geometric_mean(lam, size=self.n))
+def _normal_statistics(observed: NormalSummary, mode: str, model: int, k: int, params: Rng, reps: Rng):
+    """log BF01 of k replicate standardized means under model 0 (theta = 0)
+    or model 1 (theta ~ N(0, 1), or its posterior given the observed z)."""
+    n = observed.n
+    if model == 0:
+        theta = 0.0
+    elif mode == "prior":
+        theta = ndtri(params.uniform(k))
+    else:  # theta | z ~ N(n z / (n+1), 1/(n+1))
+        z = (observed.xbar - observed.theta0) / observed.sigma
+        theta = n * z / (n + 1.0) + ndtri(params.uniform(k)) / math.sqrt(n + 1.0)
+    # a replicate's t statistic is |sqrt(n) zbar|, with sqrt(n) zbar ~ N(sqrt(n) theta, 1)
+    return _log_bf01(n, np.abs(math.sqrt(n) * theta + ndtri(reps.uniform(k))))
 
 
-def _draw_param(model, mode: str, observed, rng: Rng):
-    if mode == "prior":
-        return model.draw_param_prior(rng)
-    try:
-        drawer = model.draw_param_posterior
-    except AttributeError:
-        raise TypeError(
-            f"{type(model).__name__} has no posterior sampler; attach a "
-            "draw_param_posterior(observed, rng) method to use mode='posterior'"
-        ) from None
-    return drawer(observed, rng)
+def _count_statistics(observed: CountDataset, mode: str, model: int, k: int, params: Rng, reps: Rng):
+    """log BF12 of the replicates that are not all zero, among k datasets
+    drawn from the Poisson (model 0) or geometric (model 1) posterior predictive."""
+    family = _REPLICATE_FAMILIES[model]
+    rows = _count_rows(family, lambda_posterior_draws(observed, family, k, params), observed.n, reps)
+    totals = count_totals(rows)
+    valid = totals > 0  # an all-zero dataset has no Bayes factor under the 1/lambda prior
+    return _log_bf12(totals[valid], observed.n, log_factorial_sums(rows[valid]))
 
 
 # ----------------------------------------------------------------------
-# predictive tails of a decision statistic
+# predictive tails of the Bayes factor
 
 
-def _at_least(s: float, s_obs: float) -> bool:
-    """s >= s_obs, counting s within _TIE_RTOL * max(1, |s_obs|) as a tie."""
-    return s >= s_obs - _TIE_RTOL * max(1.0, abs(s_obs))
-
-
-def _tail(model, observed, statistic, s_obs: float, upper: bool, mode: str, n_rep: int, rng: Rng):
-    """Share of n_rep valid replicates of `model` with statistic >= s_obs
-    (upper) or <= s_obs (lower), and the number of degenerate replicates
-    redrawn."""
-    sign = 1.0 if upper else -1.0
-    hits = kept = degenerate = 0
-    while kept < n_rep:
-        theta = _draw_param(model, mode, observed, rng)
-        rep = model.replicate(theta, rng)
-        try:
-            s = float(statistic(rep))
-        except DegeneracyError:
-            degenerate += 1
-            if degenerate > 100 * n_rep:
-                raise
-            continue
-        kept += 1
-        hits += _at_least(sign * s, sign * s_obs)
-    return hits / n_rep, degenerate
+def _at_least(s, s_obs):
+    """s >= s_obs elementwise, counting s within _TIE_RTOL * max(1, |s_obs|) as a tie."""
+    return s >= s_obs - _TIE_RTOL * np.maximum(1.0, np.abs(s_obs))
 
 
 def predictive_bf_tails(
-    observed,
-    model0,
-    model1,
-    statistic,
+    observed: NormalSummary | CountDataset,
     mode: str,
     n_rep: int,
     seed: RngSeed = RngSeed(0),
 ) -> CalibrationReport:
-    """Monte Carlo tail probabilities of `statistic` under both predictives.
+    """Monte Carlo tail probabilities of the observed Bayes factor under both predictives.
 
     p0 = P_model0(statistic(X_rep) >= statistic(observed)),
     p1 = P_model1(statistic(X_rep) <= statistic(observed)),
     parameters drawn from each model's prior (mode='prior') or from its
-    posterior given `observed` (mode='posterior'); ties count.  Any
-    monotone transform of the statistic (BF or log BF) gives the same
-    probabilities.
+    posterior given `observed` (mode='posterior'); ties count.
+
+    * NormalSummary: the statistic is log BF01 of the standardized mean
+      z = (xbar - theta0) / sigma; model 0 is the point null and model 1
+      the unit-prior alternative.
+    * CountDataset: the statistic is log BF12; model 0 is Poisson and
+      model 1 geometric, under the shared 1/lambda prior.  That prior is
+      improper, so mode='prior' raises ImproperEvidenceError, and an
+      all-zero replicate, whose statistic is undefined, is redrawn and
+      counted.
+
+    Tail j draws its parameters from seed.child(j, 0) and its replicates
+    from seed.child(j, 1), a bounded block at a time.
     """
     if mode not in ("prior", "posterior"):
         raise ValueError("mode must be 'prior' or 'posterior'")
     if n_rep < 100:
         raise ValueError("n_rep must be at least 100")
-    s_obs = float(statistic(observed))
-    p0, deg0 = _tail(model0, observed, statistic, s_obs, True, mode, n_rep, Rng(seed.child(0)))
-    p1, deg1 = _tail(model1, observed, statistic, s_obs, False, mode, n_rep, Rng(seed.child(1)))
-    return CalibrationReport(
-        p0=p0,
-        p1=p1,
-        n_rep=n_rep,
-        mode=mode,
-        n_degenerate_p0=deg0,
-        n_degenerate_p1=deg1,
-    )
+    if isinstance(observed, NormalSummary):
+        s_obs = log_bf01_lindley(observed.n, observed.t_statistic).log_bf
+        statistics, block = _normal_statistics, _BLOCK_VALUES
+    elif isinstance(observed, CountDataset):
+        s_obs = log_bf12_shared_improper(observed).log_bf
+        if mode == "prior":
+            raise ImproperEvidenceError(
+                "the 1/lambda prior is improper: no prior predictive exists; "
+                "use mode='posterior'"
+            )
+        statistics, block = _count_statistics, max(1, _BLOCK_VALUES // observed.n)
+    else:
+        raise TypeError("observed must be a NormalSummary or a CountDataset")
+
+    def tail(model: int, sign: float) -> tuple[float, int]:
+        params, reps = Rng(seed.child(model, 0)), Rng(seed.child(model, 1))
+        hits = kept = degenerate = 0
+        while kept < n_rep:
+            # at most the replicates still needed: a block then ends at
+            # the last one needed, as a one-at-a-time pass would
+            k = min(block, n_rep - kept)
+            s = statistics(observed, mode, model, k, params, reps)
+            degenerate += k - s.size
+            if degenerate > 100 * n_rep:
+                raise DegeneracyError(f"more than {100 * n_rep} degenerate replicates redrawn")
+            kept += s.size
+            hits += int(np.count_nonzero(_at_least(sign * s, sign * s_obs)))
+        return hits / n_rep, degenerate
+
+    (p0, deg0), (p1, deg1) = tail(0, 1.0), tail(1, -1.0)
+    return CalibrationReport(p0, p1, n_rep, mode, n_degenerate_p0=deg0, n_degenerate_p1=deg1)
 
 
 # ----------------------------------------------------------------------
 # posterior predictive p-values
-
-
-_REPLICATE_FAMILIES = ("poisson", "geometric")
 
 
 def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) -> tuple[CountDataset, int]:
@@ -255,8 +218,11 @@ def posterior_predictive_pvalue(
     """P(T(X_rep, theta) >= T(x_obs, theta) | x_obs), ties counting.
 
     theta and X_rep are drawn jointly: each replicate picks one posterior
-    draw uniformly, then samples a dataset of the observed size from the
-    family at that draw.  A NaN discrepancy raises ValueError.
+    draw uniformly (stream seed.child(0)), then samples a dataset of the
+    observed size from the family at that draw (stream seed.child(1)).
+    Replicates come a bounded block at a time: `discrepancy(values, params)`
+    maps a (k, n) matrix of datasets and their k parameters to k values.
+    A NaN discrepancy raises ValueError.
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
@@ -266,37 +232,42 @@ def posterior_predictive_pvalue(
     if draws.size == 0:
         raise ValueError("posterior_draws must be non-empty")
     obs_values = observed.values if isinstance(observed, CountDataset) else np.asarray(observed)
-    rng = Rng(seed)
-    draw = rng.poisson if family == "poisson" else rng.geometric_mean
+    n = obs_values.size
+    picks, reps = Rng(seed.child(0)), Rng(seed.child(1))
+    block = max(1, _BLOCK_VALUES // n)
     hits = 0
-    for _ in range(n_rep):
-        lam = float(draws[min(int(rng.uniform() * draws.size), draws.size - 1)])
-        t_rep = float(discrepancy(draw(lam, size=obs_values.size), lam))
-        t_obs = float(discrepancy(obs_values, lam))
-        if math.isnan(t_rep) or math.isnan(t_obs):
-            raise ValueError(f"discrepancy is NaN at parameter {lam:.6g}")
-        hits += _at_least(t_rep, t_obs)
+    for done in range(0, n_rep, block):
+        k = min(block, n_rep - done)
+        lams = draws[np.minimum((picks.uniform(k) * draws.size).astype(np.int64), draws.size - 1)]
+        t_rep, t_obs = (
+            np.broadcast_to(np.asarray(discrepancy(values, lams), dtype=float), (k,))
+            for values in (_count_rows(family, lams, n, reps), np.broadcast_to(obs_values, (k, n)))
+        )
+        nan = np.isnan(t_rep) | np.isnan(t_obs)
+        if nan.any():
+            raise ValueError(f"discrepancy is NaN at parameter {lams[nan.argmax()]:.6g}")
+        hits += int(np.count_nonzero(_at_least(t_rep, t_obs)))
     return hits / n_rep
 
 
-# shipped discrepancy measures; user callables with the same (values,
-# parameter) signature are accepted anywhere these are
+# shipped discrepancy measures, each reducing the last axis; user callables
+# with the same (values, parameters) signature are accepted anywhere these are
 
 
-def discrepancy_mean(values, param) -> float:
-    return float(np.mean(values))
+def discrepancy_mean(values, param):
+    return np.mean(values, axis=-1)
 
 
-def discrepancy_variance(values, param) -> float:
-    return float(np.var(values))
+def discrepancy_variance(values, param):
+    return np.var(values, axis=-1)
 
 
-def discrepancy_max(values, param) -> float:
-    return float(np.max(values))
+def discrepancy_max(values, param):
+    return np.max(values, axis=-1)
 
 
-def discrepancy_zero_count(values, param) -> float:
-    return float(np.sum(np.asarray(values) == 0))
+def discrepancy_zero_count(values, param):
+    return np.count_nonzero(np.asarray(values) == 0, axis=-1)
 
 
 DISCREPANCIES = {

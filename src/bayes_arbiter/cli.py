@@ -16,16 +16,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import (
     DISCREPANCIES,
-    GeometricImproperMeanModel,
-    NormalPointNullModel,
-    NormalUnitPriorModel,
-    PoissonImproperMeanModel,
     bootstrap_alpha_cutoff,
+    lambda_posterior_draws,
     posterior_predictive_pvalue,
     predictive_bf_tails,
 )
@@ -325,25 +320,11 @@ def cmd_calibrate(args) -> int:
             if args.n is None or args.xbar is None:
                 raise _usage_error("--n and --xbar are required with --family normal")
             observed = NormalSummary(args.n, args.xbar)
-            model0 = NormalPointNullModel(args.n)
-            model1 = NormalUnitPriorModel(args.n)
-
-            def statistic(s):
-                return log_bf01_lindley(s.n, s.t_statistic).log_bf
-
             method = "closed_form"
         else:
             observed = _dataset_from_args(args)
-            model0 = PoissonImproperMeanModel(observed.n)
-            model1 = GeometricImproperMeanModel(observed.n)
-
-            def statistic(d):
-                return log_bf12_shared_improper(d).log_bf
-
             method = "closed_form(improper prior)"
-        report = predictive_bf_tails(
-            observed, model0, model1, statistic, mode=args.mode, n_rep=args.n_rep, seed=seed
-        )
+        report = predictive_bf_tails(observed, mode=args.mode, n_rep=args.n_rep, seed=seed)
         _print_json(
             {
                 "what": "tails",
@@ -362,10 +343,7 @@ def cmd_calibrate(args) -> int:
         return EXIT_OK
     if args.what == "pvalue":
         data = _dataset_from_args(args)
-        rng = Rng(seed.child(99))
-        model_type = PoissonImproperMeanModel if args.family == "poisson" else GeometricImproperMeanModel
-        model = model_type(data.n)
-        draws = np.array([model.draw_param_posterior(data, rng) for _ in range(args.posterior_draws)])
+        draws = lambda_posterior_draws(data, args.family, args.posterior_draws, Rng(seed.child(99)))
         p = posterior_predictive_pvalue(
             data, draws, args.family, DISCREPANCIES[args.stat], n_rep=args.n_rep, seed=seed
         )

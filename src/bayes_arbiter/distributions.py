@@ -38,12 +38,7 @@ class CountDataset:
         if top >= 1 << 63:  # 2^63 is exact as a float; 2^63 - 1 would round up to it
             raise ValueError(f"values must fit in int64 (at most {_INT64_MAX})")
         arr = np.ascontiguousarray(arr, dtype=np.int64)
-        total = int(arr.sum())
-        if int(top) > _INT64_MAX // arr.size:
-            # the int64 sum may have wrapped: add exactly
-            total = sum(arr.tolist())
-            if total > _INT64_MAX:
-                raise ValueError(f"the total of the values must fit in int64 (at most {_INT64_MAX})")
+        total = int(count_totals(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "n", int(arr.size))
@@ -55,11 +50,24 @@ class CountDataset:
 
     @property
     def log_factorial_sum(self) -> float:
-        """sum_i ln(x_i!), the base-measure constant of the Poisson likelihood.
+        """sum_i ln(x_i!), the base-measure constant of the Poisson likelihood."""
+        return float(log_factorial_sums(self.values))
 
-        `log_factorial` without its checks: the values are already
-        non-negative int64."""
-        return float(gammaln(self.values + 1.0).sum())
+
+def count_totals(values: np.ndarray) -> np.ndarray:
+    """Totals along the last axis of non-negative int64 counts, exact where
+    they fit in int64; ValueError where one does not."""
+    totals = values.sum(axis=-1)
+    if int(values.max()) > _INT64_MAX // values.shape[-1]:
+        # an int64 sum may have wrapped: add exactly
+        if max(map(sum, values.reshape(-1, values.shape[-1]).tolist())) > _INT64_MAX:
+            raise ValueError(f"the total of the values must fit in int64 (at most {_INT64_MAX})")
+    return totals
+
+
+def log_factorial_sums(values: np.ndarray):
+    """sum ln(x!) along the last axis of non-negative int64 counts (unchecked)."""
+    return gammaln(values + 1.0).sum(axis=-1)
 
 
 def _component_log_pmfs(values, lfact, u):

@@ -106,24 +106,26 @@ class QuadratureConfig:
 # ----------------------------------------------------------------------
 # closed forms
 #
-# log_bf10_normal and log_bf01_lindley route the exponent through one
-# shared expression so that their sum cancels exactly in floating point,
-# not just in algebra.
-
-
-def _half_log1p(n: int) -> float:
-    return 0.5 * math.log1p(float(n))
+# log_bf10_normal negates the expression of log_bf01_lindley, so that
+# their sum cancels exactly in floating point, not just in algebra.
 
 
 def _require_sample_size(n) -> None:
-    if not 1 <= n < math.inf:
-        raise ValueError("n must be a finite number of at least 1")
+    # above 2^1022, 2 (1 + n) in the evidence exponent overflows to inf
+    if not 1 <= n <= 2.0**1022:
+        raise ValueError("n must be a number from 1 to 2^1022")
 
 
-def _evidence_exponent(n: int, t: float) -> float:
+def _require_finite_exponent(n: int, t: float) -> None:
     if not math.isfinite(n * t * t):
         raise ValueError(f"n t^2 overflows at t = {t:.10g}, n = {n:.10g}")
-    return n * t * t / (2.0 * (1.0 + n))
+
+
+def _log_bf01(n, t):
+    """0.5 ln(1+n) - n t^2 / (2 (1+n)) at one t or at an array of them.  An
+    n t^2 past the largest double gives -inf, below every finite value."""
+    with np.errstate(over="ignore"):
+        return 0.5 * math.log1p(float(n)) - n * t * t / (2.0 * (1.0 + n))
 
 
 def log_bf10_normal(summary: NormalSummary) -> LogBayesFactor:
@@ -134,8 +136,9 @@ def log_bf10_normal(summary: NormalSummary) -> LogBayesFactor:
     through the t statistic first.
     """
     t = summary.t_statistic
+    _require_finite_exponent(summary.n, t)
     return LogBayesFactor(
-        log_bf=_evidence_exponent(summary.n, t) - _half_log1p(summary.n),
+        log_bf=-_log_bf01(summary.n, t),
         numerator_model="normal_unit_prior",
         denominator_model="normal_point_null",
     )
@@ -150,8 +153,9 @@ def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
     _require_sample_size(n)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be non-negative and finite")
+    _require_finite_exponent(n, t)
     return LogBayesFactor(
-        log_bf=_half_log1p(n) - _evidence_exponent(n, t),
+        log_bf=_log_bf01(n, t),
         numerator_model="normal_point_null",
         denominator_model="normal_unit_prior",
     )
@@ -194,6 +198,17 @@ def log_marginal_geometric_improper(data: CountDataset) -> LogEvidence:
     return LogEvidence(value, model="geometric")
 
 
+def _log_bf12(total, n: int, log_factorial_sum):
+    """ln Gamma(S+n) - S ln n - sum_i ln(x_i!) - ln Gamma(n) at one total S
+    (an int) or at an array of them, with their log-factorial sums."""
+    return (
+        gammaln(np.asarray(total + n, dtype=float))
+        - total * math.log(n)
+        - log_factorial_sum
+        - gammaln(float(n))
+    )
+
+
 def log_bf12_shared_improper(data: CountDataset) -> LogBayesFactor:
     """Poisson-over-geometric log BF under the shared 1/lambda prior.
 
@@ -201,14 +216,8 @@ def log_bf12_shared_improper(data: CountDataset) -> LogBayesFactor:
     ln Gamma(S+n) - S ln n - sum_i ln(x_i!) - ln Gamma(n).
     """
     _require_positive_total(data)
-    value = (
-        gammaln(float(data.total + data.n))
-        - data.total * math.log(data.n)
-        - data.log_factorial_sum
-        - gammaln(float(data.n))
-    )
     return LogBayesFactor(
-        log_bf=value,
+        log_bf=_log_bf12(data.total, data.n, data.log_factorial_sum),
         numerator_model="poisson",
         denominator_model="geometric",
     )

@@ -39,8 +39,9 @@ from .special import log_factorial
 # Version of the order in which the samplers read their streams, recorded
 # in each run manifest.  A change that alters what a fixed seed draws on
 # purpose increments it; 1 was the layout with four uniforms per Gibbs
-# iteration.
-STREAM_LAYOUT = 2
+# iteration, and 2 drew each predictive replicate of `calibrate tails` and
+# `calibrate pvalue` from one stream with its parameter.
+STREAM_LAYOUT = 3
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 _BLOCK_WORDS = 1 << 14  # words in the largest refill, and in a lane block of several iterations

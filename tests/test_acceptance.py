@@ -16,11 +16,7 @@ import pytest
 from scipy.special import ndtr
 
 from bayes_arbiter import mixture as mixture_module
-from bayes_arbiter.calibration import (
-    NormalPointNullModel,
-    NormalUnitPriorModel,
-    predictive_bf_tails,
-)
+from bayes_arbiter.calibration import predictive_bf_tails
 from bayes_arbiter.cli import main
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.evidence import (
@@ -243,18 +239,7 @@ def test_criterion_9_predictive_tails_analytic():
     n, xbar = 25, 0.3
     observed = NormalSummary(n, xbar)
 
-    def statistic(s):
-        return log_bf01_lindley(s.n, s.t_statistic).log_bf
-
-    rep = predictive_bf_tails(
-        observed,
-        NormalPointNullModel(n),
-        NormalUnitPriorModel(n),
-        statistic,
-        mode="prior",
-        n_rep=10_000,
-        seed=RngSeed(109),
-    )
+    rep = predictive_bf_tails(observed, mode="prior", n_rep=10_000, seed=RngSeed(109))
     t_obs = math.sqrt(n) * abs(xbar)
     p0_exact = 2.0 * ndtr(t_obs) - 1.0  # P0(B01(X) >= b_obs) = P(|Z| <= t_obs)
     gap = abs(rep.p0 - p0_exact)

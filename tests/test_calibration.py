@@ -5,92 +5,41 @@ import pytest
 from scipy import stats
 from scipy.special import betaincinv, gammaincinv, ndtr
 
+from bayes_arbiter import calibration
 from bayes_arbiter.calibration import (
     CalibrationReport,
     DISCREPANCIES,
-    GeometricImproperMeanModel,
-    NormalPointNullModel,
-    NormalUnitPriorModel,
-    PoissonImproperMeanModel,
+    _at_least,
     bootstrap_alpha_cutoff,
     discrepancy_mean,
+    lambda_posterior_draws,
     nonzero_counts,
-    discrepancy_zero_count,
     posterior_predictive_pvalue,
     predictive_bf_tails,
 )
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import DegeneracyError, ImproperEvidenceError
-from bayes_arbiter.evidence import NormalSummary, log_bf01_lindley, log_bf12_shared_improper
+from bayes_arbiter.evidence import NormalSummary, log_bf12_shared_improper
 from bayes_arbiter.mixture import McmcConfig, MixtureSpec, run_gibbs
 from bayes_arbiter.rng import Rng, RngSeed
-
-
-def lindley_statistic(summary: NormalSummary) -> float:
-    return log_bf01_lindley(summary.n, summary.t_statistic).log_bf
 
 
 def log_bf12(data: CountDataset) -> float:
     return log_bf12_shared_improper(data).log_bf
 
 
-class FixedReplicateModel:
-    """Prior-mode model whose every replicate is the same dataset."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def draw_param_prior(self, rng):
-        return None
-
-    def replicate(self, theta, rng):
-        return CountDataset(self.values)
-
-
 class TestPredictiveBfTails:
-    def test_constant_statistic_gives_all_ties(self):
-        obs = NormalSummary(25, 0.3)
-        rep = predictive_bf_tails(
-            obs,
-            NormalPointNullModel(25),
-            NormalUnitPriorModel(25),
-            statistic=lambda s: 1.0,
-            mode="prior",
-            n_rep=500,
-            seed=RngSeed(1),
-        )
-        assert rep.p0 == 1.0
-        assert rep.p1 == 1.0
-
     def test_observed_at_null_boundary(self):
         # xbar = 0 maximises B01; the >= tie set has measure zero under the
         # continuous null and the <= set is everything under the alternative
-        obs = NormalSummary(25, 0.0)
-        rep = predictive_bf_tails(
-            obs,
-            NormalPointNullModel(25),
-            NormalUnitPriorModel(25),
-            statistic=lindley_statistic,
-            mode="prior",
-            n_rep=2_000,
-            seed=RngSeed(2),
-        )
+        rep = predictive_bf_tails(NormalSummary(25, 0.0), mode="prior", n_rep=2_000, seed=RngSeed(2))
         assert rep.p0 == 0.0
         assert rep.p1 == 1.0
 
     def test_prior_mode_matches_gaussian_tail_closed_form(self):
         # under the null, B01(X) >= B01(obs) iff |Z| <= t_obs with Z std normal
         n, xbar = 25, 0.3
-        obs = NormalSummary(n, xbar)
-        rep = predictive_bf_tails(
-            obs,
-            NormalPointNullModel(n),
-            NormalUnitPriorModel(n),
-            statistic=lindley_statistic,
-            mode="prior",
-            n_rep=10_000,
-            seed=RngSeed(3),
-        )
+        rep = predictive_bf_tails(NormalSummary(n, xbar), mode="prior", n_rep=10_000, seed=RngSeed(3))
         t_obs = math.sqrt(n) * abs(xbar)
         p0_exact = 2.0 * ndtr(t_obs) - 1.0
         # under the alternative, t ~ |N(0, n+1)| so B01 <= obs iff |Z| >= t/sqrt(n+1)
@@ -100,63 +49,46 @@ class TestPredictiveBfTails:
 
     def test_small_run_consistent_with_large_run(self):
         obs = NormalSummary(16, 0.4)
-        kwargs = dict(
-            model0=NormalPointNullModel(16),
-            model1=NormalUnitPriorModel(16),
-            statistic=lindley_statistic,
-            mode="prior",
-        )
-        small = predictive_bf_tails(obs, n_rep=10_000, seed=RngSeed(4), **kwargs)
-        big = predictive_bf_tails(obs, n_rep=100_000, seed=RngSeed(5), **kwargs)
+        small = predictive_bf_tails(obs, mode="prior", n_rep=10_000, seed=RngSeed(4))
+        big = predictive_bf_tails(obs, mode="prior", n_rep=100_000, seed=RngSeed(5))
         se = math.sqrt(small.mc_se_p0**2 + big.mc_se_p0**2)
         assert abs(small.p0 - big.p0) <= 3.0 * se
 
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    def test_normal_tails_read_the_standardized_mean(self, mode):
+        # the posterior of theta once took the raw xbar: with theta0 = 1,
+        # p1 read 0.99985 instead of 0.498
+        reports = [
+            predictive_bf_tails(obs, mode=mode, n_rep=20_000, seed=RngSeed(3))
+            for obs in (NormalSummary(25, 0.3), NormalSummary(25, 1.3, theta0=1.0), NormalSummary(25, 0.6, sigma=2.0))
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        # a model-1 replicate's sqrt(n) zbar is N(mean, sd^2), from the prior
+        # N(0, 1) or the posterior N(n z / (n+1), 1/(n+1)) of theta; B01 is at
+        # most the observed one iff its size is at least t = sqrt(n) z
+        n, t = 25, 1.5
+        mean, sd = (0.0, math.sqrt(n + 1.0)) if mode == "prior" else (n * t / (n + 1.0), math.sqrt(1.0 + n / (n + 1.0)))
+        p1_exact = ndtr((-t - mean) / sd) + 1.0 - ndtr((t - mean) / sd)
+        assert abs(reports[0].p1 - p1_exact) <= 3.0 * reports[0].mc_se_p1
+
     def test_posterior_mode_count_models(self):
         obs = CountDataset(Rng(RngSeed(6, 0)).poisson(4.0, size=30))
-        rep = predictive_bf_tails(
-            obs,
-            PoissonImproperMeanModel(30),
-            GeometricImproperMeanModel(30),
-            statistic=lambda d: log_bf12_shared_improper(d).log_bf,
-            mode="posterior",
-            n_rep=400,
-            seed=RngSeed(7),
-        )
+        rep = predictive_bf_tails(obs, mode="posterior", n_rep=400, seed=RngSeed(7))
         assert 0.0 <= rep.p0 <= 1.0
         assert 0.0 <= rep.p1 <= 1.0
         # Poisson data should not look extreme under the Poisson predictive
         assert rep.p0 > 0.05
 
     def test_tie_mass_with_discrete_statistic(self):
-        # zero-count statistic on tiny Poisson data has large tie probability;
+        # log BF12 on tiny datasets takes few values, so ties have mass;
         # both tails must then exceed what strict inequalities would give
-        obs = CountDataset([0, 1, 0, 2, 0])
-        rep = predictive_bf_tails(
-            obs,
-            PoissonImproperMeanModel(5),
-            GeometricImproperMeanModel(5),
-            statistic=lambda d: discrepancy_zero_count(
-                d.values if isinstance(d, CountDataset) else d, None
-            ),
-            mode="posterior",
-            n_rep=4_000,
-            seed=RngSeed(8),
-        )
+        rep = predictive_bf_tails(CountDataset([0, 1, 0, 2, 0]), mode="posterior", n_rep=4_000, seed=RngSeed(8))
         assert rep.p0 + rep.p1 > 1.0  # overlap = tie mass, counted on both sides
 
     def test_degenerate_replicates_redrawn_and_counted(self):
         # observed total of 1 makes all-zero replicates common (the BF is
         # undefined there); they must be redrawn, counted, and not crash
-        obs = CountDataset([1])
-        rep = predictive_bf_tails(
-            obs,
-            PoissonImproperMeanModel(1),
-            GeometricImproperMeanModel(1),
-            statistic=lambda d: log_bf12_shared_improper(d).log_bf,
-            mode="posterior",
-            n_rep=500,
-            seed=RngSeed(23),
-        )
+        rep = predictive_bf_tails(CountDataset([1]), mode="posterior", n_rep=500, seed=RngSeed(23))
         assert rep.n_degenerate_p0 > 50  # about half of the draws degenerate
         assert 0.0 <= rep.p0 <= 1.0
         assert 0.0 <= rep.p1 <= 1.0
@@ -164,59 +96,41 @@ class TestPredictiveBfTails:
     def test_ties_within_rounding_count_on_both_tails(self):
         # both log BF12 values are ln(10/9) in exact arithmetic, but their
         # floating-point evaluations differ in the last bits
-        a, b = [1, 0, 2], [2, 2, 0]
-        assert log_bf12(CountDataset(a)) != log_bf12(CountDataset(b))
-        for obs, other in ((a, b), (b, a)):
-            model = FixedReplicateModel(other)
-            rep = predictive_bf_tails(
-                CountDataset(obs), model, model, statistic=log_bf12, mode="prior", n_rep=100, seed=RngSeed(0)
+        a, b = log_bf12(CountDataset([1, 0, 2])), log_bf12(CountDataset([2, 2, 0]))
+        assert a != b
+        for s, s_obs in ((a, b), (b, a)):
+            for sign in (1.0, -1.0):  # the upper (p0) and the lower (p1) tail
+                assert _at_least(sign * s, sign * s_obs)
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        # [1] redraws about half of its replicates
+        def run():
+            return (
+                predictive_bf_tails(NormalSummary(9, 0.5), mode="prior", n_rep=300, seed=RngSeed(24)),
+                predictive_bf_tails(NormalSummary(9, 0.5), mode="posterior", n_rep=300, seed=RngSeed(24)),
+                predictive_bf_tails(CountDataset([1]), mode="posterior", n_rep=300, seed=RngSeed(24)),
+                posterior_predictive_pvalue(
+                    CountDataset([1, 4, 2]), [1.5, 2.5, 3.0], "geometric", DISCREPANCIES["variance"], 300, RngSeed(24)
+                ),
             )
-            assert (rep.p0, rep.p1) == (1.0, 1.0)
+
+        default = run()
+        assert default[2].n_degenerate_p0 > 50
+        monkeypatch.setattr(calibration, "_BLOCK_VALUES", 1)  # one replicate per block
+        assert run() == default
 
     def test_improper_prior_mode_raises(self):
-        obs = CountDataset([1, 2])
         with pytest.raises(ImproperEvidenceError):
-            predictive_bf_tails(
-                obs,
-                PoissonImproperMeanModel(2),
-                GeometricImproperMeanModel(2),
-                statistic=lambda d: 0.0,
-                mode="prior",
-                n_rep=100,
-                seed=RngSeed(9),
-            )
-
-    def test_missing_posterior_sampler_message(self):
-        class PriorOnly:
-            def draw_param_prior(self, rng):
-                return 1.0
-
-            def replicate(self, lam, rng):
-                return CountDataset([1])
-
-        with pytest.raises(TypeError, match="draw_param_posterior"):
-            predictive_bf_tails(
-                CountDataset([1]),
-                PriorOnly(),
-                PriorOnly(),
-                statistic=lambda d: 0.0,
-                mode="posterior",
-                n_rep=100,
-                seed=RngSeed(10),
-            )
+            predictive_bf_tails(CountDataset([1, 2]), mode="prior", n_rep=100, seed=RngSeed(9))
 
     def test_mode_and_nrep_validation(self):
         obs = NormalSummary(4, 0.0)
         with pytest.raises(ValueError):
-            predictive_bf_tails(
-                obs, NormalPointNullModel(4), NormalUnitPriorModel(4),
-                statistic=lindley_statistic, mode="predictive", n_rep=200,
-            )
+            predictive_bf_tails(obs, mode="predictive", n_rep=200)
         with pytest.raises(ValueError):
-            predictive_bf_tails(
-                obs, NormalPointNullModel(4), NormalUnitPriorModel(4),
-                statistic=lindley_statistic, mode="prior", n_rep=10,
-            )
+            predictive_bf_tails(obs, mode="prior", n_rep=10)
+        with pytest.raises(TypeError, match="NormalSummary or a CountDataset"):
+            predictive_bf_tails([1, 2], mode="posterior", n_rep=100)
 
     def test_mc_se_matches_binomial_formula(self):
         rep = CalibrationReport(p0=0.3, p1=0.8, n_rep=400, mode="prior")
@@ -239,14 +153,13 @@ class TestCountPosteriors:
         # BetaPrime(S, n) under geometric sampling; a clamp at B = 1 - 1e-15
         # put 9% of the geometric draws on one value at S = 1e14
         data = _dataset(total, n)
-        for model, law, stream in (
-            (PoissonImproperMeanModel(n), stats.gamma(total, scale=1.0 / n), 0),
-            (GeometricImproperMeanModel(n), stats.betaprime(total, n), 1),
+        for family, law, stream in (
+            ("poisson", stats.gamma(total, scale=1.0 / n), 0),
+            ("geometric", stats.betaprime(total, n), 1),
         ):
-            rng = Rng(RngSeed(40, stream))
-            draws = np.array([model.draw_param_posterior(data, rng) for _ in range(4000)])
+            draws = lambda_posterior_draws(data, family, 4000, Rng(RngSeed(40, stream)))
             assert np.all(np.isfinite(draws) & (draws > 0.0))
-            assert stats.kstest(draws, law.cdf).pvalue > 0.01, type(model).__name__
+            assert stats.kstest(draws, law.cdf).pvalue > 0.01, family
 
     def test_each_draw_takes_one_uniform(self):
         def after(draw):
@@ -261,8 +174,23 @@ class TestCountPosteriors:
             assert after(lambda r: r.beta(a, b)) == (betaincinv(a, b, u), next_u)
         for total, n in POSTERIOR_CASES:
             data = _dataset(total, n)
-            for model in (PoissonImproperMeanModel(n), GeometricImproperMeanModel(n)):
-                assert after(lambda r: model.draw_param_posterior(data, r))[1] == next_u
+            for family in ("poisson", "geometric"):
+                assert after(lambda r: lambda_posterior_draws(data, family, 1, r))[1] == next_u
+
+    def test_one_call_reads_what_a_loop_reads(self):
+        # `calibrate pvalue` draws --posterior-draws in one call, and its
+        # draws equal those of a loop of one-draw calls on the same stream
+        for total, n in POSTERIOR_CASES:
+            data = _dataset(total, n)
+            for family in ("poisson", "geometric"):
+                rng = Rng(RngSeed(43))
+                loop = np.concatenate([lambda_posterior_draws(data, family, 1, rng) for _ in range(300)])
+                assert np.array_equal(lambda_posterior_draws(data, family, 300, Rng(RngSeed(43))), loop)
+
+    def test_draws_are_bounded(self):
+        # 10^12 draws once grew past 4 GB before anyone stopped them
+        with pytest.raises(ValueError, match="at most 10000000 posterior draws"):
+            lambda_posterior_draws(CountDataset([1, 2]), "poisson", 10**7 + 1, Rng(RngSeed(42)))
 
 
 class TestPosteriorPredictivePvalue:
@@ -301,7 +229,7 @@ class TestPosteriorPredictivePvalue:
         # replicate's is 0.3: a tie that exact comparison would miss
         obs = CountDataset([1, 2, 3])
         p = posterior_predictive_pvalue(
-            obs, [2.0], "poisson", lambda x, t: 0.1 * 3 if x is obs.values else 0.3,
+            obs, [2.0], "poisson", lambda x, t: np.where((x == obs.values).all(axis=-1), 0.1 * 3, 0.3),
             n_rep=100, seed=RngSeed(14),
         )
         assert p == 1.0

@@ -1,11 +1,15 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bayes_arbiter.calibration import bootstrap_alpha_cutoff
 from bayes_arbiter.cli import build_parser, main
@@ -318,7 +322,7 @@ class TestExperimentCommand:
         assert manifest["command"] == "experiment lindley"
         assert manifest["seed"] == 4
         assert "wall_time_s" in manifest
-        assert manifest["stream_layout"] == 2
+        assert manifest["stream_layout"] == 3
         assert set(manifest["artifacts"]) == {"lindley.csv", "lindley_t_1.96.svg"}
         assert manifest["config"] == {
             "experiment": "lindley", "n_grid": [10, 100, 1000, 10**4, 10**5, 10**6], "t": 1.96,
@@ -395,6 +399,8 @@ EXIT_CODE_TABLE = [
     (("calibrate", "cutoff", "--a0", "1e16", "--lambda-true", "4", "--n-obs", "3", "--replicas", "20",
       "--iters", "30", "--burn-in", "10", "--seed", "1"), 2, "at most 1000"),
     (("mixture", "--data", "1,2,3", "--kernel", "mh", "--a0", "1e308", "--seed", "1", *_MCMC), 2, "at most 1000"),
+    # 2 (1 + n) overflowed: log BF01 read 354.598 instead of 354.098
+    (("lindley", "--t", "1", "--n", "1e308"), 2, "from 1 to 2^1022"),
     # one case of each remaining failure class
     (("bf", "normal", "--n", "1"), 2, "--xbar"),
     (("bf", "poisgeo", "--data", "two"), 2, "expected integers"),
@@ -402,6 +408,9 @@ EXIT_CODE_TABLE = [
     (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "2", "--quad-panels", "2"), 4, "accuracy"),
     # numpy's Gauss-Legendre rule overflowed with a traceback (exit 1)
     (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "1e19"), 2, "at most 512"),
+    # 10^12 posterior draws grew past 4 GB, and an array of them ended in a MemoryError traceback
+    (("calibrate", "pvalue", "--data", "3,5,2", "--n-rep", "100", "--posterior-draws", "1e12", "--seed", "1"),
+     2, "at most 10000000 posterior draws"),
 ]
 
 
@@ -465,3 +474,73 @@ def test_library_defaults_written_once(path, dest, target, keyword):
     # only when given, so the default is written once, in the library
     assert inspect.signature(target).parameters[keyword].default is not inspect.Parameter.empty
     assert _subparser(path).get_default(dest) is None
+
+
+# Edge values for the generated argv of calibrate tails|pvalue: numbers for
+# the numeric flags, counts for the data flags (all zero, an int64 total
+# overflow from two counts of 2^62, a count of 2^46), and small bounded sets
+# for --n-rep and --posterior-draws.
+_EDGE_NUMBERS = ("0", "1", "-1", "5e-324", "1e200", "1e300", "1e308", "inf", "-inf", "nan", "x")
+_EDGE_COUNTS = ("0,0,0", "4611686018427387904,4611686018427387904", "70368744177664",
+                "1,70368744177664", "1", "0,1,0,2,0", "3,5,2,4,6,3,4")
+_EDGE_VALUES = {
+    "n_rep": ("0", "1", "200", "-1", "nan", "x"),  # at most 200, to keep examples fast
+    "posterior_draws": ("0", "1", "1e12", "x"),
+    "data": _EDGE_COUNTS,
+    "data_file": tuple(f"counts_{i}.txt" for i in range(len(_EDGE_COUNTS))) + ("missing.txt",),
+}
+# Each flag takes its typical value or an edge value, evenly, so that most
+# examples put one or two edge values into an otherwise valid command.
+_TYPICAL = {"n": "25", "xbar": "0.3", "data": "3,5,2,4,6,3,4", "data_file": "counts_6.txt",
+            "n_rep": "100", "posterior_draws": "200", "seed": "1"}
+_CALIBRATE_FLAGS = {
+    path: [a for a in _subparser(path)._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    for path in (("calibrate", "tails"), ("calibrate", "pvalue"))
+}
+
+
+@st.composite
+def _calibrate_argv(draw):
+    path = draw(st.sampled_from(tuple(_CALIBRATE_FLAGS)))
+    argv = list(path)
+    for action in _CALIBRATE_FLAGS[path]:
+        if action.required or action.dest == "n_rep" or draw(st.integers(0, 3)):  # 3 in 4
+            if action.choices:
+                values = st.sampled_from(action.choices)
+            else:
+                edges = _EDGE_VALUES.get(action.dest, _EDGE_NUMBERS)
+                values = st.just(_TYPICAL[action.dest]) | st.sampled_from(edges)
+            argv += [action.option_strings[-1], draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def count_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("counts")
+    for i, text in enumerate(_EDGE_COUNTS):
+        (directory / f"counts_{i}.txt").write_text(text + "\n", encoding="utf-8")
+    return directory
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_calibrate_argv())
+# replicate statistics whose n t^2 passes the largest double
+@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "0", "--mode", "prior", "--n-rep", "100", "--seed", "1"])
+@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "5e-324", "--n-rep", "100", "--seed", "1"])
+def test_generated_calibrate_argv(count_files, argv):
+    # every argv built from the parser's own flags ends in an answer or a
+    # typed error: exit 0, 2, 3 or 4, never a traceback, a null or a
+    # RuntimeWarning
+    argv = [str(count_files / a) if b == "--data-file" else a for b, a in zip([""] + argv, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert "null" not in out.getvalue() and "NaN" not in out.getvalue(), argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
+from bayes_arbiter.distributions import CountDataset, _component_log_pmfs, count_totals
 from bayes_arbiter.special import log_factorial
 
 
@@ -40,6 +40,11 @@ class TestCountDataset:
         for bad in ([2**62, 2**62], [2**63 - 1, 1], [2**61] * 5):
             with pytest.raises(ValueError, match="total"):
                 CountDataset(bad)
+        # row totals of a replicate matrix: one row past int64 is refused
+        rows = np.array([[2**62, 2**62 - 1], [3, 4]])
+        assert count_totals(rows).tolist() == [2**63 - 1, 7]
+        with pytest.raises(ValueError, match="total"):
+            count_totals(np.array([[3, 4], [2**62, 2**62]]))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -80,7 +80,7 @@ class TestNormalClosedForms:
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match=field):
                     NormalSummary(10, **{"xbar": 0.0, field: bad})
-        for bad in (float("nan"), float("inf"), 0.5):
+        for bad in (float("nan"), float("inf"), 0.5, 1e308):
             with pytest.raises(ValueError, match="n must"):
                 NormalSummary(bad, 0.3)
             with pytest.raises(ValueError, match="n must"):
