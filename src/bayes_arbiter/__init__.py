@@ -19,7 +19,6 @@ from .evidence import (
     LogBayesFactor,
     LogEvidence,
     NormalSummary,
-    QuadratureConfig,
     log_bf01_lindley,
     log_bf10_normal,
     log_bf10_normal_quadrature,
@@ -68,7 +67,6 @@ __all__ = [
     "MixtureChain",
     "MixtureSpec",
     "NormalSummary",
-    "QuadratureConfig",
     "Rng",
     "RngSeed",
     "SummaryTable",

@@ -28,7 +28,6 @@ from .distributions import CountDataset
 from .errors import AccuracyError, DegeneracyError
 from .evidence import (
     NormalSummary,
-    QuadratureConfig,
     log_bf01_lindley,
     log_bf10_normal,
     log_bf12_printed,
@@ -93,12 +92,13 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    digests: dict[str, str], wall_time: float) -> Path:
+                    digests: dict[str, str], n_resimulated: int, wall_time: float) -> Path:
     manifest = {
         "command": command,
         "config": _round10(config),
         "seed": seed,
         "artifacts": digests,
+        "n_resimulated": n_resimulated,
         "wall_time_s": round(wall_time, 3),
         "version": __version__,
         "stream_layout": STREAM_LAYOUT,
@@ -266,9 +266,8 @@ def cmd_bf(args) -> int:
         "methods": [shared.method, printed.method],
     }
     if args.check_quadrature:
-        grid = QuadratureConfig(**_given(args, nodes_per_panel="quad_nodes", max_panels="quad_panels"))
-        q_p = log_marginal_quadrature(data, "poisson", grid=grid)
-        q_g = log_marginal_quadrature(data, "geometric", grid=grid)
+        q_p = log_marginal_quadrature(data, "poisson")
+        q_g = log_marginal_quadrature(data, "geometric")
         out["log_bf12_quadrature"] = q_p.log_evidence - q_g.log_evidence
         out["quadrature_error_estimate"] = max(q_p.error_estimate, q_g.error_estimate)
     _print_json(out)
@@ -416,6 +415,7 @@ def cmd_experiment(args) -> int:
         config=_manifest_config(config),
         seed=args.seed,
         digests=digests,
+        n_resimulated=result.n_resimulated,
         wall_time=wall,
     )
     _print_json(
@@ -459,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-quadrature", action="store_true",
         help="also integrate both marginals numerically and report the BF",
     )
-    p_pg.add_argument("--quad-nodes", type=_int_like)
-    p_pg.add_argument("--quad-panels", type=_int_like)
     p_pg.set_defaults(func=cmd_bf)
 
     # mixture

@@ -3,7 +3,9 @@
 All evidence arithmetic stays in log space.  Every closed form has an
 independent Gauss-Legendre route (`log_marginal_quadrature`,
 `log_bf10_normal_quadrature`) so the algebra can be cross-checked
-numerically rather than trusted.
+numerically rather than trusted.  Both check their rule against a refined
+one and raise AccuracyError when it moves the log integral by more than an
+absolute 1e-8, as it may from count totals of about 1e8 on.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ _COUNT_FAMILIES = ("poisson", "geometric")
 _BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
 _PANEL_WIDTH_SDS = 0.5  # panel width in Laplace standard deviations
 _REFINEMENT_TOL = 1e-8  # a refined rule that moves the answer by more raises AccuracyError
-# Largest Gauss-Legendre rule per panel: numpy builds an n-node rule in
-# O(n^2) or more (0.03 s at 512, 0.12 s at 1024), and 1e19 nodes overflowed.
-_MAX_NODES_PER_PANEL = 512
+_NODES_PER_PANEL = 24  # Gauss-Legendre nodes per panel; the refined rule has 8 more
+_MAX_PANELS = 128
 
 
 # ----------------------------------------------------------------------
-# result and configuration types
+# result types
 
 
 @dataclass(frozen=True)
@@ -79,28 +80,6 @@ class LogBayesFactor:
             return math.exp(self.log_bf)
         except OverflowError:
             return math.inf
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre settings for the evidence oracle and the 2-D grid.
-
-    The support is bracketed automatically where the log-integrand stays
-    within 40 nats of its maximum, then split into at most `max_panels`
-    panels of roughly half a Laplace standard deviation each (at least 8
-    unless `max_panels` is smaller), with `nodes_per_panel` nodes per panel,
-    at most 512.
-    """
-
-    nodes_per_panel: int = 24
-    max_panels: int = 128
-
-    def __post_init__(self):
-        for name in ("nodes_per_panel", "max_panels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.nodes_per_panel > _MAX_NODES_PER_PANEL:
-            raise ValueError(f"nodes_per_panel must be at most {_MAX_NODES_PER_PANEL}")
 
 
 # ----------------------------------------------------------------------
@@ -258,26 +237,18 @@ def posterior_prob_from_log_bf(log_bf: float) -> float:
 def _bracket_support(log_f, center: float, scale: float, drop: float, max_steps: int = 200):
     """Expand left/right from `center` until log_f falls `drop` below its max."""
     g0 = log_f(center)
-    lo = hi = center
-    step = scale
-    for _ in range(max_steps):
-        if log_f(lo - step) < g0 - drop:
-            lo -= step
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise AccuracyError("bracketing failed on the left tail")
-    step = scale
-    for _ in range(max_steps):
-        if log_f(hi + step) < g0 - drop:
-            hi += step
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise AccuracyError("bracketing failed on the right tail")
-    return lo, hi
+    ends = []
+    for side, name in ((-1.0, "left"), (1.0, "right")):
+        end, step = center, scale
+        for _ in range(max_steps):
+            end += side * step
+            if log_f(end) < g0 - drop:
+                break
+            step *= 2.0
+        else:
+            raise AccuracyError(f"bracketing failed on the {name} tail")
+        ends.append(end)
+    return tuple(ends)
 
 
 def _panel_nodes(lo: float, hi: float, panels: int, nodes: int):
@@ -291,44 +262,46 @@ def _panel_nodes(lo: float, hi: float, panels: int, nodes: int):
     return u, wts
 
 
-def _log_integral(log_f, lo: float, hi: float, panels: int, nodes: int) -> float:
-    u, wts = _panel_nodes(lo, hi, panels, nodes)
-    return logsumexp(log_f(u), b=wts)
-
-
-def _count_log_integrand(data: CountDataset, family: str):
-    """Log-integrand on u = ln(lambda); the 1/lambda prior is flat in u."""
-    total = float(data.total)
-    n = float(data.n)
-    const = data.log_factorial_sum
-    if family == "poisson":
-        return lambda u: total * np.asarray(u) - n * np.exp(np.asarray(u)) - const
-    # geometric: lambda^S (1+lambda)^-(S+n); log1p(e^u) via softplus
-    return lambda u: total * np.asarray(u) - (total + n) * np.logaddexp(0.0, np.asarray(u))
-
-
 def _count_bracket(data: CountDataset, family: str, drop: float = _BRACKET_DROP):
-    """(log-integrand, lo, hi, Laplace sd) on u = ln(lambda) for one family."""
-    log_f = _count_log_integrand(data, family)
-    mode = math.log(data.total / data.n)
+    """(log-integrand, lo, hi, Laplace sd) on u = ln(lambda) for one family;
+    the 1/lambda prior is flat in u."""
+    total, n = float(data.total), float(data.n)
     if family == "poisson":
+        const = data.log_factorial_sum
+        log_f = lambda u: total * np.asarray(u) - n * np.exp(np.asarray(u)) - const
         sd = 1.0 / math.sqrt(data.total)
     else:
+        # geometric: lambda^S (1+lambda)^-(S+n); log1p(e^u) via softplus
+        log_f = lambda u: total * np.asarray(u) - (total + n) * np.logaddexp(0.0, np.asarray(u))
         sd = math.sqrt((data.total + data.n) / (data.total * data.n))
-    lo, hi = _bracket_support(log_f, mode, sd, drop)
+    lo, hi = _bracket_support(log_f, math.log(data.total / data.n), sd, drop)
     return log_f, lo, hi, sd
 
 
-def _panel_count(lo: float, hi: float, sd: float, grid: QuadratureConfig) -> int:
-    """Panels of about _PANEL_WIDTH_SDS sds on [lo, hi]: at least 8, at most grid.max_panels."""
-    return min(grid.max_panels, max(8, math.ceil((hi - lo) / (_PANEL_WIDTH_SDS * sd))))
+def _panel_count(lo: float, hi: float, sd: float) -> int:
+    """Panels of about _PANEL_WIDTH_SDS sds on [lo, hi]: at least 8, at most _MAX_PANELS."""
+    return min(_MAX_PANELS, max(8, math.ceil((hi - lo) / (_PANEL_WIDTH_SDS * sd))))
 
 
-def log_marginal_quadrature(
-    data: CountDataset,
-    family: str,
-    grid: QuadratureConfig = QuadratureConfig(),
-) -> LogEvidence:
+def _refined_log_integral(log_f, lo: float, hi: float, sd: float) -> tuple[float, float]:
+    """(ln of the integral of e^log_f on [lo, hi], error estimate) by composite
+    Gauss-Legendre: the rule with 8 more nodes per panel gives the value, and
+    a move above _REFINEMENT_TOL raises AccuracyError with it attached."""
+    panels = _panel_count(lo, hi, sd)
+    coarse, fine = (
+        logsumexp(log_f(u), b=wts)
+        for u, wts in (
+            _panel_nodes(lo, hi, panels, _NODES_PER_PANEL),
+            _panel_nodes(lo, hi, panels, _NODES_PER_PANEL + 8),
+        )
+    )
+    err = abs(fine - coarse)
+    if not math.isfinite(fine) or err > _REFINEMENT_TOL:
+        raise AccuracyError(f"quadrature did not converge (refinement moved by {err:.3e})", estimate=fine)
+    return fine, err
+
+
+def log_marginal_quadrature(data: CountDataset, family: str) -> LogEvidence:
     """Numerical marginal likelihood for a count family, independent of the
     closed forms.
 
@@ -340,37 +313,25 @@ def log_marginal_quadrature(
     if family not in _COUNT_FAMILIES:
         raise ValueError(f"family must be one of {_COUNT_FAMILIES}")
     _require_positive_total(data)
-    log_f, lo, hi, sd = _count_bracket(data, family)
-    panels = _panel_count(lo, hi, sd, grid)
-    coarse = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel)
-    fine = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel + 8)
-    err = abs(fine - coarse)
-    if not math.isfinite(fine) or err > _REFINEMENT_TOL:
-        raise AccuracyError(
-            f"quadrature did not converge (refinement moved by {err:.3e})",
-            estimate=fine,
-        )
-    return LogEvidence(fine, model=family, method="quadrature", error_estimate=err)
+    value, err = _refined_log_integral(*_count_bracket(data, family))
+    return LogEvidence(value, model=family, method="quadrature", error_estimate=err)
 
 
 def log_bf10_normal_quadrature(summary: NormalSummary) -> LogBayesFactor:
     """Quadrature route to log_bf10_normal: integrate the standardized mean
-    likelihood against the unit normal prior, then divide by the null."""
-    grid = QuadratureConfig()
+    likelihood against the unit normal prior, then divide by the null.  A
+    refined rule that moves the integral by more than 1e-8 raises AccuracyError."""
     n = summary.n
     z = (summary.xbar - summary.theta0) / summary.sigma
     samp_sd = 1.0 / math.sqrt(n)
 
     def log_f(mu):
-        mu = np.asarray(mu, dtype=float)
         return log_normal_pdf(z, mu, samp_sd) + log_normal_pdf(mu, 0.0, 1.0)
 
     post_mean = n * z / (n + 1.0)
     post_sd = 1.0 / math.sqrt(n + 1.0)
     half_width = (math.sqrt(2.0 * _BRACKET_DROP) + 2.0) * post_sd
-    lo, hi = post_mean - half_width, post_mean + half_width
-    panels = _panel_count(lo, hi, post_sd, grid)
-    log_m1 = _log_integral(log_f, lo, hi, panels, grid.nodes_per_panel)
+    log_m1, _ = _refined_log_integral(log_f, post_mean - half_width, post_mean + half_width, post_sd)
     log_m0 = log_normal_pdf(z, 0.0, samp_sd)
     return LogBayesFactor(
         log_bf=log_m1 - log_m0,

@@ -126,6 +126,8 @@ class ExperimentConfig:
         if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if self.a0_list is not None:
+            if len(self.a0_list) == 0:
+                raise ValueError("a0_list must be non-empty")
             for a0 in self.a0_list:
                 MixtureSpec(a0)  # refuses a0 outside (0, 1000]
             if len({_a0_label(a) for a in self.a0_list}) < len(self.a0_list):

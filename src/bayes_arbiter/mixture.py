@@ -38,7 +38,7 @@ from scipy.special import betaincinv, expit, gammaincinv, log_expit, logit, root
 
 from .distributions import CountDataset, _component_log_pmfs
 from .errors import AccuracyError, DegeneracyError
-from .evidence import _BRACKET_DROP, _REFINEMENT_TOL, QuadratureConfig, _count_bracket, _panel_count, _panel_nodes
+from .evidence import _BRACKET_DROP, _NODES_PER_PANEL, _REFINEMENT_TOL, _count_bracket, _panel_count, _panel_nodes
 from .rng import LaneBlocks, Rng, RngSeed, _box_muller
 from .special import log_factorial
 
@@ -233,7 +233,8 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
         s1 = np.add.reduceat(in1 * int_values, chain_starts)
         # m = s2 + n2, summed in float64: in int64 it can pass 2^63
         m = np.add(totals - s1, sizes - n1, dtype=np.float64)
-        alpha = betaincinv(*conditional_alpha(n1, sizes - n1, a0s), u_alpha).clip(1e-300, 1.0 - 1e-16)
+        # the Beta(a0 + n1, a0 + n2) shapes of conditional_alpha; MixtureSpec checked a0
+        alpha = betaincinv(a0s + n1, a0s + (sizes - n1), u_alpha).clip(1e-300, 1.0 - 1e-16)
         lam = _lambda_step(lam, n1, m, totals, u_omega, u_lambda)
         if it >= config.burn_in:
             alphas[:, it - config.burn_in] = alpha
@@ -393,11 +394,10 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
     under 1e-13 and ln Z by under 1e-12 (144 datasets, n up to 1000).
     """
     _require_nondegenerate(data)
-    grid = QuadratureConfig()
 
     def evaluate(n_alpha: int, nodes_per_panel: int, drop: float):
         a_nodes, a_wts = _alpha_nodes(spec.a0, n_alpha)
-        lo, hi, panels = _mixture_u_bracket(data, grid, drop)
+        lo, hi, panels = _mixture_u_bracket(data, drop)
         u, u_wts = _panel_nodes(lo, hi, panels, nodes_per_panel)
         # log-likelihood matrix over (alpha node, u node)
         loglik = _mixture_loglik_grid(data, a_nodes, u)
@@ -408,14 +408,10 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
         mass = raw_mass / z
         return a_nodes, a_wts, mass, shift + math.log(z), float(np.sum(mass * a_nodes))
 
-    a_nodes, a_wts, mass, log_z, mean = evaluate(
-        _ALPHA_NODES, grid.nodes_per_panel, _BRACKET_DROP
-    )
+    a_nodes, a_wts, mass, log_z, mean = evaluate(_ALPHA_NODES, _NODES_PER_PANEL, _BRACKET_DROP)
     # refinement pass doubles the weight axis, adds nodes, and widens the
     # bracket, so truncation errors show up as well as rule errors
-    _, _, _, log_z_ref, mean_ref = evaluate(
-        _ALPHA_NODES * 2, grid.nodes_per_panel + 8, _BRACKET_DROP + 20.0
-    )
+    _, _, _, log_z_ref, mean_ref = evaluate(_ALPHA_NODES * 2, _NODES_PER_PANEL + 8, _BRACKET_DROP + 20.0)
     err = max(abs(log_z - log_z_ref), abs(mean - mean_ref))
     if err > _REFINEMENT_TOL:
         raise AccuracyError(
@@ -439,7 +435,7 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
     )
 
 
-def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
+def _mixture_u_bracket(data: CountDataset, drop: float):
     """Support and panel count of the u = ln(lambda) axis, wide enough for any alpha.
 
     Takes the union of the pure-Poisson and pure-geometric brackets (both
@@ -449,7 +445,7 @@ def _mixture_u_bracket(data: CountDataset, grid: QuadratureConfig, drop: float):
     _, lo_p, hi_p, sd_p = _count_bracket(data, "poisson", drop)
     _, lo_g, hi_g, sd_g = _count_bracket(data, "geometric", drop)
     lo, hi = min(lo_p, lo_g), max(hi_p, hi_g)
-    return lo, hi, _panel_count(lo, hi, max(sd_p, sd_g), grid)
+    return lo, hi, _panel_count(lo, hi, max(sd_p, sd_g))
 
 
 def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -> np.ndarray:

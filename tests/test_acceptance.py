@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import betaincinv, ndtr
 
 from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter.calibration import predictive_bf_tails
@@ -174,18 +174,20 @@ def test_criterion_6_conjugacy_exactness(monkeypatch):
         n1s, n2s = np.array(splits).T
         a, b = conditional_alpha(n1s, n2s, np.full(len(splits), a0))
         assert np.array_equal(a, a0 + n1s) and np.array_equal(b, a0 + n2s)
-    # the Gibbs weight step takes its Beta shapes from conditional_alpha
+    # the Gibbs weight step draws from Beta(a0 + n1, a0 + n2), n1 + n2 = n
     calls = []
 
-    def spy(n1, n2, a0):
-        calls.append((n1, n2, a0))
-        return conditional_alpha(n1, n2, a0)
+    def spy(a, b, u):
+        calls.append((float(a[0]) - 0.5, float(b[0]) - 0.5))
+        return betaincinv(a, b, u)
 
-    monkeypatch.setattr(mixture_module, "conditional_alpha", spy)
+    monkeypatch.setattr(mixture_module, "betaincinv", spy)
     data = CountDataset([0, 1, 2, 3, 5, 8])
     run_gibbs(data, MixtureSpec(0.5), McmcConfig(iterations=50, burn_in=10), RngSeed(6))
-    assert len(calls) == 50
-    assert all(n1 + n2 == data.n and a0 == 0.5 for n1, n2, a0 in calls)
+    # the first call draws the starting weight from the Beta(a0, a0) prior
+    assert calls[0] == (0.0, 0.0) and len(calls) == 51
+    calls = calls[1:]
+    assert all(n1.is_integer() and min(n1, n2) >= 0 and n1 + n2 == data.n for n1, n2 in calls)
     elapsed = time.time() - started
     assert elapsed < 1.0
     report(

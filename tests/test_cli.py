@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from bayes_arbiter.calibration import bootstrap_alpha_cutoff
 from bayes_arbiter.cli import build_parser, main
-from bayes_arbiter.evidence import NormalSummary, QuadratureConfig
-from bayes_arbiter.experiments import ExperimentConfig
+from bayes_arbiter.evidence import NormalSummary
+from bayes_arbiter.experiments import SETTINGS, ExperimentConfig
 from bayes_arbiter.mixture import McmcConfig, MixtureSpec, posterior_summary
 
 
@@ -71,14 +71,6 @@ class TestBfCommand:
         out = run_json(capsys, "bf", "poisgeo", "--data", "2,3", "--check-quadrature")
         assert out["log_bf12_quadrature"] == pytest.approx(out["log_bf12_shared"], abs=1e-6)
         assert out["quadrature_error_estimate"] < 1e-8
-
-    def test_starved_quadrature_exit_4(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bf", "poisgeo", "--data", "2,3", "--check-quadrature",
-            "--quad-nodes", "2", "--quad-panels", "2",
-        )
-        assert code == 4
-        assert "accuracy" in err.lower()
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -323,10 +315,19 @@ class TestExperimentCommand:
         assert manifest["seed"] == 4
         assert "wall_time_s" in manifest
         assert manifest["stream_layout"] == 3
+        assert manifest["n_resimulated"] == 0
         assert set(manifest["artifacts"]) == {"lindley.csv", "lindley_t_1.96.svg"}
         assert manifest["config"] == {
             "experiment": "lindley", "n_grid": [10, 100, 1000, 10**4, 10**5, 10**6], "t": 1.96,
         }
+        # at lambda 0.2, 22 of the datasets drawn for n = 1 and 2 were all zero
+        out = run_json(
+            capsys, "experiment", "fig2", "--seed", "3", "--lambda-true", "0.2", "--n-grid", "1,2",
+            "--replicas", "3", "--a0-list", "0.5", "--iters", "200", "--burn-in", "50",
+            "--out", str(tmp_path / "fig2"),
+        )
+        manifest = json.loads((tmp_path / "fig2" / "run_manifest.json").read_text())
+        assert manifest["n_resimulated"] == out["n_resimulated"] == 22
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
@@ -399,15 +400,22 @@ EXIT_CODE_TABLE = [
     (("calibrate", "cutoff", "--a0", "1e16", "--lambda-true", "4", "--n-obs", "3", "--replicas", "20",
       "--iters", "30", "--burn-in", "10", "--seed", "1"), 2, "at most 1000"),
     (("mixture", "--data", "1,2,3", "--kernel", "mh", "--a0", "1e308", "--seed", "1", *_MCMC), 2, "at most 1000"),
+    # an empty prior list: fig3 warned "Mean of empty slice" and exited 2 with
+    # numpy's reduction error, and fig2 wrote a CSV of no rows and exited 0
+    (("experiment", "fig3", "--seed", "1", "--replicas", "1", "--n-grid", "2", "--a0-list", "", *_MCMC),
+     2, "a0_list must be non-empty"),
+    (("experiment", "fig2", "--seed", "1", "--replicas", "1", "--n-grid", "2", "--a0-list", "", *_MCMC),
+     2, "a0_list must be non-empty"),
     # 2 (1 + n) overflowed: log BF01 read 354.598 instead of 354.098
     (("lindley", "--t", "1", "--n", "1e308"), 2, "from 1 to 2^1022"),
     # one case of each remaining failure class
     (("bf", "normal", "--n", "1"), 2, "--xbar"),
     (("bf", "poisgeo", "--data", "two"), 2, "expected integers"),
     (("bf", "poisgeo", "--data", "0,0"), 3, "all-zero"),
-    (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "2", "--quad-panels", "2"), 4, "accuracy"),
-    # numpy's Gauss-Legendre rule overflowed with a traceback (exit 1)
-    (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "1e19"), 2, "at most 512"),
+    # a total of 10^15: the refined rule moves the log marginal by 0.25
+    (("bf", "poisgeo", "--data", "1000000000000000,0,0,0,0", "--check-quadrature"), 4, "refinement moved by"),
+    # the quadrature rule has no settings
+    (("bf", "poisgeo", "--data", "2,3", "--check-quadrature", "--quad-nodes", "2"), 2, "unrecognized arguments"),
     # 10^12 posterior draws grew past 4 GB, and an array of them ended in a MemoryError traceback
     (("calibrate", "pvalue", "--data", "3,5,2", "--n-rep", "100", "--posterior-draws", "1e12", "--seed", "1"),
      2, "at most 10000000 posterior draws"),
@@ -436,8 +444,6 @@ def test_exit_code_table(capsys, tmp_path):
 LIBRARY_FED_FLAGS = [
     (("bf", "normal"), "theta0", NormalSummary, "theta0"),
     (("bf", "normal"), "sigma", NormalSummary, "sigma"),
-    (("bf", "poisgeo"), "quad_nodes", QuadratureConfig, "nodes_per_panel"),
-    (("bf", "poisgeo"), "quad_panels", QuadratureConfig, "max_panels"),
     (("mixture",), "a0", MixtureSpec, "a0"),
     (("mixture",), "iters", McmcConfig, "iterations"),
     (("mixture",), "burn_in", McmcConfig, "burn_in"),
@@ -476,62 +482,100 @@ def test_library_defaults_written_once(path, dest, target, keyword):
     assert _subparser(path).get_default(dest) is None
 
 
-# Edge values for the generated argv of calibrate tails|pvalue: numbers for
-# the numeric flags, counts for the data flags (all zero, an int64 total
-# overflow from two counts of 2^62, a count of 2^46), and small bounded sets
-# for --n-rep and --posterior-draws.
-_EDGE_NUMBERS = ("0", "1", "-1", "5e-324", "1e200", "1e300", "1e308", "inf", "-inf", "nan", "x")
+# Edge values for the generated argv: numbers for the numeric flags
+# (2^53 + 1, 2^63, a non-number and the empty string among them), counts for
+# the data flags (all zero, an int64 total overflow from two counts of 2^62, a
+# count of 2^46, a count of 10^8, a negative count, none), and small bounded
+# sets for the flags that set how long a run is.
+_EDGE_NUMBERS = ("0", "1", "-1", "5e-324", "1e-300", "1e16", "1e200", "1e300", "1e308", "inf", "-inf", "nan",
+                 "9007199254740993", "9223372036854775808", "x", "")
 _EDGE_COUNTS = ("0,0,0", "4611686018427387904,4611686018427387904", "70368744177664",
-                "1,70368744177664", "1", "0,1,0,2,0", "3,5,2,4,6,3,4")
+                "1,70368744177664", "100000000", "-1,2", "", "1", "0,1,0,2,0", "3,5,2,4,6,3,4")
+_CONFIG_FILES = ("a0_list =\n", "n_grid = 1,2\nreplicas = 2\n", "bogus = 1\n", "lambda_true = nan\n")
 _EDGE_VALUES = {
-    "n_rep": ("0", "1", "200", "-1", "nan", "x"),  # at most 200, to keep examples fast
+    "n_rep": ("0", "1", "200", "-1", "nan", "x", ""),  # at most 200, to keep examples fast
     "posterior_draws": ("0", "1", "1e12", "x"),
     "data": _EDGE_COUNTS,
     "data_file": tuple(f"counts_{i}.txt" for i in range(len(_EDGE_COUNTS))) + ("missing.txt",),
+    # experiments: at most n = 5, 3 replicas and 100 iterations
+    "n_grid": ("", "0", "-1", "1", "2,1", "1,1", "1,2,5", "x"),
+    "replicas": ("0", "-1", "1", "3", "nan", "x", ""),
+    "iters": ("0", "1", "2", "100", "x", ""),
+    "burn_in": ("0", "-1", "1", "99", "x", ""),
+    "a0_list": ("", "0", "-1", "1e-320", "1000", "1001", "0.5,0.5", "0.001,1000", "nan", "inf", "x"),
+    "config": tuple(f"config_{i}.cfg" for i in range(len(_CONFIG_FILES))) + ("missing.cfg",),
+    "out": ("out",),
 }
 # Each flag takes its typical value or an edge value, evenly, so that most
 # examples put one or two edge values into an otherwise valid command.
-_TYPICAL = {"n": "25", "xbar": "0.3", "data": "3,5,2,4,6,3,4", "data_file": "counts_6.txt",
-            "n_rep": "100", "posterior_draws": "200", "seed": "1"}
-_CALIBRATE_FLAGS = {
-    path: [a for a in _subparser(path)._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
-    for path in (("calibrate", "tails"), ("calibrate", "pvalue"))
+_TYPICAL = {"n": "25", "xbar": "0.3", "theta0": "0", "sigma": "1", "t": "1.96", "lambda_true": "4",
+            "data": "3,5,2,4,6,3,4", "data_file": f"counts_{len(_EDGE_COUNTS) - 1}.txt",
+            "n_rep": "100", "posterior_draws": "200", "seed": "1", "n_grid": "1,5", "replicas": "2",
+            "iters": "60", "burn_in": "20", "a0_list": "0.5", "config": "config_1.cfg", "out": "out"}
+# flags that set how long a run is: given whenever the command reads them
+_RUN_LENGTH = ("n_rep", "n_grid", "replicas", "iters", "burn_in")
+_ALL_SETTINGS = set().union(*SETTINGS.values())
+_FILE_FLAGS = ("--data-file", "--config", "--out")
+_CALIBRATE_PATHS = (("calibrate", "tails"), ("calibrate", "pvalue"))
+_OTHER_PATHS = (("bf", "normal"), ("bf", "poisgeo"), ("lindley",), ("experiment",))
+_FLAGS = {
+    path: [a for a in _subparser(path)._actions if not isinstance(a, argparse._HelpAction)]
+    for path in _CALIBRATE_PATHS + _OTHER_PATHS
 }
 
 
+def _unread(name, dest):
+    """Whether experiment `name` refuses flag `dest`, a setting it does not read."""
+    setting = {"iters": "mcmc", "burn_in": "mcmc"}.get(dest, dest)
+    return name is not None and setting in _ALL_SETTINGS and setting not in SETTINGS[name]
+
+
 @st.composite
-def _calibrate_argv(draw):
-    path = draw(st.sampled_from(tuple(_CALIBRATE_FLAGS)))
+def _generated_argv(draw, paths):
+    path = draw(st.sampled_from(paths))
     argv = list(path)
-    for action in _CALIBRATE_FLAGS[path]:
-        if action.required or action.dest == "n_rep" or draw(st.integers(0, 3)):  # 3 in 4
-            if action.choices:
-                values = st.sampled_from(action.choices)
-            else:
-                edges = _EDGE_VALUES.get(action.dest, _EDGE_NUMBERS)
-                values = st.just(_TYPICAL[action.dest]) | st.sampled_from(edges)
-            argv += [action.option_strings[-1], draw(values)]
+    name = None  # the experiment drawn
+    for action in _FLAGS[path]:
+        if not action.option_strings:  # the experiment's name
+            name = draw(st.sampled_from(tuple(action.choices)))
+            argv.append(name)
+            continue
+        unread = _unread(name, action.dest)
+        if action.required or (action.dest in _RUN_LENGTH and not unread):
+            given = True
+        elif unread:  # refused by name; 1 in 8
+            given = draw(st.integers(0, 7)) == 0
+        else:  # 3 in 4
+            given = draw(st.integers(0, 3)) > 0
+        if not given:
+            continue
+        argv.append(action.option_strings[-1])
+        if action.nargs == 0:  # --check-quadrature
+            continue
+        if action.choices:
+            values = st.sampled_from(action.choices)
+        else:
+            edges = _EDGE_VALUES.get(action.dest, _EDGE_NUMBERS)
+            values = st.just(_TYPICAL[action.dest]) | st.sampled_from(edges)
+        argv.append(draw(values))
     return argv
 
 
 @pytest.fixture(scope="module")
-def count_files(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("counts")
+def argv_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("argv")
     for i, text in enumerate(_EDGE_COUNTS):
         (directory / f"counts_{i}.txt").write_text(text + "\n", encoding="utf-8")
+    for i, text in enumerate(_CONFIG_FILES):
+        (directory / f"config_{i}.cfg").write_text(text, encoding="utf-8")
     return directory
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(argv=_calibrate_argv())
-# replicate statistics whose n t^2 passes the largest double
-@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "0", "--mode", "prior", "--n-rep", "100", "--seed", "1"])
-@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "5e-324", "--n-rep", "100", "--seed", "1"])
-def test_generated_calibrate_argv(count_files, argv):
+def _check_generated(files, argv):
     # every argv built from the parser's own flags ends in an answer or a
     # typed error: exit 0, 2, 3 or 4, never a traceback, a null or a
     # RuntimeWarning
-    argv = [str(count_files / a) if b == "--data-file" else a for b, a in zip([""] + argv, argv)]
+    argv = [str(files / a) if b in _FILE_FLAGS else a for b, a in zip([""] + argv, argv)]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -544,3 +588,56 @@ def test_generated_calibrate_argv(count_files, argv):
     assert "Traceback" not in err.getvalue(), argv
     assert "null" not in out.getvalue() and "NaN" not in out.getvalue(), argv
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=_generated_argv(_CALIBRATE_PATHS))
+# replicate statistics whose n t^2 passes the largest double
+@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "0", "--mode", "prior", "--n-rep", "100", "--seed", "1"])
+@example(argv=["calibrate", "tails", "--n", "1e300", "--xbar", "5e-324", "--n-rep", "100", "--seed", "1"])
+def test_generated_calibrate_argv(argv_files, argv):
+    _check_generated(argv_files, argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_generated_argv(_OTHER_PATHS))
+def test_generated_bf_lindley_experiment_argv(argv_files, argv):
+    _check_generated(argv_files, argv)
+
+
+def _without(argv, flag):
+    """argv less `flag` and its value."""
+    if flag not in argv:
+        return argv
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def _single_edge_argvs(path):
+    """A typical command of `path` with one flag set to one edge value, for
+    every flag, every edge value and, for experiment, every name.  Random
+    argv rarely puts one given edge value into an otherwise valid command."""
+    (names,) = [tuple(a.choices) for a in _FLAGS[path] if not a.option_strings] or [(None,)]
+    for name in names:
+        typical = list(path) + ([name] if name else [])
+        for action in _FLAGS[path]:
+            # --data stands for --data-file, and the experiment defaults for --config
+            if action.dest in _TYPICAL and action.dest not in ("data_file", "config") \
+                    and not _unread(name, action.dest):
+                typical += [action.option_strings[-1], _TYPICAL[action.dest]]
+        for action in _FLAGS[path]:
+            if not action.option_strings:
+                continue
+            flag = action.option_strings[-1]
+            base = _without(_without(typical, flag), "--data" if flag == "--data-file" else flag)
+            if action.nargs == 0:  # --check-quadrature
+                yield base + [flag]
+                continue
+            for value in action.choices or _EDGE_VALUES.get(action.dest, _EDGE_NUMBERS):
+                yield base + [flag, value]
+
+
+@pytest.mark.parametrize("path", _CALIBRATE_PATHS + _OTHER_PATHS, ids=" ".join)
+def test_single_edge_argv(argv_files, path):
+    for argv in _single_edge_argvs(path):
+        _check_generated(argv_files, argv)

@@ -9,9 +9,9 @@ from scipy.special import gammaln
 from bayes_arbiter.distributions import CountDataset
 from bayes_arbiter.errors import AccuracyError, ImproperEvidenceError
 from bayes_arbiter.evidence import (
+    _MAX_PANELS,
     _REFINEMENT_TOL,
     NormalSummary,
-    QuadratureConfig,
     _panel_count,
     log_bf01_lindley,
     log_bf10_normal,
@@ -187,22 +187,21 @@ class TestQuadratureOracle:
             log_marginal_quadrature(CountDataset([0]), "poisson")
 
     def test_unconverged_raises_accuracy_error(self):
-        d = CountDataset([2, 3])
-        starved = QuadratureConfig(nodes_per_panel=2, max_panels=2)
-        with pytest.raises(AccuracyError) as exc:
-            log_marginal_quadrature(d, "geometric", grid=starved)
-        assert exc.value.estimate is not None
+        # at a total of 10^15 the log integrals are so large that the refined
+        # rule moves them by far more than the absolute 1e-8 bound
+        for family, moved in (("poisson", "2.500e-01"), ("geometric", "2.998e-01")):
+            with pytest.raises(AccuracyError, match=f"refinement moved by {moved}") as exc:
+                log_marginal_quadrature(CountDataset([10**15, 0, 0, 0, 0]), family)
+            assert math.isfinite(exc.value.estimate)
+        # the normal oracle checks its refinement too
+        with pytest.raises(AccuracyError, match="refinement moved by 6.104e-05") as exc:
+            log_bf10_normal_quadrature(NormalSummary(10**15, 1e6))
+        assert math.isfinite(exc.value.estimate)
 
     def test_max_panels_is_a_cap(self):
         # the floor of 8 panels applies first, then the cap
-        assert _panel_count(0.0, 1.0, 1.0, QuadratureConfig(max_panels=3)) == 3
-        assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig(max_panels=3)) == 3
-        assert _panel_count(0.0, 1.0, 1.0, QuadratureConfig()) == 8
-        assert _panel_count(0.0, 100.0, 0.1, QuadratureConfig()) == 128
-        for args, name in (((0, 8), "nodes_per_panel"), ((24, 0), "max_panels"), ((513, 8), "at most 512")):
-            with pytest.raises(ValueError, match=name):
-                QuadratureConfig(*args)
-        assert QuadratureConfig(512).nodes_per_panel == 512
+        assert _panel_count(0.0, 1.0, 1.0) == 8
+        assert _panel_count(0.0, 100.0, 0.1) == _MAX_PANELS == 128
 
 
 class TestPosteriorModelProbabilities:

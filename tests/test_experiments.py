@@ -44,6 +44,8 @@ class TestConfig:
             ExperimentConfig("fig2", n_grid=(10,), lambda_true=float("inf"))
         with pytest.raises(ValueError, match="a0"):
             ExperimentConfig("fig2", n_grid=(10,), a0_list=(0.5, 0.5))
+        with pytest.raises(ValueError, match="a0_list must be non-empty"):
+            ExperimentConfig("fig3", n_grid=(10,), a0_list=())
         with pytest.raises(ValueError, match="t must"):
             ExperimentConfig("lindley", n_grid=(10,), t=float("nan"))
         # a setting the experiment does not read is refused by name

@@ -11,7 +11,7 @@ from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter import rng as rng_module
 from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import AccuracyError, DegeneracyError
-from bayes_arbiter.evidence import _BRACKET_DROP, QuadratureConfig, _panel_nodes
+from bayes_arbiter.evidence import _BRACKET_DROP, _NODES_PER_PANEL, _panel_nodes
 from bayes_arbiter.mixture import (
     McmcConfig,
     MixtureChain,
@@ -466,9 +466,8 @@ def _recording(kernel, grids):
 def _base_log_normalizer(data, a0, loglik):
     """ln Z of `loglik` over the grid oracle's first (unrefined) grid."""
     _, a_wts = mixture_module._alpha_nodes(a0, mixture_module._ALPHA_NODES)
-    grid = QuadratureConfig()
-    lo, hi, panels = _mixture_u_bracket(data, grid, _BRACKET_DROP)
-    _, u_wts = _panel_nodes(lo, hi, panels, grid.nodes_per_panel)
+    lo, hi, panels = _mixture_u_bracket(data, _BRACKET_DROP)
+    _, u_wts = _panel_nodes(lo, hi, panels, _NODES_PER_PANEL)
     return logsumexp(loglik, b=a_wts[:, None] * u_wts[None, :])
 
 
@@ -535,7 +534,7 @@ class TestGridPosterior:
         from bayes_arbiter.evidence import _panel_nodes
 
         alphas = np.linspace(1e-4, 1 - 1e-4, 4001)
-        lo, hi, panels = _mixture_u_bracket(data, QuadratureConfig(), 40.0)
+        lo, hi, panels = _mixture_u_bracket(data, 40.0)
         u, w = _panel_nodes(lo, hi, panels, 24)
         loglik = _mixture_loglik_grid(data, alphas, u)
         marg = (np.exp(loglik - loglik.max()) * w[None, :]).sum(axis=1)
