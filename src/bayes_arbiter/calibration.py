@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtri, gammaincinv, ndtri
 
-from .distributions import CountDataset, count_totals, log_factorial_sums
+from .distributions import COUNT_FAMILIES, CountDataset, count_totals, log_factorial_sums
 from .errors import DegeneracyError, ImproperEvidenceError
 from .evidence import NormalSummary, _log_bf01, _log_bf12, log_bf01_lindley, log_bf12_shared_improper
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
@@ -26,7 +26,7 @@ _TIE_RTOL = 1e-12
 _MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
 _BLOCK_VALUES = 1 << 15  # replicate values drawn at once: memory stays flat in n_rep
 _MAX_POSTERIOR_DRAWS = 10**7  # 80 MB
-_REPLICATE_FAMILIES = ("poisson", "geometric")  # model 0 and model 1 of the count tails
+_MAX_SIMULATED_COUNTS = 10**7  # 80 MB of int64 counts in one simulated dataset
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def lambda_posterior_draws(data: CountDataset, family: str, size: int, rng: Rng)
     inverse cdf at one uniform of `rng`: Gamma(S, rate n) under Poisson
     sampling, BetaPrime(S, n) = (S/n) F(2S, 2n) under geometric sampling
     (B/(1-B) with B ~ Beta(S, n) rounds B to 1 at large S)."""
-    if family not in _REPLICATE_FAMILIES:
-        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
+    if family not in COUNT_FAMILIES:
+        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
     if size > _MAX_POSTERIOR_DRAWS:
         raise ValueError(f"at most {_MAX_POSTERIOR_DRAWS} posterior draws, got {size}")
     if data.total < 1:
@@ -105,7 +105,7 @@ def _normal_statistics(observed: NormalSummary, mode: str, model: int, k: int, p
 def _count_statistics(observed: CountDataset, mode: str, model: int, k: int, params: Rng, reps: Rng):
     """log BF12 of the replicates that are not all zero, among k datasets
     drawn from the Poisson (model 0) or geometric (model 1) posterior predictive."""
-    family = _REPLICATE_FAMILIES[model]
+    family = COUNT_FAMILIES[model]  # model 0 and model 1 of the count tails
     rows = _count_rows(family, lambda_posterior_draws(observed, family, k, params), observed.n, reps)
     totals = count_totals(rows)
     valid = totals > 0  # an all-zero dataset has no Bayes factor under the 1/lambda prior
@@ -194,8 +194,8 @@ def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) 
     the dataset and the number of all-zero sets redrawn.  If all
     _MAX_ATTEMPTS attempts are all-zero, raises DegeneracyError.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= _MAX_SIMULATED_COUNTS:
+        raise ValueError(f"n must be at least 1 and at most {_MAX_SIMULATED_COUNTS} counts, got {n}")
     for attempt in range(_MAX_ATTEMPTS):
         rng = Rng(seed.child(*path, attempt))
         draw = rng.poisson if family == "poisson" else rng.geometric_mean
@@ -226,8 +226,8 @@ def posterior_predictive_pvalue(
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
-    if family not in _REPLICATE_FAMILIES:
-        raise ValueError(f"family must be one of {_REPLICATE_FAMILIES}")
+    if family not in COUNT_FAMILIES:
+        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
     draws = np.asarray(posterior_draws, dtype=float)
     if draws.size == 0:
         raise ValueError("posterior_draws must be non-empty")
@@ -311,8 +311,8 @@ def bootstrap_alpha_cutoff(
     All-zero simulated datasets are redrawn (fresh stream) and counted;
     the replicas' chains then run in lockstep, one `run_gibbs_chains` call.
     """
-    if generator not in _REPLICATE_FAMILIES:
-        raise ValueError(f"generator must be one of {_REPLICATE_FAMILIES}")
+    if generator not in COUNT_FAMILIES:
+        raise ValueError(f"generator must be one of {COUNT_FAMILIES}")
     if summary not in ("mean", "median"):
         raise ValueError("summary must be 'mean' or 'median'")
     if not (math.isfinite(lambda_true) and lambda_true > 0.0):

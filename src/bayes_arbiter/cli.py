@@ -24,7 +24,7 @@ from .calibration import (
     posterior_predictive_pvalue,
     predictive_bf_tails,
 )
-from .distributions import CountDataset
+from .distributions import COUNT_FAMILIES, CountDataset
 from .errors import AccuracyError, DegeneracyError
 from .evidence import (
     NormalSummary,
@@ -496,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pv = cal_sub.add_parser("pvalue", help="posterior predictive p-value")
     p_pv.add_argument("--data")
     p_pv.add_argument("--data-file")
-    p_pv.add_argument("--family", choices=("poisson", "geometric"), default="poisson")
+    p_pv.add_argument("--family", choices=COUNT_FAMILIES, default="poisson")
     p_pv.add_argument("--stat", choices=tuple(DISCREPANCIES), default="mean")
     p_pv.add_argument("--n-rep", type=_int_like, default=10_000)
     p_pv.add_argument("--posterior-draws", type=_int_like, default=2_000)
     p_pv.add_argument("--seed", type=_int_like, required=True)
     p_pv.set_defaults(func=cmd_calibrate)
     p_cut = cal_sub.add_parser("cutoff", help="parametric-bootstrap weight cutoff")
-    p_cut.add_argument("--generator", choices=("poisson", "geometric"), default="poisson")
+    p_cut.add_argument("--generator", choices=COUNT_FAMILIES, default="poisson")
     p_cut.add_argument("--lambda-true", type=float, default=4.0)
     p_cut.add_argument("--n-obs", type=_int_like, required=True)
     p_cut.add_argument("--replicas", type=_int_like, default=20)

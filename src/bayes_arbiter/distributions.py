@@ -70,6 +70,9 @@ def log_factorial_sums(values: np.ndarray):
     return gammaln(values + 1.0).sum(axis=-1)
 
 
+COUNT_FAMILIES = ("poisson", "geometric")  # in the order of _component_log_pmfs's pair
+
+
 def _component_log_pmfs(values, lfact, u):
     """(Poisson, geometric) log pmfs of `values` at the shared mean e^u.
 

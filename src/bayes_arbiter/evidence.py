@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, gammaln, logsumexp
 
-from .distributions import CountDataset
+from .distributions import COUNT_FAMILIES, CountDataset
 from .errors import AccuracyError, ImproperEvidenceError
 from .special import log_normal_pdf
 
-_COUNT_FAMILIES = ("poisson", "geometric")
 _BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
 _PANEL_WIDTH_SDS = 0.5  # panel width in Laplace standard deviations
 _REFINEMENT_TOL = 1e-8  # a refined rule that moves the answer by more raises AccuracyError
@@ -310,8 +309,8 @@ def log_marginal_quadrature(data: CountDataset, family: str) -> LogEvidence:
     error estimate is the change under a refined rule; exceeding 1e-8
     raises AccuracyError with the estimate attached.
     """
-    if family not in _COUNT_FAMILIES:
-        raise ValueError(f"family must be one of {_COUNT_FAMILIES}")
+    if family not in COUNT_FAMILIES:
+        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
     _require_positive_total(data)
     value, err = _refined_log_integral(*_count_bracket(data, family))
     return LogEvidence(value, model=family, method="quadrature", error_estimate=err)

@@ -25,7 +25,9 @@ drawn by inverting a Gamma cdf.  Gibbs chains draw a block of iterations
 at a time (`LaneBlocks`).  A marginal-MH iteration takes seven uniforms:
 the prior proposal for the weight and its accept uniform, two normals
 and the accept uniform.  The only draw outside that layout is the one
-allocation in 2^32 whose word ties its threshold (see `_allocate`).
+allocation in 2^32 whose word ties its threshold: the k-th word of a
+chain's j-th distinct value in iteration `it` takes the first uniform of
+`seed.child(it, j, k)`.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def _allocate(words, p, counts, starts, settle) -> np.ndarray:
     Run r is the counts[r] observations from starts[r] on, all with
     P(component 1) = p[r], and words[i] is observation i's raw 32-bit word.
     With t = p 2^32, a word below floor(t) puts its observation in
-    component 1, and a word equal to it (probability 2^-32) does so when
-    the fresh uniform settle(r) is below t - floor(t): the probability is
+    component 1, and the k-th word of run r equal to it (probability 2^-32)
+    does so when settle(r, k) is below t - floor(t): the probability is
     t / 2^32 = p exactly.  floor(t) is capped at 2^32 - 1, where the
     fraction is 1, so p = 1 still gives component 1 always.
     """
@@ -162,7 +164,7 @@ def _allocate(words, p, counts, starts, settle) -> np.ndarray:
     n1 = np.add.reduceat(words < thresholds, starts)
     for i in (words == thresholds).nonzero()[0]:
         r = np.searchsorted(starts, i, side="right") - 1
-        n1[r] += settle(r) < t[r] - floor[r]
+        n1[r] += settle(r, i - starts[r]) < t[r] - floor[r]
     return n1
 
 
@@ -217,6 +219,7 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     int_values = np.concatenate(distinct)
     counts = np.concatenate(counts)
     starts = np.cumsum(counts) - counts
+    value_index = np.arange(int_values.size) - chain_starts[value_chain]  # j of each run
     lfact = log_factorial(int_values)
     values = int_values.astype(np.float64)
     # raw words: one per observation; uniforms: the weight, omega, lambda
@@ -228,7 +231,10 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     for it, (words, uniforms) in enumerate(lanes.iterations(config.iterations)):
         u_alpha, u_omega, u_lambda = uniforms.T
         p = _allocation_probability(values, lfact, logit(alpha)[value_chain], np.log(lam)[value_chain])
-        in1 = _allocate(words, p, counts, starts, lambda r: lanes.fresh_uniform(value_chain[r]))
+        in1 = _allocate(
+            words, p, counts, starts,
+            lambda r, k: Rng(seeds[value_chain[r]].child(it, value_index[r], k)).uniform(),
+        )
         n1 = np.add.reduceat(in1, chain_starts)
         s1 = np.add.reduceat(in1 * int_values, chain_starts)
         # m = s2 + n2, summed in float64: in int64 it can pass 2^63
@@ -370,8 +376,11 @@ def _alpha_nodes(a0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Jacobi absorbs the Beta(a0,a0) kernel, so a0 < 1 endpoint
     # singularities cost nothing; constants cancel in normalization.
     # Above a0 of about 1e4 scipy's Newton iteration for the nodes breaks
-    # down into NaN; that rule is refused here rather than warned about.
-    with np.errstate(invalid="ignore"):
+    # down into NaN, and below about 1e-12 it divides by zero; those rules
+    # are refused here rather than warned about.
+    if a0 - 1.0 == -1.0:
+        raise AccuracyError(f"no Gauss-Jacobi rule for the weight at a0 = {a0:.10g}: a0 - 1 rounds to -1")
+    with np.errstate(divide="ignore", invalid="ignore"):
         x, w = roots_jacobi(k, a0 - 1.0, a0 - 1.0)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise AccuracyError(f"no finite {k}-node Gauss-Jacobi rule for the weight at a0 = {a0:.10g}")
@@ -385,7 +394,7 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
     composite Gauss-Legendre on u = ln(lambda) over a bracketed support.
     A refined grid that moves the log normalizer or the mean by more than
     1e-8 raises AccuracyError with the mean attached, and so does a weight
-    rule whose nodes are not finite (a0 above about 1e4).
+    rule whose nodes are not finite (a0 above about 1e4 or below 1e-12).
 
     The log-likelihood on each grid is `_mixture_loglik_grid`: per cell,
     max(ln f1, ln f2) plus ln(alpha e1 + (1-alpha) e2) with e1, e2 <= 1,

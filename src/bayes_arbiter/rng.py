@@ -22,7 +22,8 @@ for bit.  An `Rng` turns each block into a buffer of uniforms; a fresh
 stream's first block is 64 uniforms, and each refill doubles it up to
 8192, so a stream costs about what it draws.  `LaneBlocks` draws the
 streams of many lockstep chains together, a block of iterations at a
-time, with a fixed number of words per chain and iteration.
+time, with a fixed number of words per chain and iteration.  They are the
+only code that reads a stream.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from .special import log_factorial
 # Version of the order in which the samplers read their streams, recorded
 # in each run manifest.  A change that alters what a fixed seed draws on
 # purpose increments it; 1 was the layout with four uniforms per Gibbs
-# iteration, and 2 drew each predictive replicate of `calibrate tails` and
-# `calibrate pvalue` from one stream with its parameter.
-STREAM_LAYOUT = 3
+# iteration, 2 drew each predictive replicate of `calibrate tails` and
+# `calibrate pvalue` from one stream with its parameter, and 3 settled a tied
+# Gibbs word from the chain's own stream and ended PTRS at its last pair.
+STREAM_LAYOUT = 4
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 _BLOCK_WORDS = 1 << 14  # words in the largest refill, and in a lane block of several iterations
@@ -153,21 +155,17 @@ class LaneBlocks:
     next raw[c] words of lane c as raw 32-bit words, then the next
     2 * `uniforms` words as that many uniforms.  A block holds as many
     whole iterations as fit in 2^14 words over all lanes, and at least
-    one.  `fresh_uniform` draws one more uniform from a lane just past
-    the current iteration, and the next block starts after it.  Every
-    lane thus reads its stream in an order fixed by its own draws alone,
-    whatever the other lanes and wherever blocks start: a chain run with
-    others draws what it draws alone.
+    one.  Every lane thus reads its stream in an order fixed by its own
+    draws alone, whatever the other lanes and wherever blocks start: a
+    chain run with others draws what it draws alone.
     """
 
     def __init__(self, seeds, raw, uniforms: int):
         lanes = len(seeds)
-        self.state, inc = (np.array(v, dtype=np.uint64) for v in zip(*map(_seed_state, seeds)))
-        self._inc = inc
+        self.state, self._inc = (np.array(v, dtype=np.uint64) for v in zip(*map(_seed_state, seeds)))
         raw = np.asarray(raw, dtype=np.int64)
         self._widths = raw + 2 * uniforms
         self._raw_total = int(raw.sum())
-        self._shape = (lanes, uniforms)
         self._iters = max(1, _BLOCK_WORDS // int(self._widths.sum()))
         # columns: every lane's raw words, lane after lane, then every
         # lane's uniform words; steps past the state at the block's start
@@ -182,47 +180,25 @@ class LaneBlocks:
         self._apow, self._gsum = (_APOW, _GSUM) if most <= _BLOCK_WORDS else _jump_tables(most)
         self._col_lane = col_lane
         self._mult = self._apow[steps]
-        self._add = self._gsum[steps] * inc[col_lane]
-        self._start = self.state
-        self._row = 0
-        self._cut = False
+        self._add = self._gsum[steps] * self._inc[col_lane]
 
-    def _advance(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        return self._apow[steps] * start + self._gsum[steps] * self._inc
-
-    def uniforms(self, lanes=slice(None)) -> np.ndarray:
-        """The next uniform of each of the given lanes (all by default)."""
-        state = self.state[lanes]
-        inc = self._inc[lanes]
-        words = _pcg32_block(state[:, None], self._apow[:2], self._gsum[:2] * inc[:, None])
-        self.state[lanes] = self._apow[2] * state + self._gsum[2] * inc
+    def uniforms(self) -> np.ndarray:
+        """The next uniform of each lane."""
+        words = _pcg32_block(self.state[:, None], _APOW[:2], _GSUM[:2] * self._inc[:, None])
+        self.state = _APOW[2] * self.state + _GSUM[2] * self._inc
         return _uniforms(words)[:, 0]
-
-    def fresh_uniform(self, lane: int) -> float:
-        """One more uniform of `lane`, drawn past the current iteration;
-        the block ends with that iteration."""
-        if not self._cut:
-            self.state = self._advance(self._start, (self._row + 1) * self._widths)
-            self._cut = True
-        return float(self.uniforms([lane])[0])
 
     def iterations(self, count: int):
         """Yield per iteration the raw words of all lanes (one uint32
         array, lane after lane) and each lane's uniforms (one row per lane)."""
-        done = 0
-        while done < count:
+        for done in range(0, count, self._iters):
             rows = min(self._iters, count - done)
-            self._start = start = self.state
-            words = _pcg32_block(start[self._col_lane], self._mult[:rows], self._add[:rows])
-            self.state = self._advance(start, rows * self._widths)
-            uniforms = _uniforms(words[:, self._raw_total:]).reshape(rows, *self._shape)
+            words = _pcg32_block(self.state[self._col_lane], self._mult[:rows], self._add[:rows])
+            steps = rows * self._widths
+            self.state = self._apow[steps] * self.state + self._gsum[steps] * self._inc
+            uniforms = _uniforms(words[:, self._raw_total:]).reshape(rows, self.state.size, -1)
             for row in range(rows):
-                self._row = row
-                self._cut = False
                 yield words[row, : self._raw_total], uniforms[row]
-                done += 1
-                if self._cut:
-                    break
 
 
 def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
@@ -318,11 +294,10 @@ class Rng:
         """Hoermann's transformed rejection with squeeze (PTRS); `poisson`
         takes it from mean 512 on, and the method holds from mean 10.
 
-        Each candidate is one (u, v) pair of consecutive uniforms.  Pairs
-        are judged as arrays, a block at a time straight from the buffer
-        and never across a refill; the cursor then moves past exactly the
-        pairs that a one-candidate-at-a-time loop would have used, so the
-        stream and the draws are the same as that loop's.
+        Each candidate is one (u, v) pair of consecutive uniforms.  A round
+        draws up to 4096 pairs, judges them as arrays and keeps the accepted
+        ones in order, up to the number still needed: the draws are those of
+        a one-pair-at-a-time loop, and the stream ends past the last round.
         """
         b = 0.931 + 2.53 * math.sqrt(mean)
         a = -0.059 + 0.02483 * b
@@ -332,15 +307,7 @@ class Rng:
         draws = [np.empty(0)]  # what size 0 concatenates to
         need = size
         while need:
-            pairs = (self._buf.shape[0] - self._pos) // 2
-            if pairs:
-                m = min(pairs, need + need // 4 + 4)
-                uv = self._buf[self._pos : self._pos + 2 * m]
-            else:
-                # fewer than two uniforms left: the next pair may straddle
-                # the refill, and it is used whatever it holds
-                m = 1
-                uv = self.uniform(2)
+            uv = self.uniform(2 * min(need + need // 4 + 4, 4096))
             u = uv[0::2] - 0.5
             v = uv[1::2]
             us = 0.5 - np.abs(u)
@@ -353,11 +320,7 @@ class Rng:
                 # math.log: np.log differs from it in the last bit on some inputs
                 lhs = np.array([math.log(r) for r in ratio.tolist()])
                 accept[idx] = lhs <= k[idx] * log_mean - mean - lf
-            hits = np.flatnonzero(accept[:m])[:need]
-            if hits.size == need:
-                m = hits[-1] + 1
-            if pairs:
-                self._pos += 2 * m
+            hits = np.flatnonzero(accept)[:need]
             draws.append(k[hits])
             need -= hits.size
         return np.concatenate(draws).astype(np.int64)

@@ -275,6 +275,14 @@ class TestNonzeroCounts:
         with pytest.raises(ValueError, match="n must be at least 1"):
             bootstrap_alpha_cutoff(MixtureSpec(0.5), "poisson", 4.0, 0, 20)
 
+    def test_refuses_more_than_ten_million_counts(self):
+        # 10^16 counts filled memory block by block before the refusal
+        for n in (10**7 + 1, 10**16):
+            with pytest.raises(ValueError, match="at most 10000000 counts"):
+                nonzero_counts("poisson", 4.0, n, RngSeed(1))
+        with pytest.raises(ValueError, match="at most 10000000 counts"):
+            bootstrap_alpha_cutoff(MixtureSpec(0.5), "geometric", 4.0, 10**16, 20)
+
 
 @pytest.fixture(scope="module")
 def poisson_cutoff():

@@ -314,7 +314,7 @@ class TestExperimentCommand:
         assert manifest["command"] == "experiment lindley"
         assert manifest["seed"] == 4
         assert "wall_time_s" in manifest
-        assert manifest["stream_layout"] == 3
+        assert manifest["stream_layout"] == 4
         assert manifest["n_resimulated"] == 0
         assert set(manifest["artifacts"]) == {"lindley.csv", "lindley_t_1.96.svg"}
         assert manifest["config"] == {
@@ -419,6 +419,19 @@ EXIT_CODE_TABLE = [
     # 10^12 posterior draws grew past 4 GB, and an array of them ended in a MemoryError traceback
     (("calibrate", "pvalue", "--data", "3,5,2", "--n-rep", "100", "--posterior-draws", "1e12", "--seed", "1"),
      2, "at most 10000000 posterior draws"),
+    # 10^16 simulated counts filled memory block by block until it ran out
+    (("experiment", "fig2", "--seed", "1", "--n-grid", "1e16", "--replicas", "1", "--a0-list", "0.5",
+      "--iters", "60", "--burn-in", "20"), 2, "at most 10000000 counts"),
+    (("experiment", "fig3", "--seed", "1", "--n-grid", "1e16", "--replicas", "1", "--a0-list", "0.5",
+      "--iters", "60", "--burn-in", "20"), 2, "at most 10000000 counts"),
+    (("calibrate", "cutoff", "--n-obs", "1e16", "--replicas", "20", "--iters", "60", "--burn-in", "20",
+      "--seed", "1"), 2, "at most 10000000 counts"),
+    # a0 - 1 rounds to -1: scipy refused the Gauss-Jacobi exponent (exit 2)
+    (("mixture", "--data", "1,2,3", "--a0", "1e-300", "--iters", "60", "--burn-in", "20", "--seed", "1",
+      "--grid-check"), 4, "a0 - 1 rounds to -1"),
+    # the Gauss-Jacobi nodes divided by zero, with a RuntimeWarning, before exit 4
+    (("mixture", "--data", "1,2,3", "--a0", "1e-13", "--iters", "60", "--burn-in", "20", "--seed", "1",
+      "--grid-check"), 4, "no finite 96-node Gauss-Jacobi rule"),
 ]
 
 
@@ -497,12 +510,15 @@ _EDGE_VALUES = {
     "posterior_draws": ("0", "1", "1e12", "x"),
     "data": _EDGE_COUNTS,
     "data_file": tuple(f"counts_{i}.txt" for i in range(len(_EDGE_COUNTS))) + ("missing.txt",),
-    # experiments: at most n = 5, 3 replicas and 100 iterations
-    "n_grid": ("", "0", "-1", "1", "2,1", "1,1", "1,2,5", "x"),
-    "replicas": ("0", "-1", "1", "3", "nan", "x", ""),
+    # experiments and calibrate cutoff: at most n = 5, 20 replicas and 100
+    # iterations, apart from sizes refused before any draw
+    "n_grid": ("", "0", "-1", "1", "2,1", "1,1", "1,2,5", "1e16", "x"),
+    "n_obs": ("0", "-1", "1", "5", "1e16", "nan", "x", ""),
+    "replicas": ("0", "-1", "1", "3", "20", "nan", "x", ""),
     "iters": ("0", "1", "2", "100", "x", ""),
     "burn_in": ("0", "-1", "1", "99", "x", ""),
     "a0_list": ("", "0", "-1", "1e-320", "1000", "1001", "0.5,0.5", "0.001,1000", "nan", "inf", "x"),
+    "quantiles": ("", "0", "1", "-0.1", "1.5", "0.5,0.5", "nan", "inf", "x"),
     "config": tuple(f"config_{i}.cfg" for i in range(len(_CONFIG_FILES))) + ("missing.cfg",),
     "out": ("out",),
 }
@@ -511,17 +527,25 @@ _EDGE_VALUES = {
 _TYPICAL = {"n": "25", "xbar": "0.3", "theta0": "0", "sigma": "1", "t": "1.96", "lambda_true": "4",
             "data": "3,5,2,4,6,3,4", "data_file": f"counts_{len(_EDGE_COUNTS) - 1}.txt",
             "n_rep": "100", "posterior_draws": "200", "seed": "1", "n_grid": "1,5", "replicas": "2",
-            "iters": "60", "burn_in": "20", "a0_list": "0.5", "config": "config_1.cfg", "out": "out"}
+            "iters": "60", "burn_in": "20", "a0_list": "0.5", "config": "config_1.cfg", "out": "out",
+            "a0": "0.5", "quantiles": "0.1,0.5,0.9", "n_obs": "5", "q": "0.1"}
+# calibrate cutoff needs 20 replicas, where experiments keep 2
+_TYPICAL_BY_PATH = {("calibrate", "cutoff"): {"replicas": "20"}}
 # flags that set how long a run is: given whenever the command reads them
 _RUN_LENGTH = ("n_rep", "n_grid", "replicas", "iters", "burn_in")
 _ALL_SETTINGS = set().union(*SETTINGS.values())
 _FILE_FLAGS = ("--data-file", "--config", "--out")
 _CALIBRATE_PATHS = (("calibrate", "tails"), ("calibrate", "pvalue"))
 _OTHER_PATHS = (("bf", "normal"), ("bf", "poisgeo"), ("lindley",), ("experiment",))
+_MCMC_PATHS = (("mixture",), ("calibrate", "cutoff"))
 _FLAGS = {
     path: [a for a in _subparser(path)._actions if not isinstance(a, argparse._HelpAction)]
-    for path in _CALIBRATE_PATHS + _OTHER_PATHS
+    for path in _CALIBRATE_PATHS + _OTHER_PATHS + _MCMC_PATHS
 }
+
+
+def _typical(path, dest):
+    return _TYPICAL_BY_PATH.get(path, {}).get(dest, _TYPICAL[dest])
 
 
 def _unread(name, dest):
@@ -556,7 +580,7 @@ def _generated_argv(draw, paths):
             values = st.sampled_from(action.choices)
         else:
             edges = _EDGE_VALUES.get(action.dest, _EDGE_NUMBERS)
-            values = st.just(_TYPICAL[action.dest]) | st.sampled_from(edges)
+            values = st.just(_typical(path, action.dest)) | st.sampled_from(edges)
         argv.append(draw(values))
     return argv
 
@@ -605,6 +629,12 @@ def test_generated_bf_lindley_experiment_argv(argv_files, argv):
     _check_generated(argv_files, argv)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_generated_argv(_MCMC_PATHS))
+def test_generated_mixture_cutoff_argv(argv_files, argv):
+    _check_generated(argv_files, argv)
+
+
 def _without(argv, flag):
     """argv less `flag` and its value."""
     if flag not in argv:
@@ -624,7 +654,7 @@ def _single_edge_argvs(path):
             # --data stands for --data-file, and the experiment defaults for --config
             if action.dest in _TYPICAL and action.dest not in ("data_file", "config") \
                     and not _unread(name, action.dest):
-                typical += [action.option_strings[-1], _TYPICAL[action.dest]]
+                typical += [action.option_strings[-1], _typical(path, action.dest)]
         for action in _FLAGS[path]:
             if not action.option_strings:
                 continue
@@ -637,7 +667,7 @@ def _single_edge_argvs(path):
                 yield base + [flag, value]
 
 
-@pytest.mark.parametrize("path", _CALIBRATE_PATHS + _OTHER_PATHS, ids=" ".join)
+@pytest.mark.parametrize("path", _CALIBRATE_PATHS + _OTHER_PATHS + _MCMC_PATHS, ids=" ".join)
 def test_single_edge_argv(argv_files, path):
     for argv in _single_edge_argvs(path):
         _check_generated(argv_files, argv)

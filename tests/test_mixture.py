@@ -79,10 +79,12 @@ class _ReferenceStream:
 def _reference_gibbs(data, spec, seed, config):
     """One latent-allocation Gibbs chain, one iteration at a time: n
     allocation words for the observations sorted by value, then the
-    weight, omega and lambda uniforms, then one uniform per word that ties
-    its threshold."""
+    weight, omega and lambda uniforms.  A word that ties its threshold
+    takes the first uniform of seed.child(it, j, k), for the j-th distinct
+    value and the k-th word of that value."""
     stream = _ReferenceStream(seed)
     x = np.sort(data.values)
+    distinct, first = np.unique(x, return_index=True)
     values = x.astype(np.float64)
     lfact = log_factorial(x)
     n, total = data.n, data.total
@@ -97,7 +99,8 @@ def _reference_gibbs(data, spec, seed, config):
         floor = np.minimum(np.floor(t), 2.0**32 - 1.0)
         in1 = words < floor
         for i in np.flatnonzero(words == floor):
-            in1[i] = stream.uniforms(1)[0] < t[i] - floor[i]
+            j = int(np.searchsorted(distinct, x[i]))
+            in1[i] = _ReferenceStream(seed.child(it, j, i - first[j])).uniforms(1)[0] < t[i] - floor[i]
         n1 = int(in1.sum())
         s1 = int(x[in1].sum())
         alpha = float(betaincinv(*conditional_alpha(n1, n - n1, spec.a0), u_alpha))
@@ -191,7 +194,7 @@ class TestConditionals:
         rng = Rng(RngSeed(5))
         settled = []
 
-        def settle(r):
+        def settle(r, k):
             settled.append(r)
             return rng.uniform()
 
@@ -210,6 +213,21 @@ class TestConditionals:
             got = _allocate(words, p[keep], counts[:k], starts[:k], settle)
             assert got.tolist() == [expected] * k
         assert not settled
+
+    def test_tied_words_of_a_run_settle_by_their_offsets(self):
+        # runs of 3, 1 and 4 words at thresholds 5, 7 and 9 + 1/2: the 1st
+        # and 3rd words of run 0 tie, none of run 1 and all of run 2
+        p = np.array([5.0, 7.0, 9.5]) * 2.0**-32
+        words = np.array([5, 4, 5, 6, 9, 9, 9, 9], dtype=np.uint32)
+        settled = []
+
+        def settle(r, k):
+            settled.append((r, k))
+            return 0.25
+
+        n1 = _allocate(words, p, np.array([3, 1, 4]), np.array([0, 3, 4]), settle)
+        assert settled == [(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (2, 3)]
+        assert n1.tolist() == [1, 1, 4]  # a tie at a whole threshold never settles to 1
 
     @pytest.mark.parametrize(
         "n1, n2, s1, s2",
@@ -317,11 +335,12 @@ class TestSamplers:
         self._check_lockstep_against_reference(cells, config)
 
     def test_lockstep_chains_match_reference_when_words_tie(self, monkeypatch):
-        # every word in {0, 1, 2, 3} and every threshold 2 + 1/2: a quarter
-        # of the allocations tie and draw a fresh uniform, which ends the
-        # block, in every lane and most iterations
+        # every word in {0, 1, 2, 3} or 2^31 + {0, 1, 2, 3}, and every
+        # threshold 2 + 1/2: an eighth of the allocations tie, in every lane
+        # and most iterations, and each settles by the top bit of the first
+        # word of a stream of its own
         block = rng_module._pcg32_block
-        monkeypatch.setattr(rng_module, "_pcg32_block", lambda *args: block(*args) & np.uint32(3))
+        monkeypatch.setattr(rng_module, "_pcg32_block", lambda *args: block(*args) & np.uint32(0x80000003))
         monkeypatch.setattr(
             mixture_module, "_allocation_probability", lambda values, *_: np.full(np.shape(values), 2.5 * 2.0**-32)
         )
