@@ -20,11 +20,14 @@ from .distributions import COUNT_FAMILIES, CountDataset, count_totals, log_facto
 from .errors import DegeneracyError, ImproperEvidenceError
 from .evidence import NormalSummary, _log_bf01, _log_bf12, log_bf01_lindley, log_bf12_shared_improper
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
-from .rng import Rng, RngSeed
+from .rng import (
+    _POISSON_TABLE_LIMIT, Rng, RngSeed, _geometric_log_ratio, _poisson_inversion, _poisson_table_length,
+)
 
 _TIE_RTOL = 1e-12
 _MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
 _BLOCK_VALUES = 1 << 15  # replicate values drawn at once: memory stays flat in n_rep
+_TABLE_VALUES = 1 << 15  # Poisson cdf table entries built at once: flat at n = 1 and near mean 512
 _MAX_POSTERIOR_DRAWS = 10**7  # 80 MB
 _MAX_SIMULATED_COUNTS = 10**7  # 80 MB of int64 counts in one simulated dataset
 
@@ -79,11 +82,33 @@ def lambda_posterior_draws(data: CountDataset, family: str, size: int, rng: Rng)
 
 
 def _count_rows(family: str, means: np.ndarray, n: int, rng: Rng) -> np.ndarray:
-    """One row of n counts from `family` at each of `means`, row after row from `rng`."""
-    draw = rng.poisson if family == "poisson" else rng.geometric_mean
+    """One row of n counts from `family` at each of `means`, row after row
+    from `rng`: the draws, the stream's position after them and the
+    ValueError at an invalid mean are those of `Rng.poisson` or
+    `Rng.geometric_mean` called one row at a time.
+
+    Geometric rows are one inversion of one `rng.uniform(k * n)`.  Each run
+    of consecutive Poisson rows at means in (0, 512) is inverted through
+    cdf tables (`rng._poisson_inversion`), a chunk of rows per
+    `rng.uniform(rows * n)`, with at most _TABLE_VALUES table entries in a
+    chunk (each row as long as the block's longest); a row at any other
+    mean goes through `rng.poisson` alone (PTRS from 512, or its error).
+    """
+    if family == "geometric":
+        log_ratio = np.array([_geometric_log_ratio(mean) for mean in means.tolist()])
+        u = rng.uniform(means.size * n).reshape(means.size, n)
+        return np.floor(np.log(u) / log_ratio[:, None]).astype(np.int64)
     rows = np.empty((means.size, n), dtype=np.int64)
-    for i, mean in enumerate(means.tolist()):
-        rows[i] = draw(mean, n)
+    tabled = (means > 0.0) & (means < _POISSON_TABLE_LIMIT)
+    chunk = max(1, _TABLE_VALUES // _poisson_table_length(float(means[tabled].max(initial=0.0))))
+    start = 0
+    for alone in [*np.flatnonzero(~tabled).tolist(), means.size]:
+        for lo in range(start, alone, chunk):
+            hi = min(lo + chunk, alone)
+            rows[lo:hi] = _poisson_inversion(rng.uniform((hi - lo) * n).reshape(hi - lo, n), means[lo:hi])
+        if alone < means.size:
+            rows[alone] = rng.poisson(float(means[alone]), n)
+        start = alone + 1
     return rows
 
 
@@ -109,7 +134,7 @@ def _count_statistics(observed: CountDataset, mode: str, model: int, k: int, par
     rows = _count_rows(family, lambda_posterior_draws(observed, family, k, params), observed.n, reps)
     totals = count_totals(rows)
     valid = totals > 0  # an all-zero dataset has no Bayes factor under the 1/lambda prior
-    return _log_bf12(totals[valid], observed.n, log_factorial_sums(rows[valid]))
+    return _log_bf12(totals[valid], observed.n, log_factorial_sums(rows)[valid])
 
 
 # ----------------------------------------------------------------------

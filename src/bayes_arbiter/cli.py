@@ -91,8 +91,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    digests: dict[str, str], n_resimulated: int, wall_time: float) -> Path:
+def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, digests: dict[str, str],
+                    n_resimulated: int, wall_time: float, stage_seconds: dict[str, float]) -> Path:
     manifest = {
         "command": command,
         "config": _round10(config),
@@ -100,6 +100,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "artifacts": digests,
         "n_resimulated": n_resimulated,
         "wall_time_s": round(wall_time, 3),
+        "stage_seconds": {stage: round(seconds, 3) for stage, seconds in stage_seconds.items()},
         "version": __version__,
         "stream_layout": STREAM_LAYOUT,
     }
@@ -417,6 +418,7 @@ def cmd_experiment(args) -> int:
         digests=digests,
         n_resimulated=result.n_resimulated,
         wall_time=wall,
+        stage_seconds=result.stage_seconds,
     )
     _print_json(
         {

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentResult:
     """`table[condition][series]` holds one row of RIBBON_QUANTILES per
-    `n_grid` entry, taken over the replicas of that cell."""
+    `n_grid` entry, taken over the replicas of that cell.  `stage_seconds`
+    holds the wall time of each stage of a replicated sweep."""
 
     experiment: str
     table: dict[str, dict[str, np.ndarray]]
@@ -149,6 +151,7 @@ class ExperimentResult:
     csv_rows: tuple[tuple, ...]
     artifacts: tuple[Path, ...] = ()
     n_resimulated: int = 0
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _ribbon_quantiles(block: np.ndarray) -> np.ndarray:
@@ -157,14 +160,20 @@ def _ribbon_quantiles(block: np.ndarray) -> np.ndarray:
 
 
 def _sweep_result(
-    config: ExperimentConfig, leads: dict[str, tuple], series: dict[str, np.ndarray], n_resimulated: int = 0
+    config: ExperimentConfig,
+    leads: dict[str, tuple],
+    series: dict[str, np.ndarray],
+    stage_seconds: dict[str, float],
+    n_resimulated: int = 0,
 ) -> ExperimentResult:
     """CSV rows, ribbon table and artifacts of a replicated sweep.
 
     `leads` maps each condition label to the columns that open its CSV
     rows. Each array in `series` has shape (condition, n, replica) and is
-    both one CSV column and one ribbon series of the same name.
+    both one CSV column and one ribbon series of the same name.  The time
+    this takes joins `stage_seconds` as "emission".
     """
+    started = time.perf_counter()
     cells = np.stack(list(series.values()), axis=-1).tolist()
     csv_rows = tuple(
         (*lead, n, r, *cells[c][i][r])
@@ -177,8 +186,10 @@ def _sweep_result(
         for c, cond in enumerate(leads)
     }
     artifacts = _emit(config, csv_rows, _ribbon_svgs(config, table))
+    stage_seconds = {**stage_seconds, "emission": time.perf_counter() - started}
     return ExperimentResult(
-        config.experiment, table, CSV_HEADERS[config.experiment], csv_rows, artifacts, n_resimulated
+        config.experiment, table, CSV_HEADERS[config.experiment], csv_rows, artifacts, n_resimulated,
+        stage_seconds,
     )
 
 
@@ -231,6 +242,7 @@ def _run_fig1(config: ExperimentConfig) -> ExperimentResult:
     Null replicas draw xbar ~ N(0, 1/n); alternative replicas draw
     mu ~ N(0,1) then xbar ~ N(mu, 1/n) (the prior predictive).
     """
+    started = time.perf_counter()
     values = np.empty((2, len(config.n_grid), config.replicas))
     for cell in np.ndindex(values.shape):
         hyp_idx, n_idx, _ = cell
@@ -239,7 +251,8 @@ def _run_fig1(config: ExperimentConfig) -> ExperimentResult:
         mu = 0.0 if hyp_idx == 0 else rng.normal()
         xbar = rng.normal(mu, 1.0 / math.sqrt(n))
         values[cell] = log_bf10_normal(NormalSummary(n, xbar)).log_bf
-    return _sweep_result(config, {"H0": ("fig1", "H0"), "H1": ("fig1", "H1")}, {"log_bf10": values})
+    leads = {"H0": ("fig1", "H0"), "H1": ("fig1", "H1")}
+    return _sweep_result(config, leads, {"log_bf10": values}, {"data": time.perf_counter() - started})
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +264,9 @@ def _run_mixture(config: ExperimentConfig) -> ExperimentResult:
     fig3 adds both closed-form posterior probabilities of the Poisson model.
 
     Every cell's dataset (and its closed-form columns) comes first, in
-    cell order; then all chains run in one lockstep call."""
+    cell order; then all chains run in one lockstep call.  The two are
+    timed as the stages "data" and "chains"."""
+    started = time.perf_counter()
     shape = (len(config.a0_list), len(config.n_grid), config.replicas)
     series = {name: np.empty(shape) for name in CSV_HEADERS[config.experiment][3:]}
     gaps = np.empty(shape)
@@ -272,9 +287,12 @@ def _run_mixture(config: ExperimentConfig) -> ExperimentResult:
             series["post_prob_m1_shared"][cell] = posterior_prob_from_log_bf(shared)
             series["post_prob_m1_printed"][cell] = posterior_prob_from_log_bf(printed)
             gaps[cell] = printed - shared
+    stage_seconds = {"data": time.perf_counter() - started}
+    started = time.perf_counter()
     for cell, chain in zip(np.ndindex(shape), run_gibbs_chains(chain_cells, config.mcmc)):
         series["post_mean_alpha"][cell] = chain.alpha_draws.mean()
         series["post_median_alpha"][cell] = np.median(chain.alpha_draws)
+    stage_seconds["chains"] = time.perf_counter() - started
     if config.experiment == "fig3":
         logger.info(
             "printed-formula vs shared-improper log BF12 gap over %d replicas: "
@@ -285,7 +303,7 @@ def _run_mixture(config: ExperimentConfig) -> ExperimentResult:
             float(gaps.max()),
         )
     leads = {_a0_label(a0): (a0,) for a0 in config.a0_list}
-    return _sweep_result(config, leads, series, n_resimulated)
+    return _sweep_result(config, leads, series, stage_seconds, n_resimulated)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,12 @@ stream's first block is 64 uniforms, and each refill doubles it up to
 streams of many lockstep chains together, a block of iterations at a
 time, with a fixed number of words per chain and iteration.  They are the
 only code that reads a stream.
+
+Poisson draws below mean 512 invert cdf tables built a block of rows at a
+time (`_poisson_inversion`): row i holds the uniforms of mean i, and every
+row's table is accumulated over one shared length and searched up to its
+own end, so a row draws what a one-row call at its mean draws.
+`Rng.poisson` is the one-row case.
 """
 
 from __future__ import annotations
@@ -201,26 +207,46 @@ class LaneBlocks:
                 yield words[row, : self._raw_total], uniforms[row]
 
 
-def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
-    """Poisson(mean < 512) by inversion of the uniforms u: the least k
-    with u <= cdf(k), or the length of the cdf table if u is above it.
+def _poisson_table_length(mean: float) -> int:
+    """Terms in the cdf table at `mean`: 10 sd and 40 terms past the mean."""
+    return int(mean + 10.0 * math.sqrt(mean) + 40.0)
 
-    The terms p(0) = e^-mean and p(k) = p(k-1) * (mean / k) are
-    multiplied, then summed, in order: the same float operations as a
-    scalar loop over k.  The table ends at the first term too small to
+
+def _poisson_inversion(u: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Poisson draws by inversion, row i of the (k, n) uniforms u at
+    means[i] in (0, 512): the least x with u <= cdf_i(x), or the length of
+    row i's cdf table if u is above it.
+
+    Along each row, the terms p(0) = e^-mean and p(x) = p(x-1) * (mean / x)
+    are multiplied, then summed, in order: the same float operations as a
+    scalar loop over x.  A row's table ends at its first term too small to
     change the sum; the cdf rises at every term before it and holds its
-    largest value from there on.  Up to k = mean, p(k) >= cdf(k-1) / k, so
-    that end comes after the mode, where the terms only shrink (to 0,
-    where they underflow).  The array runs 10 sd and 40 terms past the
-    mean, beyond that end.  Below mean 512, e^-mean is a normal double
-    and the array holds under 800 terms.
+    largest value from there on, so the end is the row's argmax + 1.  Up to
+    x = mean, p(x) >= cdf(x-1) / x, so that end comes after the mode, where
+    the terms only shrink (to 0, where they underflow), and it lies inside
+    the row's own length, `_poisson_table_length(mean)`.  Every row takes
+    the length of the largest mean's, so one accumulation along each row
+    builds the whole (k, length) block, and each row is cut at its own end
+    and searched.  Below mean 512, e^-mean is a normal double and a row
+    holds under 800 terms.
     """
-    ks = np.arange(float(int(mean + 10.0 * math.sqrt(mean) + 40.0)))
+    listed = means.tolist()
+    ks = np.arange(float(_poisson_table_length(max(listed))))
     ks[0] = 1.0
-    terms = mean / ks  # p(k) / p(k-1) at k >= 1
-    terms[0] = math.exp(-mean)
-    cdf = np.add.accumulate(np.multiply.accumulate(terms))
-    return np.searchsorted(cdf[: cdf.argmax() + 1], u, side="left")
+    terms = means[:, None] / ks  # p(x) / p(x-1) at x >= 1
+    terms[:, 0] = [math.exp(-mean) for mean in listed]
+    cdf = np.add.accumulate(np.multiply.accumulate(terms, axis=1), axis=1)
+    draws = np.empty(u.shape, dtype=np.int64)
+    for row, last, x, out in zip(cdf, cdf.argmax(axis=1).tolist(), u, draws):
+        out[:] = row[: last + 1].searchsorted(x, side="left")
+    return draws
+
+
+def _geometric_log_ratio(mean: float) -> float:
+    """ln(mean / (1 + mean)), the divisor of the geometric inversion at `mean`."""
+    if not 0.0 < mean < _GEOMETRIC_MEAN_LIMIT:
+        raise ValueError(f"geometric mean must be positive and below 2^53, got {mean:.10g}")
+    return math.log(mean / (1.0 + mean))
 
 
 class Rng:
@@ -288,7 +314,7 @@ class Rng:
             raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
         if mean >= _POISSON_TABLE_LIMIT:
             return self._poisson_ptrs(mean, size)
-        return _poisson_inversion(self.uniform(size), mean)
+        return _poisson_inversion(self.uniform(size).reshape(1, size), np.array([mean], dtype=float))[0]
 
     def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
         """Hoermann's transformed rejection with squeeze (PTRS); `poisson`
@@ -330,11 +356,8 @@ class Rng:
 
         Success probability is 1/(1+mean); inversion X = floor(ln U / ln(mean/(1+mean))).
         """
-        if not 0.0 < mean < _GEOMETRIC_MEAN_LIMIT:
-            raise ValueError(f"geometric mean must be positive and below 2^53, got {mean:.10g}")
-        log_ratio = math.log(mean / (1.0 + mean))
-        u = self.uniform(size)
-        return np.floor(np.log(u) / log_ratio).astype(np.int64)
+        log_ratio = _geometric_log_ratio(mean)
+        return np.floor(np.log(self.uniform(size)) / log_ratio).astype(np.int64)
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) draw: the inverse cdf at one uniform."""

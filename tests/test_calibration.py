@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import betaincinv, gammaincinv, ndtr
 
@@ -10,6 +12,7 @@ from bayes_arbiter.calibration import (
     CalibrationReport,
     DISCREPANCIES,
     _at_least,
+    _count_rows,
     bootstrap_alpha_cutoff,
     discrepancy_mean,
     lambda_posterior_draws,
@@ -117,6 +120,7 @@ class TestPredictiveBfTails:
         default = run()
         assert default[2].n_degenerate_p0 > 50
         monkeypatch.setattr(calibration, "_BLOCK_VALUES", 1)  # one replicate per block
+        monkeypatch.setattr(calibration, "_TABLE_VALUES", 1)  # one Poisson row per cdf table block
         assert run() == default
 
     def test_improper_prior_mode_raises(self):
@@ -191,6 +195,76 @@ class TestCountPosteriors:
         # 10^12 draws once grew past 4 GB before anyone stopped them
         with pytest.raises(ValueError, match="at most 10000000 posterior draws"):
             lambda_posterior_draws(CountDataset([1, 2]), "poisson", 10**7 + 1, Rng(RngSeed(42)))
+
+
+def _rows_one_at_a_time(family, means, n, rng):
+    draw = rng.poisson if family == "poisson" else rng.geometric_mean
+    return [draw(mean, n).tolist() for mean in means]
+
+
+# Poisson means on both sides of 512 (the table below, PTRS from there),
+# tiny and huge; geometric means up to the largest below 2^53
+_VALID_MEANS = {
+    "poisson": st.one_of(
+        st.sampled_from([1e-300, 1e-3, 4.0, 15.0, 511.9, float(np.nextafter(512.0, 0.0)), 512.0, 600.0, 2.0**46]),
+        st.floats(1e-3, 600.0),
+    ),
+    "geometric": st.one_of(
+        st.sampled_from([1e-300, 1e-3, 4.0, 600.0, 1e15, float(np.nextafter(2.0**53, 0.0))]),
+        st.floats(1e-3, 5000.0),
+    ),
+}
+_INVALID_MEANS = {
+    "poisson": [0.0, -1.0, math.nan, math.inf, -math.inf, float(np.nextafter(2.0**46, math.inf)), 1e300],
+    "geometric": [0.0, -1.0, math.nan, math.inf, -math.inf, 2.0**53, 1e300],
+}
+
+
+@st.composite
+def _count_row_cases(draw, invalid: bool):
+    family = draw(st.sampled_from(("poisson", "geometric")))
+    means = st.floats(0.0, 1.0).flatmap(
+        lambda bad: st.sampled_from(_INVALID_MEANS[family]) if bad < 0.1 else _VALID_MEANS[family]
+    ) if invalid else _VALID_MEANS[family]
+    return (
+        family,
+        draw(st.lists(means, min_size=1, max_size=30)),
+        draw(st.sampled_from([1, 2, 7, 100])),
+        draw(st.sampled_from([1, 90, 700, 1 << 15])),  # cdf table entries per chunk
+        draw(st.integers(0, 300)),  # uniforms read before the rows
+    )
+
+
+class TestCountRows:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_count_row_cases(invalid=False))
+    def test_block_rows_are_the_rows_drawn_one_at_a_time(self, case):
+        family, means, n, table_values, skip = case
+        one, block = Rng(RngSeed(3, 60)), Rng(RngSeed(3, 60))
+        one.uniform(skip)
+        block.uniform(skip)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calibration, "_TABLE_VALUES", table_values)
+            got = _count_rows(family, np.array(means), n, block)
+        assert got.dtype == np.int64
+        assert got.tolist() == _rows_one_at_a_time(family, means, n, one)
+        assert block.uniform() == one.uniform()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_count_row_cases(invalid=True))
+    def test_invalid_means_raise_what_the_row_loop_raises(self, case):
+        family, means, n, table_values, skip = case
+        try:
+            expected = _rows_one_at_a_time(family, means, n, Rng(RngSeed(4, 61)))
+        except ValueError as err:
+            expected = str(err)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calibration, "_TABLE_VALUES", table_values)
+            try:
+                got = _count_rows(family, np.array(means), n, Rng(RngSeed(4, 61))).tolist()
+            except ValueError as err:
+                got = str(err)
+        assert got == expected
 
 
 class TestPosteriorPredictivePvalue:

@@ -245,6 +245,91 @@ class TestCalibrateCommand:
         assert out["replicas"] == 20
 
 
+# Same-seed stdout across versions, recorded at stream layout 4 (`STREAM_LAYOUT`
+# in rng.py).  Reruns within one version are checked elsewhere; these bytes
+# change only with a declared change of the stream layout, which updates them.
+# The posterior means of _NEAR_512 lie on both sides of 512, so the Poisson
+# replicates take both the cdf table and PTRS.
+_NEAR_512 = "500,520,530,515,490"
+RECORDED_STDOUT = {
+    "tails poisgeo": (
+        ["calibrate", "tails", "--family", "poisgeo", "--mode", "posterior",
+         "--data", "3,5,2,4,6,1,4,0", "--n-rep", "200", "--seed", "7"],
+        """{
+  "what": "tails",
+  "family": "poisgeo",
+  "mode": "posterior",
+  "n_rep": 200,
+  "p0": 0.88,
+  "p1": 0.935,
+  "mc_se_p0": 0.02297825059,
+  "mc_se_p1": 0.01743201078,
+  "n_degenerate_p0": 0,
+  "n_degenerate_p1": 0,
+  "statistic_method": "closed_form(improper prior)"
+}
+""",
+    ),
+    "pvalue poisson variance": (
+        ["calibrate", "pvalue", "--family", "poisson", "--stat", "variance",
+         "--data", _NEAR_512, "--n-rep", "300", "--seed", "7"],
+        """{
+  "what": "pvalue",
+  "family": "poisson",
+  "statistic": "variance",
+  "n_rep": 300,
+  "p_value": 0.7933333333,
+  "mc_se": 0.02337773553
+}
+""",
+    ),
+    "pvalue geometric mean": (
+        ["calibrate", "pvalue", "--family", "geometric", "--stat", "mean",
+         "--data", _NEAR_512, "--n-rep", "300", "--seed", "7"],
+        """{
+  "what": "pvalue",
+  "family": "geometric",
+  "statistic": "mean",
+  "n_rep": 300,
+  "p_value": 0.49,
+  "mc_se": 0.02886173938
+}
+""",
+    ),
+    "bf poisgeo": (
+        ["bf", "poisgeo", "--data", "2,3,0,7,1", "--check-quadrature"],
+        """{
+  "family": "poisgeo",
+  "n": 5,
+  "total": 13,
+  "log_marginal_poisson": -11.94554638,
+  "log_marginal_geometric": -10.33980512,
+  "log_bf12_shared": -1.605741253,
+  "bf12_shared": 0.2007407002,
+  "log_bf12_printed": 64.69339385,
+  "bf12_printed": 1.247337455e+28,
+  "post_prob_m1_shared": 0.1671807245,
+  "post_prob_m1_printed": 1.0,
+  "methods": [
+    "closed_form",
+    "printed_formula"
+  ],
+  "log_bf12_quadrature": -1.605741253,
+  "quadrature_error_estimate": 0.0
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_STDOUT)
+def test_same_seed_stdout_is_the_recorded_bytes(capsys, name):
+    argv, expected = RECORDED_STDOUT[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+
+
 class TestExperimentCommand:
     def test_lindley_experiment_writes_artifacts(self, capsys, tmp_path):
         out = run_json(
@@ -328,6 +413,11 @@ class TestExperimentCommand:
         )
         manifest = json.loads((tmp_path / "fig2" / "run_manifest.json").read_text())
         assert manifest["n_resimulated"] == out["n_resimulated"] == 22
+        # seconds per stage of the sweep; lindley has no stages
+        stages = manifest["stage_seconds"]
+        assert list(stages) == ["data", "chains", "emission"]
+        assert all(0.0 <= seconds <= manifest["wall_time_s"] + 0.001 for seconds in stages.values())
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["stage_seconds"] == {}
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

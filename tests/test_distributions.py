@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaln
 
-from bayes_arbiter.distributions import CountDataset, _component_log_pmfs, count_totals
+from bayes_arbiter.distributions import CountDataset, _component_log_pmfs, count_totals, log_factorial_sums
 from bayes_arbiter.special import log_factorial
 
 
@@ -130,3 +131,19 @@ def test_log_pmfs_match_scipy_reference(xs, log10_mean):
     lf1, lf2 = log_pmfs(x, mean)
     assert np.all(np.abs(lf1 - ref_p) <= 1e-10 * np.maximum(1.0, np.abs(ref_p)))
     assert np.all(np.abs(lf2 - ref_g) <= 1e-10 * np.maximum(1.0, np.abs(ref_g)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1,), (7,), (300,), (1, 5), (4, 25), (60, 100)]),
+    top=st.sampled_from([0, 1, 6, 99, 100, 2999, 3000, 6000, 2**40, 2**62]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_factorial_sums_are_the_per_count_sums(shape, top, seed):
+    # the gammaln table below the number of counts, count by count from
+    # there: the same doubles either way, in 1-D and 2-D
+    values = np.random.default_rng(seed).integers(0, top, shape, endpoint=True)
+    values.flat[0] = top  # the largest count decides the form
+    got = log_factorial_sums(values)
+    assert np.array_equal(got, gammaln(values + 1.0).sum(axis=-1))
+    assert np.shape(got) == shape[:-1]

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bayes_arbiter.rng import _APOW, _GSUM, LaneBlocks, Rng, RngSeed, _pcg32_block, _poisson_inversion
+from bayes_arbiter.rng import (
+    _APOW,
+    _GSUM,
+    LaneBlocks,
+    Rng,
+    RngSeed,
+    _pcg32_block,
+    _poisson_inversion,
+    _poisson_table_length,
+)
 from bayes_arbiter.special import log_factorial
 
 # Scalar PCG32 reference, kept independent of the production block path.
@@ -191,7 +200,7 @@ class TestPoissonPtrs:
     def test_poisson_draws_by_table_below_512_and_by_ptrs_from_512(self):
         for mean, table in ((511.9, True), (np.nextafter(512.0, 0.0), True), (512.0, False), (600.0, False)):
             r1, r2 = Rng(RngSeed(7, 41)), Rng(RngSeed(7, 41))
-            ref = _poisson_inversion(r1.uniform(50), mean) if table else r1._poisson_ptrs(mean, 50)
+            ref = _poisson_inversion(r1.uniform(50)[None], np.array([mean]))[0] if table else r1._poisson_ptrs(mean, 50)
             assert r2.poisson(mean, 50).tolist() == ref.tolist()
             assert r2.uniform() == r1.uniform()
 
@@ -330,7 +339,7 @@ class TestPoissonInversion:
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), 1.0 - 2.0 ** -np.arange(1, 54)])
         u = u[(u > 0.0) & (u < 1.0)]
         below = u <= cdf[-1]
-        got = _poisson_inversion(u, mean)
+        got = _poisson_inversion(u[None], np.array([mean]))[0]
         assert got[below].tolist() == _poisson_inversion_loop(u[below], mean, cap).tolist()
         assert np.all(got[~below] == np.argmax(cdf == cdf[-1]) + 1)
 
@@ -343,10 +352,29 @@ class TestPoissonInversion:
         means = np.concatenate([np.geomspace(1e-6, 511.99, 1000), rs.uniform(0.0, 512.0, 1000)])
         for mean in means[means > 0.0].tolist():
             cdf = np.array(_poisson_cdf_loop(mean))
-            assert cdf.size < int(mean + 10.0 * math.sqrt(mean) + 40.0)
+            assert cdf.size < _poisson_table_length(mean)
             u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [1.0 - 2.0**-53]])
             u = u[(u > 0.0) & (u < 1.0)]
-            assert np.array_equal(_poisson_inversion(u, mean), np.searchsorted(cdf, u, side="left")), mean
+            got = _poisson_inversion(u[None], np.array([mean]))[0]
+            assert np.array_equal(got, np.searchsorted(cdf, u, side="left")), mean
+
+    def test_each_row_ends_inside_its_own_length(self):
+        # rows share the length of the block's largest mean; a row's draws
+        # are its own only if its table ends (argmax + 1) strictly inside
+        # its own length, so that the terms past that length leave its cdf
+        # at its largest value
+        below_512 = np.nextafter(512.0, 0.0) - np.arange(50) * 2.0**-44
+        means = np.sort(np.concatenate([
+            np.linspace(0.0, 512.0, 40_001)[1:-1], np.geomspace(1e-300, 1.0, 500), below_512,
+        ]))
+        for block in np.array_split(means, 400):
+            ks = np.arange(float(_poisson_table_length(block[-1])))
+            ks[0] = 1.0
+            terms = block[:, None] / ks
+            terms[:, 0] = [math.exp(-m) for m in block.tolist()]
+            ends = np.add.accumulate(np.multiply.accumulate(terms, axis=1), axis=1).argmax(axis=1) + 1
+            own = np.array([_poisson_table_length(m) for m in block.tolist()])
+            assert np.all(ends < own), block[ends >= own]
 
 
 class TestDistributions:
