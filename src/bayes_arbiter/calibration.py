@@ -258,6 +258,8 @@ def posterior_predictive_pvalue(
         raise ValueError("posterior_draws must be non-empty")
     obs_values = observed.values if isinstance(observed, CountDataset) else np.asarray(observed)
     n = obs_values.size
+    if n == 0:
+        raise ValueError("observed data must be non-empty")
     picks, reps = Rng(seed.child(0)), Rng(seed.child(1))
     block = max(1, _BLOCK_VALUES // n)
     hits = 0

@@ -24,7 +24,9 @@ by inverting the Beta cdf, then the auxiliary omega and lambda, each
 drawn by inverting a Gamma cdf.  Gibbs chains draw a block of iterations
 at a time (`LaneBlocks`).  A marginal-MH iteration takes seven uniforms:
 the prior proposal for the weight and its accept uniform, two normals
-and the accept uniform.  The only draw outside that layout is the one
+and the accept uniform.  They are drawn `_MH_BLOCK` iterations at a
+time, in that order, so the layout is the same as one iteration's seven
+after another's.  The only draw outside that layout is the one
 allocation in 2^32 whose word ties its threshold: the k-th word of a
 chain's j-th distinct value in iteration `it` takes the first uniform of
 `seed.child(it, j, k)`.
@@ -48,6 +50,8 @@ _ACCEPTANCE_HEALTHY = (0.05, 0.95)
 _TARGET_ACCEPTANCE = 0.35  # of marginal MH's adapted joint step
 _INITIAL_STEP = 0.5  # random-walk scale before adaptation
 _ALPHA_NODES = 96  # mixture-weight axis of the 2-D grid
+_GRID_ROWS = 16  # weight rows per pass of the grid's value loop, to stay in cache
+_MH_BLOCK = 1024  # marginal-MH iterations whose state-free work is done together
 # Largest a0.  From about 1403 on, the grid oracle's refined (192-node)
 # weight rule has no finite nodes, and near 1e16 betaincinv returns NaN.
 _MAX_A0 = 1000.0
@@ -283,13 +287,15 @@ def _marginal_loglik(lf1, lf2, counts, log_alpha: float, log_1m_alpha: float) ->
     return float(np.logaddexp(log_alpha + lf1, log_1m_alpha + lf2) @ counts)
 
 
-def _logit_beta_draw(a0: float, u: float) -> float:
-    """logit of the Beta(a0, a0) draw that inverts the cdf at u.  The upper
-    half comes from the lower by symmetry, so draws near 1 keep their
-    precision; the draw is clamped at 1e-300 as the Gibbs weight is."""
-    x = max(float(betaincinv(a0, a0, min(u, 1.0 - u))), 1e-300)
-    s = math.log(x) - math.log1p(-x)
-    return s if u <= 0.5 else -s
+def _logit_beta_draw(a0: float, u: np.ndarray) -> np.ndarray:
+    """logit of the Beta(a0, a0) draws that invert the cdf at u, elementwise.
+    The upper half comes from the lower by symmetry, so draws near 1 keep
+    their precision; the draws are clamped at 1e-300 as the Gibbs weight
+    is.  The logs are math.log/log1p per element, not np.log, which can
+    differ from them in the last bit."""
+    x = np.maximum(betaincinv(a0, a0, np.minimum(u, 1.0 - u)), 1e-300)
+    s = np.array([math.log(t) - math.log1p(-t) for t in x.tolist()])
+    return np.where(u <= 0.5, s, -s)
 
 
 def run_marginal_mh(
@@ -304,56 +310,64 @@ def run_marginal_mh(
 
     Each iteration first proposes logit alpha afresh from its prior at
     fixed lambda, which crosses between the spikes that a small a0 puts
-    at 0 and 1, then takes an adapted random-walk step on both."""
+    at 0 and 1, then takes an adapted random-walk step on both.  The work
+    that does not depend on the chain's state (the uniforms, the prior
+    proposals and their log_expit) is done a block of up to `_MH_BLOCK`
+    iterations at a time."""
     _require_nondegenerate(data)
     distinct, counts = np.unique(data.values, return_counts=True)
     lfact = log_factorial(distinct)
     values, counts = distinct.astype(np.float64), counts.astype(np.float64)
     a0 = spec.a0
 
-    def loglik(s: float, lf) -> float:
-        return _marginal_loglik(*lf, counts, float(log_expit(s)), float(log_expit(-s)))
-
-    def log_prior(s: float) -> float:
-        # Beta(a0,a0) prior plus logit Jacobian leaves alpha^a0 (1-alpha)^a0;
-        # the 1/lambda prior is flat in ln(lambda).
-        return a0 * (float(log_expit(s)) + float(log_expit(-s)))
-
+    # lp is the log prior of the state (s, v) = (logit alpha, ln lambda):
+    # the Beta(a0,a0) prior plus logit Jacobian leaves alpha^a0 (1-alpha)^a0,
+    # and the 1/lambda prior is flat in ln(lambda)
     s, v = 0.0, math.log(data.mean)
+    log_a, log_b = float(log_expit(s)), float(log_expit(-s))
     lf = _component_log_pmfs(values, lfact, v)
-    ll = loglik(s, lf)
+    ll = _marginal_loglik(*lf, counts, log_a, log_b)
+    lp = a0 * (log_a + log_b)
     log_step = math.log(_INITIAL_STEP)
     kept = config.iterations - config.burn_in
-    alphas, lambdas = np.empty(kept), np.empty(kept)
+    logits, lambdas = np.empty(kept), np.empty(kept)
     accepted = 0
     rng = Rng(seed)
-    for it in range(config.iterations):
-        # the prior proposal and its accept uniform, two per normal of the
-        # joint step, then the joint step's accept uniform
-        u_prior, u_swap, u1, u2, u3, u4, u_accept = rng.uniform(7).tolist()
-        # the proposal density is the prior's, so the ratio is the likelihood's
-        s_new = _logit_beta_draw(a0, u_prior)
-        ll_new = loglik(s_new, lf)
-        if ll_new >= ll or u_swap < math.exp(ll_new - ll):
-            s, ll = s_new, ll_new
-        step = math.exp(log_step)
-        s_prop = _box_muller(s, step, u1, u2)
-        v_prop = _box_muller(v, step, u3, u4)
-        log_ratio = -math.inf  # past v = 690, e^v overflows: reject
-        if v_prop <= 690.0:
-            lf_prop = _component_log_pmfs(values, lfact, v_prop)
-            ll_prop = loglik(s_prop, lf_prop)
-            log_ratio = ll_prop + log_prior(s_prop) - (ll + log_prior(s))
-        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
-        moved = u_accept < accept_prob
-        if moved:
-            s, v, ll, lf = s_prop, v_prop, ll_prop, lf_prop
-        if it < config.burn_in:
-            # Robbins-Monro adaptation of the step, during burn-in only
-            log_step += (it + 1.0) ** -0.6 * (accept_prob - _TARGET_ACCEPTANCE)
-        else:
-            accepted += moved
-            alphas[it - config.burn_in], lambdas[it - config.burn_in] = expit(s), math.exp(v)
+    for start in range(0, config.iterations, _MH_BLOCK):
+        rows = min(_MH_BLOCK, config.iterations - start)
+        # per iteration: the prior proposal and its accept uniform, two per
+        # normal of the joint step, then the joint step's accept uniform
+        uniforms = rng.uniform(7 * rows).reshape(rows, 7)
+        s_new = _logit_beta_draw(a0, uniforms[:, 0])
+        block = zip(
+            range(start, start + rows), uniforms[:, 1:].tolist(), s_new.tolist(),
+            log_expit(s_new).tolist(), log_expit(-s_new).tolist(),
+        )
+        for it, (u_swap, u1, u2, u3, u4, u_accept), s_new_it, log_a_new, log_b_new in block:
+            # the proposal density is the prior's, so the ratio is the likelihood's
+            ll_new = _marginal_loglik(*lf, counts, log_a_new, log_b_new)
+            if ll_new >= ll or u_swap < math.exp(ll_new - ll):
+                s, ll, lp = s_new_it, ll_new, a0 * (log_a_new + log_b_new)
+            step = math.exp(log_step)
+            s_prop = _box_muller(s, step, u1, u2)
+            v_prop = _box_muller(v, step, u3, u4)
+            log_ratio = -math.inf  # past v = 690, e^v overflows: reject
+            if v_prop <= 690.0:
+                log_a_prop, log_b_prop = float(log_expit(s_prop)), float(log_expit(-s_prop))
+                lf_prop = _component_log_pmfs(values, lfact, v_prop)
+                ll_prop = _marginal_loglik(*lf_prop, counts, log_a_prop, log_b_prop)
+                lp_prop = a0 * (log_a_prop + log_b_prop)
+                log_ratio = ll_prop + lp_prop - (ll + lp)
+            accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+            moved = u_accept < accept_prob
+            if moved:
+                s, v, ll, lf, lp = s_prop, v_prop, ll_prop, lf_prop, lp_prop
+            if it < config.burn_in:
+                # Robbins-Monro adaptation of the step, during burn-in only
+                log_step += (it + 1.0) ** -0.6 * (accept_prob - _TARGET_ACCEPTANCE)
+            else:
+                accepted += moved
+                logits[it - config.burn_in], lambdas[it - config.burn_in] = s, math.exp(v)
 
     rate = accepted / kept
     warnings = ()
@@ -363,8 +377,8 @@ def run_marginal_mh(
             f"[{_ACCEPTANCE_HEALTHY[0]}, {_ACCEPTANCE_HEALTHY[1]}] after adaptation",
         )
     return MixtureChain(
-        alpha_draws=alphas, lambda_draws=lambdas, iterations=config.iterations, burn_in=config.burn_in,
-        mh_acceptance_rate=rate, seed=seed, kernel="marginal_mh", warnings=warnings,
+        alpha_draws=expit(logits), lambda_draws=lambdas, iterations=config.iterations,
+        burn_in=config.burn_in, mh_acceptance_rate=rate, seed=seed, kernel="marginal_mh", warnings=warnings,
     )
 
 
@@ -462,8 +476,11 @@ def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -
 
     Observations are grouped by distinct value x.  Per u node, with
     m = max(ln f1, ln f2), e1 = f1 / e^m and e2 = f2 / e^m, each value adds
-    count ln(alpha e1 + (1-alpha) e2) to the (alpha, u) matrix, through two
-    reused buffers, and sum count m is added once per u node.  Both terms
+    count ln(alpha e1 + (1-alpha) e2) to the (alpha, u) matrix, and sum
+    count m is added once per u node.  The value loop runs over blocks of
+    `_GRID_ROWS` alpha rows through two reused (rows, u) buffers, which stay
+    in cache where whole-matrix ones did not; every cell takes the same
+    float operations in the same order either way.  Both terms
     are non-negative and one of e1, e2 is 1, so nothing cancels and nothing
     overflows at any alpha in (0, 1): the result stays within a few 1e-15
     relative of the per-cell logaddexp(ln alpha + ln f1, ln(1-alpha) + ln f2),
@@ -481,18 +498,21 @@ def _mixture_loglik_grid(data: CountDataset, alpha: np.ndarray, u: np.ndarray) -
     e1 = np.exp(np.subtract(lf1, m, out=lf1), out=lf1)
     e2 = np.exp(np.subtract(lf2, m, out=lf2), out=lf2)
     del m
-    a = alpha[:, None]
-    b = 1.0 - a
     out = np.empty((alpha.size, u.size))
     out[:] = m_total
-    t1, t2 = np.empty_like(out), np.empty_like(out)
-    for count, f1, f2 in zip(counts, e1, e2):
-        np.multiply(a, f1, out=t1)
-        np.multiply(b, f2, out=t2)
-        t1 += t2
-        np.log(t1, out=t1)
-        t1 *= count
-        out += t1
+    scratch = np.empty((2, _GRID_ROWS, u.size))
+    for lo in range(0, alpha.size, _GRID_ROWS):
+        a = alpha[lo : lo + _GRID_ROWS, None]
+        b = 1.0 - a
+        rows = out[lo : lo + _GRID_ROWS]
+        t1, t2 = scratch[:, : a.shape[0]]
+        for count, f1, f2 in zip(counts, e1, e2):
+            np.multiply(a, f1, out=t1)
+            np.multiply(b, f2, out=t2)
+            t1 += t2
+            np.log(t1, out=t1)
+            t1 *= count
+            rows += t1
     return out
 
 

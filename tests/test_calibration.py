@@ -320,6 +320,11 @@ class TestPosteriorPredictivePvalue:
         with pytest.raises(ValueError, match="n_rep"):
             posterior_predictive_pvalue(CountDataset([1, 2, 3]), [2.0], "poisson", discrepancy_mean, n_rep=0)
 
+    def test_rejects_empty_observed_data(self):
+        for observed in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="observed data must be non-empty"):
+                posterior_predictive_pvalue(observed, [2.0], "poisson", DISCREPANCIES["mean"], 100)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             posterior_predictive_pvalue(CountDataset([1, 2]), [4.0], "normal", discrepancy_mean, 1)

@@ -251,6 +251,8 @@ class TestCalibrateCommand:
 # The posterior means of _NEAR_512 lie on both sides of 512, so the Poisson
 # replicates take both the cdf table and PTRS.
 _NEAR_512 = "500,520,530,515,490"
+# 3000 MH iterations cross two of run_marginal_mh's blocks of iterations.
+_MIXTURE_DATA = "3,5,2,4,6,1,4,0,7,2"
 RECORDED_STDOUT = {
     "tails poisgeo": (
         ["calibrate", "tails", "--family", "poisgeo", "--mode", "posterior",
@@ -316,6 +318,60 @@ RECORDED_STDOUT = {
   ],
   "log_bf12_quadrature": -1.605741253,
   "quadrature_error_estimate": 0.0
+}
+""",
+    ),
+    "mixture mh": (
+        ["mixture", "--kernel", "mh", "--data", _MIXTURE_DATA, "--iters", "3000", "--seed", "7"],
+        """{
+  "kernel": "marginal_mh",
+  "a0": 0.5,
+  "n": 10,
+  "total": 34,
+  "iterations": 3000,
+  "burn_in": 2000,
+  "alpha_mean": 0.6267772025,
+  "alpha_median": 0.6972708875,
+  "alpha_quantiles": {
+    "0.1": 0.1325560006,
+    "0.25": 0.3999415922,
+    "0.5": 0.6972708875,
+    "0.75": 0.8939578331,
+    "0.9": 0.9843136106
+  },
+  "lambda_mean": 3.599217259,
+  "lambda_median": 3.513809281,
+  "mh_acceptance_rate": 0.305,
+  "warnings": []
+}
+""",
+    ),
+    "mixture gibbs grid-check": (
+        ["mixture", "--kernel", "gibbs", "--grid-check", "--data", _MIXTURE_DATA, "--iters", "3000",
+         "--seed", "7"],
+        """{
+  "kernel": "gibbs",
+  "a0": 0.5,
+  "n": 10,
+  "total": 34,
+  "iterations": 3000,
+  "burn_in": 2000,
+  "alpha_mean": 0.6759588655,
+  "alpha_median": 0.7212279459,
+  "alpha_quantiles": {
+    "0.1": 0.3185681283,
+    "0.25": 0.4949850702,
+    "0.5": 0.7212279459,
+    "0.75": 0.9062832701,
+    "0.9": 0.9805402054
+  },
+  "lambda_mean": 3.630735753,
+  "lambda_median": 3.551861391,
+  "mh_acceptance_rate": 1.0,
+  "warnings": [],
+  "grid_alpha_mean": 0.6155214179,
+  "grid_alpha_median": 0.6745818254,
+  "grid_normalization_error": 0.0
 }
 """,
     ),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import betaincinv, gammaincinv, log_expit, logit, logsumexp
+from scipy.special import betaincinv, expit, gammaincinv, log_expit, logit, logsumexp
 
 from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter import rng as rng_module
@@ -111,6 +111,66 @@ def _reference_gibbs(data, spec, seed, config):
         if it >= config.burn_in:
             alphas[it - config.burn_in], lambdas[it - config.burn_in] = alpha, lam
     return alphas, lambdas
+
+
+def _reference_marginal_mh(data, spec, seed, config):
+    """One marginal-MH chain, one iteration at a time: seven uniforms per
+    iteration, the prior proposal's logit weight from a scalar betaincinv,
+    and the current state's log prior recomputed every iteration.  Returns
+    the kept draws, the acceptance rate and the warnings."""
+    distinct, counts = np.unique(data.values, return_counts=True)
+    lfact = log_factorial(distinct)
+    values, counts = distinct.astype(np.float64), counts.astype(np.float64)
+    a0 = spec.a0
+
+    def logit_beta_draw(u):
+        x = max(float(betaincinv(a0, a0, min(u, 1.0 - u))), 1e-300)
+        s = math.log(x) - math.log1p(-x)
+        return s if u <= 0.5 else -s
+
+    def loglik(s, lf):
+        return _marginal_loglik(*lf, counts, float(log_expit(s)), float(log_expit(-s)))
+
+    def log_prior(s):
+        return a0 * (float(log_expit(s)) + float(log_expit(-s)))
+
+    s, v = 0.0, math.log(data.mean)
+    lf = _component_log_pmfs(values, lfact, v)
+    ll = loglik(s, lf)
+    log_step = math.log(mixture_module._INITIAL_STEP)
+    kept = config.iterations - config.burn_in
+    alphas, lambdas = np.empty(kept), np.empty(kept)
+    accepted = 0
+    rng = Rng(seed)
+    for it in range(config.iterations):
+        u_prior, u_swap, u1, u2, u3, u4, u_accept = rng.uniform(7).tolist()
+        s_new = logit_beta_draw(u_prior)
+        ll_new = loglik(s_new, lf)
+        if ll_new >= ll or u_swap < math.exp(ll_new - ll):
+            s, ll = s_new, ll_new
+        step = math.exp(log_step)
+        s_prop = rng_module._box_muller(s, step, u1, u2)
+        v_prop = rng_module._box_muller(v, step, u3, u4)
+        log_ratio = -math.inf
+        if v_prop <= 690.0:
+            lf_prop = _component_log_pmfs(values, lfact, v_prop)
+            ll_prop = loglik(s_prop, lf_prop)
+            log_ratio = ll_prop + log_prior(s_prop) - (ll + log_prior(s))
+        accept_prob = 1.0 if log_ratio >= 0.0 else math.exp(log_ratio)
+        moved = u_accept < accept_prob
+        if moved:
+            s, v, ll, lf = s_prop, v_prop, ll_prop, lf_prop
+        if it < config.burn_in:
+            log_step += (it + 1.0) ** -0.6 * (accept_prob - mixture_module._TARGET_ACCEPTANCE)
+        else:
+            accepted += moved
+            alphas[it - config.burn_in], lambdas[it - config.burn_in] = expit(s), math.exp(v)
+    rate = accepted / kept
+    lo, hi = mixture_module._ACCEPTANCE_HEALTHY
+    warnings = () if lo <= rate <= hi else (
+        f"joint-step acceptance {rate:.3f} outside [{lo}, {hi}] after adaptation",
+    )
+    return alphas, lambdas, rate, warnings
 
 
 def _batch_means_se(draws: np.ndarray, batches: int = 40) -> float:
@@ -357,6 +417,25 @@ class TestSamplers:
         b = run_marginal_mh(data, MixtureSpec(0.5), cfg, RngSeed(3, 10))
         assert np.array_equal(a.alpha_draws, b.alpha_draws)
 
+    @pytest.mark.parametrize(
+        "config", [McmcConfig(1023, 0), McmcConfig(1025, 0), McmcConfig(2049, 1000), McmcConfig(1500, 0)]
+    )
+    def test_marginal_mh_matches_scalar_reference(self, config):
+        # iteration counts on both sides of a block boundary, burn-in
+        # ending inside a block, and (1500, 0) at n = 1000, whose
+        # unadapted step gives an unhealthy acceptance rate and a warning
+        warned = 0
+        for i, (n, a0) in enumerate((n, a0) for n in (1, 10, 1000) for a0 in (0.001, 0.5, 1000.0)):
+            data, seed = pinned_dataset(n, stream=i), RngSeed(45, i)
+            chain = run_marginal_mh(data, MixtureSpec(a0), config, seed)
+            alphas, lambdas, rate, warnings = _reference_marginal_mh(data, MixtureSpec(a0), seed, config)
+            assert np.array_equal(chain.alpha_draws, alphas), (n, a0)
+            assert np.array_equal(chain.lambda_draws, lambdas), (n, a0)
+            assert (chain.mh_acceptance_rate, chain.warnings) == (rate, warnings), (n, a0)
+            warned += bool(warnings)
+        if config == McmcConfig(1500, 0):
+            assert warned
+
     def test_chain_support_and_shape(self):
         data = pinned_dataset(30, stream=5)
         cfg = McmcConfig(iterations=3_000, burn_in=1_000)
@@ -454,6 +533,29 @@ def _grouped_logaddexp_kernel(data, alpha, u):
     return _logaddexp_loglik_grid(*np.unique(data.values, return_counts=True), alpha, u)
 
 
+def _unblocked_loglik_grid(data, alpha, u):
+    """`_mixture_loglik_grid`'s value loop over the whole (alpha, u) matrix at once."""
+    distinct, counts = np.unique(data.values, return_counts=True)
+    lf1, lf2 = _component_log_pmfs(
+        distinct.astype(np.float64)[:, None], log_factorial(distinct)[:, None], u[None, :]
+    )
+    m = np.maximum(lf1, lf2)
+    e1, e2 = np.exp(lf1 - m), np.exp(lf2 - m)
+    a = alpha[:, None]
+    b = 1.0 - a
+    out = np.empty((alpha.size, u.size))
+    out[:] = counts.astype(np.float64) @ m
+    t1, t2 = np.empty_like(out), np.empty_like(out)
+    for count, f1, f2 in zip(counts.astype(np.float64), e1, e2):
+        np.multiply(a, f1, out=t1)
+        np.multiply(b, f2, out=t2)
+        t1 += t2
+        np.log(t1, out=t1)
+        t1 *= count
+        out += t1
+    return out
+
+
 def _grid_case(n: int, family: int) -> CountDataset:
     """Poisson(4) with one outlier at 60, geometric of mean 4, Poisson(200), half zeros."""
     gen = np.random.default_rng([n, family])
@@ -509,6 +611,17 @@ class TestGridPosterior:
         got = _mixture_loglik_grid(CountDataset(values), alpha, u)
         ref = _logaddexp_loglik_grid(values, np.ones(values.size), alpha, u)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("k", [1, 15, 16, 17, 96, 192])
+    def test_blocked_kernel_equals_the_unblocked_loop(self, k):
+        # alpha axes shorter than, equal to and past one block of rows, and
+        # the oracle's two rules, with the extreme weights in the first rows
+        alpha, _ = mixture_module._alpha_nodes(0.5, k)
+        alpha[: len(_EXTREME_WEIGHTS)] = _EXTREME_WEIGHTS[:k]
+        for data in (_grid_case(300, 0), _grid_case(1000, 1), _grid_case(50, 2)):
+            lo, hi, panels = _mixture_u_bracket(data, _BRACKET_DROP)
+            u, _ = _panel_nodes(lo, hi, panels, _NODES_PER_PANEL)
+            assert np.array_equal(_mixture_loglik_grid(data, alpha, u), _unblocked_loglik_grid(data, alpha, u))
 
     def test_grid_matches_the_logaddexp_kernel(self, monkeypatch):
         # 24 of the (n, a0, family) cases: every n with every family, each
