@@ -40,7 +40,6 @@ from .mixture import (
     MixtureChain,
     MixtureSpec,
     SummaryTable,
-    conditional_alpha,
     grid_posterior_alpha,
     posterior_summary,
     run_gibbs,
@@ -71,7 +70,6 @@ __all__ = [
     "RngSeed",
     "SummaryTable",
     "bootstrap_alpha_cutoff",
-    "conditional_alpha",
     "grid_posterior_alpha",
     "log_bf01_lindley",
     "log_bf10_normal",

@@ -16,18 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtri, gammaincinv, ndtri
 
-from .distributions import COUNT_FAMILIES, CountDataset, count_totals, log_factorial_sums
-from .errors import DegeneracyError, ImproperEvidenceError
+from .distributions import (
+    COUNT_FAMILIES, CountDataset, count_totals, log_factorial_sums, require_family, require_positive_total,
+)
+from .errors import DegeneracyError, ImproperEvidenceError, require_storable
 from .evidence import NormalSummary, _log_bf01, _log_bf12, log_bf01_lindley, log_bf12_shared_improper
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
-from .rng import (
-    _POISSON_TABLE_LIMIT, Rng, RngSeed, _geometric_log_ratio, _poisson_inversion, _poisson_table_length,
-)
+from .rng import Rng, RngSeed
 
 _TIE_RTOL = 1e-12
 _MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
 _BLOCK_VALUES = 1 << 15  # replicate values drawn at once: memory stays flat in n_rep
-_TABLE_VALUES = 1 << 15  # Poisson cdf table entries built at once: flat at n = 1 and near mean 512
 _MAX_POSTERIOR_DRAWS = 10**7  # 80 MB
 _MAX_SIMULATED_COUNTS = 10**7  # 80 MB of int64 counts in one simulated dataset
 
@@ -68,48 +67,15 @@ def lambda_posterior_draws(data: CountDataset, family: str, size: int, rng: Rng)
     inverse cdf at one uniform of `rng`: Gamma(S, rate n) under Poisson
     sampling, BetaPrime(S, n) = (S/n) F(2S, 2n) under geometric sampling
     (B/(1-B) with B ~ Beta(S, n) rounds B to 1 at large S)."""
-    if family not in COUNT_FAMILIES:
-        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
+    require_family(family)
     if size > _MAX_POSTERIOR_DRAWS:
         raise ValueError(f"at most {_MAX_POSTERIOR_DRAWS} posterior draws, got {size}")
-    if data.total < 1:
-        raise DegeneracyError("posterior is improper for an all-zero dataset")
+    require_positive_total(data)
     s = float(data.total)
     u = rng.uniform(size)
     if family == "poisson":
         return gammaincinv(s, u) / data.n
     return s / data.n * fdtri(2.0 * s, 2.0 * data.n, u)
-
-
-def _count_rows(family: str, means: np.ndarray, n: int, rng: Rng) -> np.ndarray:
-    """One row of n counts from `family` at each of `means`, row after row
-    from `rng`: the draws, the stream's position after them and the
-    ValueError at an invalid mean are those of `Rng.poisson` or
-    `Rng.geometric_mean` called one row at a time.
-
-    Geometric rows are one inversion of one `rng.uniform(k * n)`.  Each run
-    of consecutive Poisson rows at means in (0, 512) is inverted through
-    cdf tables (`rng._poisson_inversion`), a chunk of rows per
-    `rng.uniform(rows * n)`, with at most _TABLE_VALUES table entries in a
-    chunk (each row as long as the block's longest); a row at any other
-    mean goes through `rng.poisson` alone (PTRS from 512, or its error).
-    """
-    if family == "geometric":
-        log_ratio = np.array([_geometric_log_ratio(mean) for mean in means.tolist()])
-        u = rng.uniform(means.size * n).reshape(means.size, n)
-        return np.floor(np.log(u) / log_ratio[:, None]).astype(np.int64)
-    rows = np.empty((means.size, n), dtype=np.int64)
-    tabled = (means > 0.0) & (means < _POISSON_TABLE_LIMIT)
-    chunk = max(1, _TABLE_VALUES // _poisson_table_length(float(means[tabled].max(initial=0.0))))
-    start = 0
-    for alone in [*np.flatnonzero(~tabled).tolist(), means.size]:
-        for lo in range(start, alone, chunk):
-            hi = min(lo + chunk, alone)
-            rows[lo:hi] = _poisson_inversion(rng.uniform((hi - lo) * n).reshape(hi - lo, n), means[lo:hi])
-        if alone < means.size:
-            rows[alone] = rng.poisson(float(means[alone]), n)
-        start = alone + 1
-    return rows
 
 
 def _normal_statistics(observed: NormalSummary, mode: str, model: int, k: int, params: Rng, reps: Rng):
@@ -131,7 +97,7 @@ def _count_statistics(observed: CountDataset, mode: str, model: int, k: int, par
     """log BF12 of the replicates that are not all zero, among k datasets
     drawn from the Poisson (model 0) or geometric (model 1) posterior predictive."""
     family = COUNT_FAMILIES[model]  # model 0 and model 1 of the count tails
-    rows = _count_rows(family, lambda_posterior_draws(observed, family, k, params), observed.n, reps)
+    rows = reps.counts(family, lambda_posterior_draws(observed, family, k, params), observed.n)
     totals = count_totals(rows)
     valid = totals > 0  # an all-zero dataset has no Bayes factor under the 1/lambda prior
     return _log_bf12(totals[valid], observed.n, log_factorial_sums(rows)[valid])
@@ -222,9 +188,7 @@ def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) 
     if not 1 <= n <= _MAX_SIMULATED_COUNTS:
         raise ValueError(f"n must be at least 1 and at most {_MAX_SIMULATED_COUNTS} counts, got {n}")
     for attempt in range(_MAX_ATTEMPTS):
-        rng = Rng(seed.child(*path, attempt))
-        draw = rng.poisson if family == "poisson" else rng.geometric_mean
-        values = draw(mean, size=n)
+        values = Rng(seed.child(*path, attempt)).counts(family, [mean], n)[0]
         if values.sum() >= 1:
             return CountDataset(values), attempt
     raise DegeneracyError(
@@ -251,8 +215,7 @@ def posterior_predictive_pvalue(
     """
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
-    if family not in COUNT_FAMILIES:
-        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
+    require_family(family)
     draws = np.asarray(posterior_draws, dtype=float)
     if draws.size == 0:
         raise ValueError("posterior_draws must be non-empty")
@@ -268,7 +231,7 @@ def posterior_predictive_pvalue(
         lams = draws[np.minimum((picks.uniform(k) * draws.size).astype(np.int64), draws.size - 1)]
         t_rep, t_obs = (
             np.broadcast_to(np.asarray(discrepancy(values, lams), dtype=float), (k,))
-            for values in (_count_rows(family, lams, n, reps), np.broadcast_to(obs_values, (k, n)))
+            for values in (reps.counts(family, lams, n), np.broadcast_to(obs_values, (k, n)))
         )
         nan = np.isnan(t_rep) | np.isnan(t_obs)
         if nan.any():
@@ -338,8 +301,7 @@ def bootstrap_alpha_cutoff(
     All-zero simulated datasets are redrawn (fresh stream) and counted;
     the replicas' chains then run in lockstep, one `run_gibbs_chains` call.
     """
-    if generator not in COUNT_FAMILIES:
-        raise ValueError(f"generator must be one of {COUNT_FAMILIES}")
+    require_family(generator)
     if summary not in ("mean", "median"):
         raise ValueError("summary must be 'mean' or 'median'")
     if not (math.isfinite(lambda_true) and lambda_true > 0.0):
@@ -348,6 +310,7 @@ def bootstrap_alpha_cutoff(
         raise ValueError("need at least 20 replicas for a usable quantile")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
+    require_storable("the replicas' chain traces", replicas, mcmc.iterations - mcmc.burn_in)
 
     cells = []
     n_resimulated = 0

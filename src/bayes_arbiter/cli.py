@@ -123,14 +123,15 @@ def _parse_counts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected integers: {e}") from None
 
 
-def _read_data_file(path: str) -> list[int]:
-    values: list[int] = []
+def _text_lines(path: str) -> list[str]:
+    """The lines of a text file, each stripped of its # comment and of
+    surrounding blanks, less those left empty."""
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.extend(_parse_counts(line))
-    return values
+        return [line for line in (raw.split("#", 1)[0].strip() for raw in f) if line]
+
+
+def _read_data_file(path: str) -> list[int]:
+    return [value for line in _text_lines(path) for value in _parse_counts(line)]
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -170,28 +171,25 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat key=value file with # comments; later keys override earlier."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for line in _text_lines(path):
+        if "=" not in line:
+            raise ValueError(f"config line is not key=value: {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
-# config-file keys map straight onto experiment flag destinations; the
-# seed and output directory must always be given as flags
-_CONFIG_PARSERS = {
+# Each experiment setting and its parser, in --help order: the setting is
+# both a flag (its key with - for _) and a config-file key.  The seed and
+# the output directory are flags only.
+_EXPERIMENT_SETTINGS = {
     "replicas": _int_like,
-    "iters": _int_like,
-    "burn_in": _burn_in,
     "n_grid": _int_list,
     "a0_list": _float_list,
     "lambda_true": float,
     "t": float,
+    "iters": _int_like,
+    "burn_in": _burn_in,
 }
 
 
@@ -217,10 +215,10 @@ def _experiment_settings(args) -> dict:
     """
     if args.config:
         for key, raw in _load_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _EXPERIMENT_SETTINGS:
                 raise ValueError(f"unknown config key {key!r}")
             if getattr(args, key) is None:
-                setattr(args, key, _CONFIG_PARSERS[key](raw))
+                setattr(args, key, _EXPERIMENT_SETTINGS[key](raw))
     settings = _given(args, "replicas", "n_grid", "a0_list", "lambda_true", "t")
     if args.iters is not None or args.burn_in is not None:
         settings["mcmc"] = _mcmc_config(args)
@@ -523,13 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=_int_like, required=True)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.add_argument("--config", help="flat key=value config file; flags override")
-    p_exp.add_argument("--replicas", type=_int_like)
-    p_exp.add_argument("--n-grid", type=_int_list)
-    p_exp.add_argument("--a0-list", type=_float_list)
-    p_exp.add_argument("--lambda-true", type=float)
-    p_exp.add_argument("--t", type=float)
-    p_exp.add_argument("--iters", type=_int_like)
-    p_exp.add_argument("--burn-in", type=_burn_in)
+    for key, parse in _EXPERIMENT_SETTINGS.items():
+        p_exp.add_argument("--" + key.replace("_", "-"), type=parse)
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

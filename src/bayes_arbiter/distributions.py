@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .errors import ImproperEvidenceError
+
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -81,6 +83,22 @@ def log_factorial_sums(values: np.ndarray):
 
 
 COUNT_FAMILIES = ("poisson", "geometric")  # in the order of _component_log_pmfs's pair
+
+
+def require_family(family: str) -> None:
+    """ValueError unless `family` is one of COUNT_FAMILIES."""
+    if family not in COUNT_FAMILIES:
+        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
+
+
+def require_positive_total(data: CountDataset) -> None:
+    """ImproperEvidenceError for an all-zero dataset: against the 1/lambda
+    prior, lambda^(S-1) is not integrable near 0 at S = 0."""
+    if data.total < 1:
+        raise ImproperEvidenceError(
+            "all-zero dataset: under the 1/lambda prior the marginal likelihood "
+            "diverges and the posterior is improper"
+        )
 
 
 def _component_log_pmfs(values, lfact, u):

@@ -1,6 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bound on what a run stores."""
 
 from __future__ import annotations
+
+import math
+
+# Values one stored array of a run may hold: 800 MB of float64
+_MAX_STORED_VALUES = 10**8
+
+
+def require_storable(what: str, *shape: int) -> None:
+    """ValueError, before anything is drawn, when an array of `shape` would
+    hold more than _MAX_STORED_VALUES values."""
+    if math.prod(shape) > _MAX_STORED_VALUES:
+        raise ValueError(
+            f"at most {_MAX_STORED_VALUES} stored values: {what} would hold {' x '.join(map(str, shape))}"
+        )
 
 
 class DegeneracyError(ValueError):

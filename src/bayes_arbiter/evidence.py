@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, gammaln, logsumexp
 
-from .distributions import COUNT_FAMILIES, CountDataset
-from .errors import AccuracyError, ImproperEvidenceError
+from .distributions import CountDataset, require_family, require_positive_total
+from .errors import AccuracyError
 from .special import log_normal_pdf
 
 _BRACKET_DROP = 40.0  # support: log-integrand within this many nats of its max
@@ -139,20 +139,12 @@ def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
     )
 
 
-def _require_positive_total(data: CountDataset) -> None:
-    if data.total < 1:
-        raise ImproperEvidenceError(
-            "all-zero dataset: the 1/lambda prior gives a divergent marginal "
-            "(integral of lambda^(S-1) near 0 with S=0)"
-        )
-
-
 def log_marginal_poisson_improper(data: CountDataset) -> LogEvidence:
     """ln m(x) for Poisson sampling under the improper 1/lambda prior.
 
     ln Gamma(S) - S ln n - sum_i ln(x_i!), defined only for S >= 1.
     """
-    _require_positive_total(data)
+    require_positive_total(data)
     value = (
         gammaln(float(data.total))
         - data.total * math.log(data.n)
@@ -167,7 +159,7 @@ def log_marginal_geometric_improper(data: CountDataset) -> LogEvidence:
     The likelihood is lambda^S (1+lambda)^-(S+n); against 1/lambda the
     integral is the Beta function B(S, n).
     """
-    _require_positive_total(data)
+    require_positive_total(data)
     value = (
         gammaln(float(data.total))
         + gammaln(float(data.n))
@@ -193,7 +185,7 @@ def log_bf12_shared_improper(data: CountDataset) -> LogBayesFactor:
     Difference of the two improper marginals:
     ln Gamma(S+n) - S ln n - sum_i ln(x_i!) - ln Gamma(n).
     """
-    _require_positive_total(data)
+    require_positive_total(data)
     return LogBayesFactor(
         log_bf=_log_bf12(data.total, data.n, data.log_factorial_sum),
         numerator_model="poisson",
@@ -309,9 +301,8 @@ def log_marginal_quadrature(data: CountDataset, family: str) -> LogEvidence:
     error estimate is the change under a refined rule; exceeding 1e-8
     raises AccuracyError with the estimate attached.
     """
-    if family not in COUNT_FAMILIES:
-        raise ValueError(f"family must be one of {COUNT_FAMILIES}")
-    _require_positive_total(data)
+    require_family(family)
+    require_positive_total(data)
     value, err = _refined_log_integral(*_count_bracket(data, family))
     return LogEvidence(value, model=family, method="quadrature", error_estimate=err)
 

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import nonzero_counts
+from .errors import require_storable
 from .evidence import (
     NormalSummary,
     log_bf01_lindley,
@@ -137,6 +138,11 @@ class ExperimentConfig:
             raise ValueError("lambda_true must be positive and finite")
         if self.t is not None and not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError("t must be non-negative and finite")
+        if self.replicas is not None:
+            # one cell per hypothesis (fig1) or prior (fig2, fig3), n and replica, and a chain per cell
+            cells = (2 if self.a0_list is None else len(self.a0_list), len(self.n_grid), self.replicas)
+            kept = () if self.mcmc is None else (self.mcmc.iterations - self.mcmc.burn_in,)
+            require_storable("the chain traces" if kept else "the fig1 table", *cells, *kept)
 
 
 @dataclass(frozen=True)

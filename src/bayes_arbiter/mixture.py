@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, expit, gammaincinv, log_expit, logit, roots_jacobi
 
-from .distributions import CountDataset, _component_log_pmfs
-from .errors import AccuracyError, DegeneracyError
+from .distributions import CountDataset, _component_log_pmfs, require_positive_total
+from .errors import AccuracyError, require_storable
 from .evidence import _BRACKET_DROP, _NODES_PER_PANEL, _REFINEMENT_TOL, _count_bracket, _panel_count, _panel_nodes
 from .rng import LaneBlocks, Rng, RngSeed, _box_muller
 from .special import log_factorial
@@ -134,17 +134,6 @@ class DiscretizedPosterior:
 # conditionals, on the sufficient statistics (n1, n2, s1, s2)
 
 
-def conditional_alpha(n1, n2, a0):
-    """Conjugate update of the weight: Beta(a0 + n1, a0 + n2) shapes.
-
-    Scalars or arrays, elementwise; the Gibbs sweep forms the shapes of
-    all its chains in one call.
-    """
-    if not np.minimum.reduce(a0, axis=None) > 0.0:
-        raise ValueError("a0 must be positive")
-    return a0 + n1, a0 + n2
-
-
 def _allocation_probability(values, lfact, logit_alpha, u):
     """P(component 1 | x, alpha, lambda = e^u) for each x in `values`."""
     lf1, lf2 = _component_log_pmfs(values, lfact, u)
@@ -186,13 +175,6 @@ def _lambda_step(lam, n1, m, total, u_omega, u_lambda):
     return gammaincinv(total, u_lambda) / (n1 + omega)
 
 
-def _require_nondegenerate(data: CountDataset) -> None:
-    if data.total < 1:
-        raise DegeneracyError(
-            "all-zero dataset: the 1/lambda prior gives an improper posterior"
-        )
-
-
 # ----------------------------------------------------------------------
 # Gibbs with latent allocations
 
@@ -211,8 +193,10 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     cells = list(cells)
     if not cells:
         return []
+    kept = config.iterations - config.burn_in
+    require_storable("the chain traces", len(cells), kept)
     for data, _, _ in cells:
-        _require_nondegenerate(data)
+        require_positive_total(data)
     seeds = [seed for _, _, seed in cells]
     sizes = np.array([data.n for data, _, _ in cells])
     totals = np.array([data.total for data, _, _ in cells])
@@ -230,7 +214,6 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
     lanes = LaneBlocks(seeds, sizes, 3)
     alpha = np.clip(betaincinv(a0s, a0s, lanes.uniforms()), 1e-12, 1.0 - 1e-12)
     lam = np.array([data.mean for data, _, _ in cells])
-    kept = config.iterations - config.burn_in
     alphas, lambdas = np.empty((len(cells), kept)), np.empty((len(cells), kept))
     for it, (words, uniforms) in enumerate(lanes.iterations(config.iterations)):
         u_alpha, u_omega, u_lambda = uniforms.T
@@ -243,7 +226,7 @@ def run_gibbs_chains(cells, config: McmcConfig = McmcConfig()) -> list[MixtureCh
         s1 = np.add.reduceat(in1 * int_values, chain_starts)
         # m = s2 + n2, summed in float64: in int64 it can pass 2^63
         m = np.add(totals - s1, sizes - n1, dtype=np.float64)
-        # the Beta(a0 + n1, a0 + n2) shapes of conditional_alpha; MixtureSpec checked a0
+        # the conjugate Beta(a0 + n1, a0 + n2) weight; MixtureSpec checked a0
         alpha = betaincinv(a0s + n1, a0s + (sizes - n1), u_alpha).clip(1e-300, 1.0 - 1e-16)
         lam = _lambda_step(lam, n1, m, totals, u_omega, u_lambda)
         if it >= config.burn_in:
@@ -314,7 +297,9 @@ def run_marginal_mh(
     that does not depend on the chain's state (the uniforms, the prior
     proposals and their log_expit) is done a block of up to `_MH_BLOCK`
     iterations at a time."""
-    _require_nondegenerate(data)
+    kept = config.iterations - config.burn_in
+    require_storable("the chain traces", kept)
+    require_positive_total(data)
     distinct, counts = np.unique(data.values, return_counts=True)
     lfact = log_factorial(distinct)
     values, counts = distinct.astype(np.float64), counts.astype(np.float64)
@@ -329,7 +314,6 @@ def run_marginal_mh(
     ll = _marginal_loglik(*lf, counts, log_a, log_b)
     lp = a0 * (log_a + log_b)
     log_step = math.log(_INITIAL_STEP)
-    kept = config.iterations - config.burn_in
     logits, lambdas = np.empty(kept), np.empty(kept)
     accepted = 0
     rng = Rng(seed)
@@ -416,7 +400,7 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
     that logaddexp form it moves the mean by under 1e-14, the median by
     under 1e-13 and ln Z by under 1e-12 (144 datasets, n up to 1000).
     """
-    _require_nondegenerate(data)
+    require_positive_total(data)
 
     def evaluate(n_alpha: int, nodes_per_panel: int, drop: float):
         a_nodes, a_wts = _alpha_nodes(spec.a0, n_alpha)

@@ -25,11 +25,12 @@ streams of many lockstep chains together, a block of iterations at a
 time, with a fixed number of words per chain and iteration.  They are the
 only code that reads a stream.
 
-Poisson draws below mean 512 invert cdf tables built a block of rows at a
-time (`_poisson_inversion`): row i holds the uniforms of mean i, and every
-row's table is accumulated over one shared length and searched up to its
-own end, so a row draws what a one-row call at its mean draws.
-`Rng.poisson` is the one-row case.
+`Rng.counts` draws every row of Poisson or geometric counts in the
+package, k rows at k means: geometric rows by one inversion, Poisson rows
+below mean 512 by inverting cdf tables built a chunk of rows at a time
+(`_poisson_inversion`), and Poisson rows from mean 512 on by PTRS rejection.
+However the rows are chunked, each draws what a one-row call at its mean
+draws, and `Rng.poisson` and `Rng.geometric_mean` are that one-row case.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammaincinv
 
+from .distributions import require_family
 from .special import log_factorial
 
 # Version of the order in which the samplers read their streams, recorded
@@ -61,6 +63,7 @@ _INV_2_53 = 2.0 ** -53
 _POISSON_MAX_MEAN = 2.0**46
 # Poisson means below this are drawn by inversion of one cdf table.
 _POISSON_TABLE_LIMIT = 512.0
+_TABLE_VALUES = 1 << 15  # Poisson cdf table entries built at once: flat at n = 1 and near mean 512
 # From this geometric mean on, 1 + mean rounds to mean, so mean / (1 + mean)
 # rounds to 1 and the inversion divides by ln 1 = 0.
 _GEOMETRIC_MEAN_LIMIT = 2.0**53
@@ -212,10 +215,12 @@ def _poisson_table_length(mean: float) -> int:
     return int(mean + 10.0 * math.sqrt(mean) + 40.0)
 
 
-def _poisson_inversion(u: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Poisson draws by inversion, row i of the (k, n) uniforms u at
-    means[i] in (0, 512): the least x with u <= cdf_i(x), or the length of
-    row i's cdf table if u is above it.
+def _poisson_inversion(u: np.ndarray, means: list[float], out: np.ndarray) -> None:
+    """Poisson draws by inversion, written into the (k, n) int64 rows
+    `out`: row i from the uniforms u[i] at means[i] in (0, 512), each the
+    least x with u <= cdf_i(x), or the length of row i's cdf table if u is
+    above it.  `Rng.counts` calls it once per chunk of rows, and a one-row
+    `Rng.poisson` call is a chunk of one row.
 
     Along each row, the terms p(0) = e^-mean and p(x) = p(x-1) * (mean / x)
     are multiplied, then summed, in order: the same float operations as a
@@ -230,16 +235,13 @@ def _poisson_inversion(u: np.ndarray, means: np.ndarray) -> np.ndarray:
     and searched.  Below mean 512, e^-mean is a normal double and a row
     holds under 800 terms.
     """
-    listed = means.tolist()
-    ks = np.arange(float(_poisson_table_length(max(listed))))
+    ks = np.arange(float(_poisson_table_length(max(means))))
     ks[0] = 1.0
-    terms = means[:, None] / ks  # p(x) / p(x-1) at x >= 1
-    terms[:, 0] = [math.exp(-mean) for mean in listed]
+    terms = np.divide.outer(means, ks)  # p(x) / p(x-1) at x >= 1
+    terms[:, 0] = [math.exp(-mean) for mean in means]
     cdf = np.add.accumulate(np.multiply.accumulate(terms, axis=1), axis=1)
-    draws = np.empty(u.shape, dtype=np.int64)
-    for row, last, x, out in zip(cdf, cdf.argmax(axis=1).tolist(), u, draws):
-        out[:] = row[: last + 1].searchsorted(x, side="left")
-    return draws
+    for row, last, x, draws in zip(cdf, cdf.argmax(axis=1).tolist(), u, out):
+        draws[:] = row[: last + 1].searchsorted(x, side="left")
 
 
 def _geometric_log_ratio(mean: float) -> float:
@@ -307,32 +309,63 @@ class Rng:
     # ------------------------------------------------------------------
     # discrete and shape-constrained laws
 
-    def poisson(self, mean: float, size: int) -> np.ndarray:
-        """`size` Poisson draws: inversion of one cdf table below mean 512,
-        PTRS rejection from there up to 2^46."""
-        if not 0.0 < mean <= _POISSON_MAX_MEAN:
-            raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
-        if mean >= _POISSON_TABLE_LIMIT:
-            return self._poisson_ptrs(mean, size)
-        return _poisson_inversion(self.uniform(size).reshape(1, size), np.array([mean], dtype=float))[0]
+    def counts(self, family: str, means, n: int) -> np.ndarray:
+        """A (k, n) int64 array whose row i holds n draws from `family` at
+        means[i], the rows drawn one after another.
 
-    def _poisson_ptrs(self, mean: float, size: int) -> np.ndarray:
-        """Hoermann's transformed rejection with squeeze (PTRS); `poisson`
-        takes it from mean 512 on, and the method holds from mean 10.
+        Geometric rows are one inversion of one `uniform(k * n)`.  Each run
+        of consecutive Poisson rows at means in (0, 512) is inverted through
+        cdf tables (`_poisson_inversion`), a chunk of rows per
+        `uniform(rows * n)`, with at most _TABLE_VALUES table entries in a
+        chunk (each row as long as the chunk's longest).  A Poisson row at
+        any other mean takes PTRS from 512 up to 2^46, or raises ValueError.
+        However the rows are chunked, the draws and the stream's position
+        after them are those of one row at a time.
+        """
+        require_family(family)
+        means = means.tolist() if isinstance(means, np.ndarray) else list(means)
+        if family == "geometric":
+            log_ratio = np.array([_geometric_log_ratio(mean) for mean in means])
+            u = self.uniform(len(means) * n).reshape(len(means), n)
+            return np.floor(np.log(u) / log_ratio[:, None]).astype(np.int64)
+        rows = np.empty((len(means), n), dtype=np.int64)
+        alone = [i for i, mean in enumerate(means) if not 0.0 < mean < _POISSON_TABLE_LIMIT]
+        tabled = [mean for mean in means if 0.0 < mean < _POISSON_TABLE_LIMIT] if alone else means
+        chunk = max(1, _TABLE_VALUES // _poisson_table_length(max(tabled, default=0.0)))
+        start = 0
+        for end in [*alone, len(means)]:
+            for lo in range(start, end, chunk):
+                hi = min(lo + chunk, end)
+                _poisson_inversion(self.uniform((hi - lo) * n).reshape(hi - lo, n), means[lo:hi], rows[lo:hi])
+            if end < len(means):
+                self._poisson_ptrs(means[end], rows[end])
+            start = end + 1
+        return rows
+
+    def poisson(self, mean: float, size: int) -> np.ndarray:
+        """`size` Poisson draws at `mean`: one row of `counts`."""
+        return self.counts("poisson", [mean], size)[0]
+
+    def _poisson_ptrs(self, mean: float, out: np.ndarray) -> None:
+        """Poisson draws at `mean` into `out` by Hoermann's transformed
+        rejection with squeeze (PTRS); `counts` takes it from mean 512 on,
+        and the method holds from mean 10.  ValueError unless 0 < mean <= 2^46.
 
         Each candidate is one (u, v) pair of consecutive uniforms.  A round
         draws up to 4096 pairs, judges them as arrays and keeps the accepted
         ones in order, up to the number still needed: the draws are those of
         a one-pair-at-a-time loop, and the stream ends past the last round.
         """
+        if not 0.0 < mean <= _POISSON_MAX_MEAN:
+            raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
         b = 0.931 + 2.53 * math.sqrt(mean)
         a = -0.059 + 0.02483 * b
         inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
         v_r = 0.9277 - 3.6224 / (b - 2.0)
         log_mean = math.log(mean)
-        draws = [np.empty(0)]  # what size 0 concatenates to
-        need = size
-        while need:
+        done = 0
+        while done < out.size:
+            need = out.size - done
             uv = self.uniform(2 * min(need + need // 4 + 4, 4096))
             u = uv[0::2] - 0.5
             v = uv[1::2]
@@ -347,17 +380,16 @@ class Rng:
                 lhs = np.array([math.log(r) for r in ratio.tolist()])
                 accept[idx] = lhs <= k[idx] * log_mean - mean - lf
             hits = np.flatnonzero(accept)[:need]
-            draws.append(k[hits])
-            need -= hits.size
-        return np.concatenate(draws).astype(np.int64)
+            out[done : done + hits.size] = k[hits]
+            done += hits.size
 
     def geometric_mean(self, mean: float, size: int) -> np.ndarray:
-        """`size` geometric (failure-count) draws with the given mean.
+        """`size` geometric (failure-count) draws with the given mean: one
+        row of `counts`.
 
         Success probability is 1/(1+mean); inversion X = floor(ln U / ln(mean/(1+mean))).
         """
-        log_ratio = _geometric_log_ratio(mean)
-        return np.floor(np.log(self.uniform(size)) / log_ratio).astype(np.int64)
+        return self.counts("geometric", [mean], size)[0]
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) draw: the inverse cdf at one uniform."""

@@ -31,7 +31,6 @@ from bayes_arbiter.experiments import RIBBON_QUANTILES, ExperimentConfig, run_ex
 from bayes_arbiter.mixture import (
     McmcConfig,
     MixtureSpec,
-    conditional_alpha,
     grid_posterior_alpha,
     run_gibbs,
     run_marginal_mh,
@@ -162,38 +161,31 @@ def test_criterion_5_mixture_sampler_three_routes():
 
 def test_criterion_6_conjugacy_exactness(monkeypatch):
     started = time.time()
-    checked = 0
-    for a0 in (0.1, 0.5, 1.0):
-        splits = [(n1, n2) for n1 in range(0, 31) for n2 in range(0, 31 - n1)]
-        for n1, n2 in splits:
-            a, b = conditional_alpha(n1, n2, a0)
-            assert a == a0 + n1
-            assert b == a0 + n2
-            checked += 1
-        # the array form the Gibbs sweep calls, all splits at once
-        n1s, n2s = np.array(splits).T
-        a, b = conditional_alpha(n1s, n2s, np.full(len(splits), a0))
-        assert np.array_equal(a, a0 + n1s) and np.array_equal(b, a0 + n2s)
     # the Gibbs weight step draws from Beta(a0 + n1, a0 + n2), n1 + n2 = n
     calls = []
 
     def spy(a, b, u):
-        calls.append((float(a[0]) - 0.5, float(b[0]) - 0.5))
+        calls.append((float(a[0]), float(b[0])))
         return betaincinv(a, b, u)
 
     monkeypatch.setattr(mixture_module, "betaincinv", spy)
     data = CountDataset([0, 1, 2, 3, 5, 8])
-    run_gibbs(data, MixtureSpec(0.5), McmcConfig(iterations=50, burn_in=10), RngSeed(6))
-    # the first call draws the starting weight from the Beta(a0, a0) prior
-    assert calls[0] == (0.0, 0.0) and len(calls) == 51
-    calls = calls[1:]
-    assert all(n1.is_integer() and min(n1, n2) >= 0 and n1 + n2 == data.n for n1, n2 in calls)
+    checked = 0
+    for a0 in (0.1, 0.5, 1.0):
+        calls.clear()
+        run_gibbs(data, MixtureSpec(a0), McmcConfig(iterations=50, burn_in=10), RngSeed(6))
+        # the first call draws the starting weight from the Beta(a0, a0) prior
+        assert calls[0] == (a0, a0) and len(calls) == 51
+        for a, b in calls[1:]:
+            n1 = round(a - a0)
+            assert 0 <= n1 <= data.n and (a, b) == (a0 + n1, a0 + (data.n - n1))
+            checked += 1
     elapsed = time.time() - started
     assert elapsed < 1.0
     report(
         6,
-        f"conditional weight exactly Beta(a0+n1, a0+n2) on {checked} splits, scalar and array, "
-        f"and in each of {len(calls)} Gibbs iterations, {elapsed:.2f}s",
+        f"conditional weight exactly Beta(a0+n1, a0+n2) in each of {checked} Gibbs iterations "
+        f"at a0 in (0.1, 0.5, 1), {elapsed:.2f}s",
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from scipy import stats
 from scipy.special import betaincinv, gammaincinv, ndtr
 
 from bayes_arbiter import calibration
+from bayes_arbiter import rng as rng_module
 from bayes_arbiter.calibration import (
     CalibrationReport,
     DISCREPANCIES,
     _at_least,
-    _count_rows,
     bootstrap_alpha_cutoff,
     discrepancy_mean,
     lambda_posterior_draws,
@@ -120,7 +121,7 @@ class TestPredictiveBfTails:
         default = run()
         assert default[2].n_degenerate_p0 > 50
         monkeypatch.setattr(calibration, "_BLOCK_VALUES", 1)  # one replicate per block
-        monkeypatch.setattr(calibration, "_TABLE_VALUES", 1)  # one Poisson row per cdf table block
+        monkeypatch.setattr(rng_module, "_TABLE_VALUES", 1)  # one Poisson row per cdf table block
         assert run() == default
 
     def test_improper_prior_mode_raises(self):
@@ -197,9 +198,34 @@ class TestCountPosteriors:
             lambda_posterior_draws(CountDataset([1, 2]), "poisson", 10**7 + 1, Rng(RngSeed(42)))
 
 
+def _one_row(family, mean, n, rng):
+    """n draws at `mean` as one row was drawn before `Rng.counts`: the
+    geometric inversion, Poisson PTRS from mean 512 on, and below it a cdf
+    table built term by term, p(0) = e^-mean and p(x) = p(x-1) * (mean / x),
+    its length that of `_poisson_table_length`, searched up to its first
+    largest entry."""
+    if family == "geometric":
+        if not 0.0 < mean < 2.0**53:
+            raise ValueError(f"geometric mean must be positive and below 2^53, got {mean:.10g}")
+        return np.floor(np.log(rng.uniform(n)) / math.log(mean / (1.0 + mean))).astype(np.int64).tolist()
+    if not 0.0 < mean <= 2.0**46:
+        raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
+    if mean >= 512.0:
+        draws = np.empty(n, dtype=np.int64)
+        rng._poisson_ptrs(mean, draws)
+        return draws.tolist()
+    term = cdf = math.exp(-mean)
+    table = [cdf]
+    for x in range(1, int(mean + 10.0 * math.sqrt(mean) + 40.0)):
+        term *= mean / x
+        cdf += term
+        table.append(cdf)
+    table = table[: table.index(max(table)) + 1]
+    return [bisect_left(table, u) for u in rng.uniform(n).tolist()]
+
+
 def _rows_one_at_a_time(family, means, n, rng):
-    draw = rng.poisson if family == "poisson" else rng.geometric_mean
-    return [draw(mean, n).tolist() for mean in means]
+    return [_one_row(family, mean, n, rng) for mean in means]
 
 
 # Poisson means on both sides of 512 (the table below, PTRS from there),
@@ -244,11 +270,26 @@ class TestCountRows:
         one.uniform(skip)
         block.uniform(skip)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(calibration, "_TABLE_VALUES", table_values)
-            got = _count_rows(family, np.array(means), n, block)
+            mp.setattr(rng_module, "_TABLE_VALUES", table_values)
+            got = block.counts(family, np.array(means), n)
         assert got.dtype == np.int64
         assert got.tolist() == _rows_one_at_a_time(family, means, n, one)
         assert block.uniform() == one.uniform()
+
+    @pytest.mark.parametrize("family, mean", [("poisson", 4.0), ("poisson", 600.0), ("geometric", 4.0)])
+    def test_one_row_methods_draw_the_reference_row(self, family, mean):
+        rng, one = Rng(RngSeed(5, 62)), Rng(RngSeed(5, 62))
+        draw = rng.poisson if family == "poisson" else rng.geometric_mean
+        got = draw(mean, size=50)
+        assert got.dtype == np.int64 and got.shape == (50,)
+        assert got.tolist() == _one_row(family, mean, 50, one)
+        assert rng.uniform() == one.uniform()
+
+    def test_unknown_family_raises(self):
+        rng = Rng(RngSeed(5, 63))
+        with pytest.raises(ValueError, match="family must be one of"):
+            rng.counts("binomial", [4.0], 3)
+        assert rng.uniform() == Rng(RngSeed(5, 63)).uniform()  # nothing was drawn
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_count_row_cases(invalid=True))
@@ -259,9 +300,9 @@ class TestCountRows:
         except ValueError as err:
             expected = str(err)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(calibration, "_TABLE_VALUES", table_values)
+            mp.setattr(rng_module, "_TABLE_VALUES", table_values)
             try:
-                got = _count_rows(family, np.array(means), n, Rng(RngSeed(4, 61))).tolist()
+                got = Rng(RngSeed(4, 61)).counts(family, np.array(means), n).tolist()
             except ValueError as err:
                 got = str(err)
         assert got == expected

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bayes_arbiter import calibration, experiments
 from bayes_arbiter.calibration import bootstrap_alpha_cutoff
 from bayes_arbiter.cli import build_parser, main
 from bayes_arbiter.evidence import NormalSummary
@@ -375,12 +376,61 @@ RECORDED_STDOUT = {
 }
 """,
     ),
+    # every simulated dataset comes from nonzero_counts; at these small means
+    # some are all zero and redrawn
+    "cutoff poisson": (
+        ["calibrate", "cutoff", "--generator", "poisson", "--lambda-true", "0.3", "--n-obs", "3",
+         "--replicas", "20", "--iters", "400", "--burn-in", "100", "--seed", "7"],
+        """{
+  "what": "cutoff",
+  "generator": "poisson",
+  "summary": "median",
+  "q": 0.1,
+  "cutoff": 0.3638907343,
+  "replicas": 20,
+  "n_resimulated": 13
+}
+""",
+    ),
+    "cutoff geometric": (
+        ["calibrate", "cutoff", "--generator", "geometric", "--lambda-true", "0.5", "--n-obs", "3",
+         "--replicas", "20", "--iters", "400", "--burn-in", "100", "--seed", "7"],
+        """{
+  "what": "cutoff",
+  "generator": "geometric",
+  "summary": "median",
+  "q": 0.1,
+  "cutoff": 0.3975872357,
+  "replicas": 20,
+  "n_resimulated": 5
+}
+""",
+    ),
+    # the SHA-256 of the CSV and of each SVG; the test adds --out
+    "experiment fig2": (
+        ["experiment", "fig2", "--seed", "5", "--replicas", "3", "--n-grid", "1,5,20", "--a0-list", "0.5,1",
+         "--lambda-true", "0.5", "--iters", "300", "--burn-in", "100"],
+        """{
+  "experiment": "fig2",
+  "rows": 18,
+  "n_resimulated": 7,
+  "artifacts": {
+    "fig2.csv": "2d2ff4b38af755c542ae9d0741d4c0083d47ffc62c8ca251457d3a8014ac77b2",
+    "fig2_a0_0.5.svg": "a16da8c97563b09b6bdb95724b60f881962fc2929c85440ed70c7d5e4443da87",
+    "fig2_a0_1.svg": "564edf15649754103265a483eb433c0bffa59e0bff76ef7faa2d176d2220697d"
+  },
+  "manifest": "run_manifest.json"
+}
+""",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", RECORDED_STDOUT)
-def test_same_seed_stdout_is_the_recorded_bytes(capsys, name):
+def test_same_seed_stdout_is_the_recorded_bytes(capsys, tmp_path, name):
     argv, expected = RECORDED_STDOUT[name]
+    if argv[0] == "experiment":
+        argv = [*argv, "--out", str(tmp_path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out == expected
@@ -572,6 +622,15 @@ EXIT_CODE_TABLE = [
       "--iters", "60", "--burn-in", "20"), 2, "at most 10000000 counts"),
     (("calibrate", "cutoff", "--n-obs", "1e16", "--replicas", "20", "--iters", "60", "--burn-in", "20",
       "--seed", "1"), 2, "at most 10000000 counts"),
+    # more than 10^8 values in one stored array ended in a bare MemoryError traceback (exit 1)
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--iters", "1e15", "--burn-in", "0"),
+     2, "at most 100000000 stored values"),
+    (("mixture", "--data", "1,2,3", "--seed", "1", "--kernel", "mh", "--iters", "1e15", "--burn-in", "0"),
+     2, "at most 100000000 stored values"),
+    (("experiment", "fig1", "--seed", "1", "--replicas", "1e15"), 2, "at most 100000000 stored values"),
+    (("experiment", "fig2", "--seed", "1", "--replicas", "1e15"), 2, "at most 100000000 stored values"),
+    (("experiment", "fig3", "--seed", "1", "--iters", "1e15"), 2, "at most 100000000 stored values"),
+    ((*_CUTOFF, "--iters", "1e15", "--burn-in", "0"), 2, "at most 100000000 stored values"),
     # a0 - 1 rounds to -1: scipy refused the Gauss-Jacobi exponent (exit 2)
     (("mixture", "--data", "1,2,3", "--a0", "1e-300", "--iters", "60", "--burn-in", "20", "--seed", "1",
       "--grid-check"), 4, "a0 - 1 rounds to -1"),
@@ -597,6 +656,30 @@ def test_exit_code_table(capsys, tmp_path):
         assert (code, message in err) == (expected, True), (argv, err)
         assert "null" not in out, argv
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*_CUTOFF, "--iters", "1e15", "--burn-in", "0"),
+        # without the bound this loops over 10^15 datasets before any allocation fails
+        ("calibrate", "cutoff", "--n-obs", "5", "--replicas", "1e15", "--seed", "1"),
+        ("experiment", "fig2", "--seed", "1", "--replicas", "1e15"),
+        ("experiment", "fig3", "--seed", "1", "--iters", "1e15"),
+    ],
+)
+def test_oversized_run_refused_before_any_dataset(capsys, tmp_path, monkeypatch, argv):
+    def no_dataset(*args):
+        raise AssertionError("a dataset was drawn")
+
+    monkeypatch.setattr(calibration, "nonzero_counts", no_dataset)
+    monkeypatch.setattr(experiments, "nonzero_counts", no_dataset)
+    if argv[0] == "experiment":
+        argv += ("--out", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "at most 100000000 stored values" in err
+    assert not (tmp_path / "out").exists()
 
 
 # (subcommand path, flag destination, library callable, keyword the flag feeds)

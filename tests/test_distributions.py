@@ -7,7 +7,21 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
-from bayes_arbiter.distributions import CountDataset, _component_log_pmfs, count_totals, log_factorial_sums
+from bayes_arbiter.calibration import lambda_posterior_draws, predictive_bf_tails
+from bayes_arbiter.distributions import (
+    CountDataset, _component_log_pmfs, count_totals, log_factorial_sums, require_positive_total,
+)
+from bayes_arbiter.errors import DegeneracyError, ImproperEvidenceError
+from bayes_arbiter.evidence import (
+    log_bf12_shared_improper,
+    log_marginal_geometric_improper,
+    log_marginal_poisson_improper,
+    log_marginal_quadrature,
+)
+from bayes_arbiter.mixture import (
+    McmcConfig, MixtureSpec, grid_posterior_alpha, run_gibbs, run_gibbs_chains, run_marginal_mh,
+)
+from bayes_arbiter.rng import Rng, RngSeed
 from bayes_arbiter.special import log_factorial
 
 
@@ -147,3 +161,34 @@ def test_log_factorial_sums_are_the_per_count_sums(shape, top, seed):
     got = log_factorial_sums(values)
     assert np.array_equal(got, gammaln(values + 1.0).sum(axis=-1))
     assert np.shape(got) == shape[:-1]
+
+
+_MCMC = McmcConfig(iterations=20, burn_in=10)
+# every entry point that needs a positive total, each called on all-zero data
+ALL_ZERO_ENTRY_POINTS = {
+    "poisson marginal": log_marginal_poisson_improper,
+    "geometric marginal": log_marginal_geometric_improper,
+    "shared-improper BF": log_bf12_shared_improper,
+    "predictive BF tails": lambda d: predictive_bf_tails(d, mode="posterior", n_rep=100),
+    "poisson quadrature": lambda d: log_marginal_quadrature(d, "poisson"),
+    "geometric quadrature": lambda d: log_marginal_quadrature(d, "geometric"),
+    "run_gibbs": lambda d: run_gibbs(d, MixtureSpec(0.5), _MCMC),
+    "run_gibbs_chains": lambda d: run_gibbs_chains([(CountDataset([1]), MixtureSpec(0.5), RngSeed(1)),
+                                                    (d, MixtureSpec(0.5), RngSeed(2))], _MCMC),
+    "run_marginal_mh": lambda d: run_marginal_mh(d, MixtureSpec(0.5), _MCMC),
+    "grid_posterior_alpha": lambda d: grid_posterior_alpha(d, MixtureSpec(0.5)),
+    "poisson posterior draws": lambda d: lambda_posterior_draws(d, "poisson", 10, Rng(RngSeed(1))),
+    "geometric posterior draws": lambda d: lambda_posterior_draws(d, "geometric", 10, Rng(RngSeed(1))),
+}
+
+
+@pytest.mark.parametrize("name", ALL_ZERO_ENTRY_POINTS)
+def test_every_all_zero_entry_point_raises_one_error(name):
+    zeros = CountDataset([0, 0, 0])
+    with pytest.raises(ImproperEvidenceError) as expected:
+        require_positive_total(zeros)
+    with pytest.raises(ImproperEvidenceError) as got:
+        ALL_ZERO_ENTRY_POINTS[name](zeros)
+    assert type(got.value) is ImproperEvidenceError and isinstance(got.value, DegeneracyError)
+    assert str(got.value) == str(expected.value)
+    assert "all-zero" in str(got.value) and "improper" in str(got.value)

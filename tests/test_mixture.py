@@ -22,7 +22,6 @@ from bayes_arbiter.mixture import (
     _marginal_loglik,
     _mixture_loglik_grid,
     _mixture_u_bracket,
-    conditional_alpha,
     grid_posterior_alpha,
     posterior_summary,
     run_gibbs,
@@ -103,7 +102,7 @@ def _reference_gibbs(data, spec, seed, config):
             in1[i] = _ReferenceStream(seed.child(it, j, i - first[j])).uniforms(1)[0] < t[i] - floor[i]
         n1 = int(in1.sum())
         s1 = int(x[in1].sum())
-        alpha = float(betaincinv(*conditional_alpha(n1, n - n1, spec.a0), u_alpha))
+        alpha = float(betaincinv(spec.a0 + n1, spec.a0 + (n - n1), u_alpha))
         alpha = min(max(alpha, 1e-300), 1.0 - 1e-16)
         m = total - s1 + n - n1
         omega = float(gammaincinv(m, u_omega)) / (1.0 + lam) if m else 0.0
@@ -197,29 +196,6 @@ class TestSpecAndState:
 
 
 class TestConditionals:
-    def test_conditional_alpha_prior_recovered(self):
-        assert conditional_alpha(0, 0, 0.5) == (0.5, 0.5)
-
-    def test_conditional_alpha_conjugate_algebra(self):
-        a, b = conditional_alpha(3, 7, 0.5)
-        assert (a, b) == (3.5, 7.5)
-        assert a / (a + b) == pytest.approx(3.5 / 11.0, abs=1e-15)
-
-    def test_conditional_alpha_exhaustive_sweep(self):
-        for a0 in (0.1, 0.5, 1.0):
-            for n1 in range(0, 31):
-                for n2 in range(0, 31 - n1):
-                    a, b = conditional_alpha(n1, n2, a0)
-                    assert a == a0 + n1
-                    assert b == a0 + n2
-
-    def test_conditional_alpha_arrays_and_domain(self):
-        a, b = conditional_alpha(np.array([0, 3]), np.array([5, 2]), np.array([0.5, 2.0]))
-        assert np.array_equal(a, [0.5, 5.0]) and np.array_equal(b, [5.5, 4.0])
-        for a0 in (0.0, -1.0, math.nan, np.array([0.5, 0.0]), np.array([math.nan, 0.5])):
-            with pytest.raises(ValueError, match="a0 must be positive"):
-                conditional_alpha(1, 2, a0)
-
     def test_allocation_probability_reference_points(self):
         # alpha = 1/2 (logit 0) and lambda = 1 (u = 0)
         x = np.array([0, 10])

@@ -125,6 +125,20 @@ class TestRawStream:
         assert ks < 0.01
 
 
+def _inverted(u: np.ndarray, mean: float) -> np.ndarray:
+    """`_poisson_inversion` of the uniforms u at one mean, as one row."""
+    out = np.empty((1, u.size), dtype=np.int64)
+    _poisson_inversion(u[None], [mean], out)
+    return out[0]
+
+
+def _ptrs(rng: Rng, mean: float, size: int) -> np.ndarray:
+    """`size` PTRS draws of `rng` at `mean`, as one row."""
+    out = np.empty(size, dtype=np.int64)
+    rng._poisson_ptrs(mean, out)
+    return out
+
+
 def _poisson_ptrs_scalar(rng: Rng, mean: float) -> int:
     # Hoermann's transformed rejection with squeeze (PTRS), one candidate
     # (u, v) pair at a time; `Rng.poisson` takes it from mean 512 on, and
@@ -191,7 +205,7 @@ class TestPoissonPtrs:
                 r1.uniform(skip)
                 r2.uniform(skip)
                 draws, used = _scalar_draws_and_round_end(_Counted(r1), mean, size)
-                got = r2._poisson_ptrs(mean, size)
+                got = _ptrs(r2, mean, size)
                 assert got.dtype == np.int64
                 assert got.tolist() == draws
                 # the call leaves the stream past its whole rounds
@@ -200,7 +214,7 @@ class TestPoissonPtrs:
     def test_poisson_draws_by_table_below_512_and_by_ptrs_from_512(self):
         for mean, table in ((511.9, True), (np.nextafter(512.0, 0.0), True), (512.0, False), (600.0, False)):
             r1, r2 = Rng(RngSeed(7, 41)), Rng(RngSeed(7, 41))
-            ref = _poisson_inversion(r1.uniform(50)[None], np.array([mean]))[0] if table else r1._poisson_ptrs(mean, 50)
+            ref = _inverted(r1.uniform(50), mean) if table else _ptrs(r1, mean, 50)
             assert r2.poisson(mean, 50).tolist() == ref.tolist()
             assert r2.uniform() == r1.uniform()
 
@@ -339,7 +353,7 @@ class TestPoissonInversion:
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), 1.0 - 2.0 ** -np.arange(1, 54)])
         u = u[(u > 0.0) & (u < 1.0)]
         below = u <= cdf[-1]
-        got = _poisson_inversion(u[None], np.array([mean]))[0]
+        got = _inverted(u, mean)
         assert got[below].tolist() == _poisson_inversion_loop(u[below], mean, cap).tolist()
         assert np.all(got[~below] == np.argmax(cdf == cdf[-1]) + 1)
 
@@ -355,7 +369,7 @@ class TestPoissonInversion:
             assert cdf.size < _poisson_table_length(mean)
             u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [1.0 - 2.0**-53]])
             u = u[(u > 0.0) & (u < 1.0)]
-            got = _poisson_inversion(u[None], np.array([mean]))[0]
+            got = _inverted(u, mean)
             assert np.array_equal(got, np.searchsorted(cdf, u, side="left")), mean
 
     def test_each_row_ends_inside_its_own_length(self):
