@@ -19,7 +19,7 @@ from scipy.special import fdtri, gammaincinv, ndtri
 from .distributions import (
     COUNT_FAMILIES, CountDataset, count_totals, log_factorial_sums, require_family, require_positive_total,
 )
-from .errors import DegeneracyError, ImproperEvidenceError, require_storable
+from .errors import DegeneracyError, ImproperEvidenceError, require_simulable, require_storable
 from .evidence import NormalSummary, _log_bf01, _log_bf12, log_bf01_lindley, log_bf12_shared_improper
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
 from .rng import Rng, RngSeed
@@ -28,7 +28,6 @@ _TIE_RTOL = 1e-12
 _MAX_ATTEMPTS = 1000  # all-zero draws of one dataset before it counts as degenerate
 _BLOCK_VALUES = 1 << 15  # replicate values drawn at once: memory stays flat in n_rep
 _MAX_POSTERIOR_DRAWS = 10**7  # 80 MB
-_MAX_SIMULATED_COUNTS = 10**7  # 80 MB of int64 counts in one simulated dataset
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,7 @@ def nonzero_counts(family: str, mean: float, n: int, seed: RngSeed, *path: int) 
     the dataset and the number of all-zero sets redrawn.  If all
     _MAX_ATTEMPTS attempts are all-zero, raises DegeneracyError.
     """
-    if not 1 <= n <= _MAX_SIMULATED_COUNTS:
-        raise ValueError(f"n must be at least 1 and at most {_MAX_SIMULATED_COUNTS} counts, got {n}")
+    require_simulable((n,))
     for attempt in range(_MAX_ATTEMPTS):
         values = Rng(seed.child(*path, attempt)).counts(family, [mean], n)[0]
         if values.sum() >= 1:
@@ -311,6 +309,7 @@ def bootstrap_alpha_cutoff(
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     require_storable("the replicas' chain traces", replicas, mcmc.iterations - mcmc.burn_in)
+    require_simulable((n_obs,), replicas)
 
     cells = []
     n_resimulated = 0

@@ -61,7 +61,6 @@ class NormalSummary:
 @dataclass(frozen=True)
 class LogEvidence:
     log_evidence: float
-    model: str
     method: str = "closed_form"
     error_estimate: float | None = None
 
@@ -69,8 +68,6 @@ class LogEvidence:
 @dataclass(frozen=True)
 class LogBayesFactor:
     log_bf: float
-    numerator_model: str
-    denominator_model: str
     method: str = "closed_form"
 
     @property
@@ -115,11 +112,7 @@ def log_bf10_normal(summary: NormalSummary) -> LogBayesFactor:
     """
     t = summary.t_statistic
     _require_finite_exponent(summary.n, t)
-    return LogBayesFactor(
-        log_bf=-_log_bf01(summary.n, t),
-        numerator_model="normal_unit_prior",
-        denominator_model="normal_point_null",
-    )
+    return LogBayesFactor(-_log_bf01(summary.n, t))
 
 
 def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
@@ -132,11 +125,7 @@ def log_bf01_lindley(n: int, t: float) -> LogBayesFactor:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError("t must be non-negative and finite")
     _require_finite_exponent(n, t)
-    return LogBayesFactor(
-        log_bf=_log_bf01(n, t),
-        numerator_model="normal_point_null",
-        denominator_model="normal_unit_prior",
-    )
+    return LogBayesFactor(_log_bf01(n, t))
 
 
 def log_marginal_poisson_improper(data: CountDataset) -> LogEvidence:
@@ -150,7 +139,7 @@ def log_marginal_poisson_improper(data: CountDataset) -> LogEvidence:
         - data.total * math.log(data.n)
         - data.log_factorial_sum
     )
-    return LogEvidence(value, model="poisson")
+    return LogEvidence(value)
 
 
 def log_marginal_geometric_improper(data: CountDataset) -> LogEvidence:
@@ -165,7 +154,7 @@ def log_marginal_geometric_improper(data: CountDataset) -> LogEvidence:
         + gammaln(float(data.n))
         - gammaln(float(data.total + data.n))
     )
-    return LogEvidence(value, model="geometric")
+    return LogEvidence(value)
 
 
 def _log_bf12(total, n: int, log_factorial_sum):
@@ -186,11 +175,7 @@ def log_bf12_shared_improper(data: CountDataset) -> LogBayesFactor:
     ln Gamma(S+n) - S ln n - sum_i ln(x_i!) - ln Gamma(n).
     """
     require_positive_total(data)
-    return LogBayesFactor(
-        log_bf=_log_bf12(data.total, data.n, data.log_factorial_sum),
-        numerator_model="poisson",
-        denominator_model="geometric",
-    )
+    return LogBayesFactor(_log_bf12(data.total, data.n, data.log_factorial_sum))
 
 
 def log_bf12_printed(data: CountDataset) -> LogBayesFactor:
@@ -208,12 +193,7 @@ def log_bf12_printed(data: CountDataset) -> LogBayesFactor:
         + gammaln(float(data.n + 2 + data.total))
         - gammaln(float(data.n + 2))
     )
-    return LogBayesFactor(
-        log_bf=value,
-        numerator_model="poisson",
-        denominator_model="geometric",
-        method="printed_formula",
-    )
+    return LogBayesFactor(value, method="printed_formula")
 
 
 def posterior_prob_from_log_bf(log_bf: float) -> float:
@@ -304,7 +284,7 @@ def log_marginal_quadrature(data: CountDataset, family: str) -> LogEvidence:
     require_family(family)
     require_positive_total(data)
     value, err = _refined_log_integral(*_count_bracket(data, family))
-    return LogEvidence(value, model=family, method="quadrature", error_estimate=err)
+    return LogEvidence(value, method="quadrature", error_estimate=err)
 
 
 def log_bf10_normal_quadrature(summary: NormalSummary) -> LogBayesFactor:
@@ -323,9 +303,4 @@ def log_bf10_normal_quadrature(summary: NormalSummary) -> LogBayesFactor:
     half_width = (math.sqrt(2.0 * _BRACKET_DROP) + 2.0) * post_sd
     log_m1, _ = _refined_log_integral(log_f, post_mean - half_width, post_mean + half_width, post_sd)
     log_m0 = log_normal_pdf(z, 0.0, samp_sd)
-    return LogBayesFactor(
-        log_bf=log_m1 - log_m0,
-        numerator_model="normal_unit_prior",
-        denominator_model="normal_point_null",
-        method="quadrature",
-    )
+    return LogBayesFactor(log_m1 - log_m0, method="quadrature")

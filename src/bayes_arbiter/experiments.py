@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import nonzero_counts
-from .errors import require_storable
+from .errors import require_simulable, require_storable
 from .evidence import (
     NormalSummary,
     log_bf01_lindley,
@@ -143,6 +143,9 @@ class ExperimentConfig:
             cells = (2 if self.a0_list is None else len(self.a0_list), len(self.n_grid), self.replicas)
             kept = () if self.mcmc is None else (self.mcmc.iterations - self.mcmc.burn_in,)
             require_storable("the chain traces" if kept else "the fig1 table", *cells, *kept)
+            if self.a0_list is not None:
+                # fig2 and fig3 hold every cell's dataset before the first chain
+                require_simulable(self.n_grid, len(self.a0_list) * self.replicas)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ between concurrent tasks without external exclusion.
 Draws come from blocks of 32-bit outputs computed at once: the LCG is
 jumped k steps ahead with precomputed tables of multiplier powers and
 geometric sums modulo 2^64, which reproduces the scalar recurrence bit
-for bit.  An `Rng` turns each block into a buffer of uniforms; a fresh
-stream's first block is 64 uniforms, and each refill doubles it up to
-8192, so a stream costs about what it draws.  `LaneBlocks` draws the
+for bit.  An `Rng` holds only its LCG state; a call computes exactly the
+words it returns, so a stream costs what it draws.  `LaneBlocks` draws the
 streams of many lockstep chains together, a block of iterations at a
 time, with a fixed number of words per chain and iteration.  They are the
 only code that reads a stream.
@@ -54,8 +53,8 @@ from .special import log_factorial
 STREAM_LAYOUT = 4
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
-_BLOCK_WORDS = 1 << 14  # words in the largest refill, and in a lane block of several iterations
-_FIRST_UNIFORMS = 64  # uniforms in a fresh stream's first block
+_BLOCK_WORDS = 1 << 14  # words in a lane block of several iterations
+_PASS_UNIFORMS = _BLOCK_WORDS // 2  # uniforms computed at once by `Rng.uniform`
 _INV_2_53 = 2.0 ** -53
 # Largest Poisson mean.  Above about 1e14 PTRS's log acceptance test
 # subtracts numbers whose rounding error exceeds the test's own scale, and
@@ -255,59 +254,33 @@ class Rng:
     """PCG32-backed sampler with scalar and vectorized draw paths."""
 
     def __init__(self, seed: RngSeed):
-        self.seed = seed
         self._state, self._inc = _seed_state(seed)
-        self._buf = np.empty(0)
-        self._view = memoryview(self._buf)
-        self._pos = 0
-        self._block = _FIRST_UNIFORMS
-
-    # ------------------------------------------------------------------
-    # buffered uniforms
-
-    def _refill(self) -> None:
-        """Replace the buffer with the next block of uniforms, one lane of
-        the block kernel."""
-        k = 2 * self._block
-        words = _pcg32_block(np.uint64(self._state), _APOW[:k], _GSUM[:k] * np.uint64(self._inc))
-        self._state = (int(_APOW[k]) * self._state + int(_GSUM[k]) * self._inc) & _MASK64
-        self._buf = buf = _uniforms(words)
-        self._view = memoryview(buf)
-        self._pos = 0
-        self._block = min(2 * self._block, _BLOCK_WORDS // 2)
 
     def uniform(self, size: int | None = None):
-        """Uniform draw(s) strictly inside (0, 1), 53-bit resolution."""
-        pos = self._pos
+        """Uniform draw(s) strictly inside (0, 1), 53-bit resolution: a
+        float, or an array of `size` (ValueError if size < 0).
+
+        An `Rng` holds only its LCG state; a call computes exactly the
+        words it returns, 2 * size of them, in passes of at most
+        _PASS_UNIFORMS uniforms (one pass's temporaries stay in cache).
+        """
         if size is None:
-            if pos == len(self._view):
-                self._refill()
-                pos = 0
-            self._pos = pos + 1
-            return self._view[pos]
-        end = pos + size
-        if end <= self._buf.shape[0]:
-            self._pos = end
-            return self._buf[pos:end]
-        # Whole blocks, one at a time: one block's temporaries stay in
-        # cache, where a block sized to the request would not.
-        parts = [self._buf[pos:]]
-        need = end - self._buf.shape[0]
-        while need > 0:
-            self._refill()
-            self._pos = min(need, self._buf.shape[0])
-            parts.append(self._buf[: self._pos])
-            need -= self._pos
-        return np.concatenate(parts)
+            return float(self.uniform(1)[0])
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        out = np.empty(size)
+        inc = np.uint64(self._inc)
+        for done in range(0, size, _PASS_UNIFORMS):
+            k = 2 * min(size - done, _PASS_UNIFORMS)
+            out[done : done + k // 2] = _uniforms(_pcg32_block(np.uint64(self._state), _APOW[:k], _GSUM[:k] * inc))
+            self._state = (int(_APOW[k]) * self._state + int(_GSUM[k]) * self._inc) & _MASK64
+        return out
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         """Gaussian draw via Box-Muller; consumes exactly two uniforms."""
         if sd <= 0.0:
             raise ValueError("sd must be positive")
-        return _box_muller(mean, sd, self.uniform(), self.uniform())
-
-    # ------------------------------------------------------------------
-    # discrete and shape-constrained laws
+        return _box_muller(mean, sd, *self.uniform(2).tolist())
 
     def counts(self, family: str, means, n: int) -> np.ndarray:
         """A (k, n) int64 array whose row i holds n draws from `family` at

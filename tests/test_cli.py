@@ -406,7 +406,43 @@ RECORDED_STDOUT = {
 }
 """,
     ),
-    # the SHA-256 of the CSV and of each SVG; the test adds --out
+    # blocks of 327-32768 uniforms on each of two streams, crossing several
+    # 8192-uniform passes
+    "tails normal": (
+        ["calibrate", "tails", "--family", "normal", "--n", "20", "--xbar", "0.4", "--n-rep", "50000",
+         "--seed", "7"],
+        """{
+  "what": "tails",
+  "family": "normal",
+  "mode": "posterior",
+  "n_rep": 50000,
+  "p0": 0.92572,
+  "p1": 0.48056,
+  "mc_se_p0": 0.001172710379,
+  "mc_se_p1": 0.002234377257,
+  "n_degenerate_p0": 0,
+  "n_degenerate_p1": 0,
+  "statistic_method": "closed_form"
+}
+""",
+    ),
+    # the SHA-256 of the CSV and of each SVG; the test adds --out.  Each fig1
+    # cell draws one or two scalar normals on a fresh stream.
+    "experiment fig1": (
+        ["experiment", "fig1", "--seed", "5", "--replicas", "4", "--n-grid", "1,10,100"],
+        """{
+  "experiment": "fig1",
+  "rows": 24,
+  "n_resimulated": 0,
+  "artifacts": {
+    "fig1.csv": "0e0be146eff536d94f8beb8c2ed955babe0de326398e3c86060c9a2a58c96f0c",
+    "fig1_H0.svg": "ccbcbb510e939f1aa6e5d51ca8cd89513818c41eafdb0d6f72a2295bdb61fefd",
+    "fig1_H1.svg": "5a890193f92cedadb0dacd1666051f55134a71864bffc0e7c4e364cf5acb5129"
+  },
+  "manifest": "run_manifest.json"
+}
+""",
+    ),
     "experiment fig2": (
         ["experiment", "fig2", "--seed", "5", "--replicas", "3", "--n-grid", "1,5,20", "--a0-list", "0.5,1",
          "--lambda-true", "0.5", "--iters", "300", "--burn-in", "100"],
@@ -558,6 +594,11 @@ class TestExperimentCommand:
 _MCMC = ("--iters", "300", "--burn-in", "100")
 _CUTOFF = ("calibrate", "cutoff", "--n-obs", "5", "--replicas", "20", "--seed", "1", *_MCMC)
 
+_MANY_CELLS = ("calibrate", "cutoff", "--n-obs", "1", "--replicas", "1e8", "--iters", "1", "--burn-in", "0",
+               "--seed", "1")
+_MANY_COUNTS = ("experiment", "fig2", "--seed", "1", "--n-grid", "10000000", "--replicas", "20", "--iters", "2",
+                "--burn-in", "1")
+
 # (argv, exit code, text stderr must hold); experiments also get --out
 EXIT_CODE_TABLE = [
     # a total past int64 used to wrap to 0 and exit 3 as "all-zero"
@@ -631,6 +672,10 @@ EXIT_CODE_TABLE = [
     (("experiment", "fig2", "--seed", "1", "--replicas", "1e15"), 2, "at most 100000000 stored values"),
     (("experiment", "fig3", "--seed", "1", "--iters", "1e15"), 2, "at most 100000000 stored values"),
     ((*_CUTOFF, "--iters", "1e15", "--burn-in", "0"), 2, "at most 100000000 stored values"),
+    # the data stage held one (dataset, prior, stream) cell per chain, about
+    # 620 bytes each, and every simulated count, before the first chain
+    (_MANY_CELLS, 2, "at most 1000000 simulated datasets"),
+    (_MANY_COUNTS, 2, "the simulated counts would hold"),
     # a0 - 1 rounds to -1: scipy refused the Gauss-Jacobi exponent (exit 2)
     (("mixture", "--data", "1,2,3", "--a0", "1e-300", "--iters", "60", "--burn-in", "20", "--seed", "1",
       "--grid-check"), 4, "a0 - 1 rounds to -1"),
@@ -658,27 +703,35 @@ def test_exit_code_table(capsys, tmp_path):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (*_CUTOFF, "--iters", "1e15", "--burn-in", "0"),
-        # without the bound this loops over 10^15 datasets before any allocation fails
-        ("calibrate", "cutoff", "--n-obs", "5", "--replicas", "1e15", "--seed", "1"),
-        ("experiment", "fig2", "--seed", "1", "--replicas", "1e15"),
-        ("experiment", "fig3", "--seed", "1", "--iters", "1e15"),
-    ],
-)
+# each oversized run and the text its stderr must hold
+OVERSIZED_RUNS = {
+    (*_CUTOFF, "--iters", "1e15", "--burn-in", "0"): "at most 100000000 stored values",
+    # without the bound this loops over 10^15 datasets before any allocation fails
+    ("calibrate", "cutoff", "--n-obs", "5", "--replicas", "1e15", "--seed", "1"): "at most 100000000 stored values",
+    ("experiment", "fig2", "--seed", "1", "--replicas", "1e15"): "at most 100000000 stored values",
+    ("experiment", "fig3", "--seed", "1", "--iters", "1e15"): "at most 100000000 stored values",
+    _MANY_CELLS: "at most 1000000 simulated datasets",
+    ("experiment", "fig3", "--seed", "1", "--replicas", "400000", "--iters", "2", "--burn-in", "1"):
+        "at most 1000000 simulated datasets",
+    _MANY_COUNTS: "at most 100000000 stored values: the simulated counts",
+    ("calibrate", "cutoff", "--n-obs", "10000000", "--replicas", "20", "--seed", "1", *_MCMC):
+        "at most 100000000 stored values: the simulated counts",
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_RUNS)
 def test_oversized_run_refused_before_any_dataset(capsys, tmp_path, monkeypatch, argv):
     def no_dataset(*args):
         raise AssertionError("a dataset was drawn")
 
     monkeypatch.setattr(calibration, "nonzero_counts", no_dataset)
     monkeypatch.setattr(experiments, "nonzero_counts", no_dataset)
+    message = OVERSIZED_RUNS[argv]
     if argv[0] == "experiment":
         argv += ("--out", str(tmp_path / "out"))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "at most 100000000 stored values" in err
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 

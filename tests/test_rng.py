@@ -22,11 +22,16 @@ _M64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 
 
-def _reference_u32_stream(seed: int, stream: int, k: int) -> list[int]:
+def _reference_start(seed: int, stream: int) -> tuple[int, int]:
+    """(state, increment) of a stream before its first output."""
     inc = ((stream << 1) | 1) & _M64
     state = (0 * _MULT + inc) & _M64
     state = (state + seed) & _M64
-    state = (state * _MULT + inc) & _M64
+    return (state * _MULT + inc) & _M64, inc
+
+
+def _reference_u32_stream(seed: int, stream: int, k: int) -> list[int]:
+    state, inc = _reference_start(seed, stream)
     out = []
     for _ in range(k):
         old = state
@@ -65,7 +70,8 @@ class TestRawStream:
                 assert uniforms.tolist() == [[_to_uniform(*ref.take(2)), _to_uniform(*ref.take(2))] for ref in refs]
 
     def test_scalar_and_vector_draws_across_refills(self):
-        # the buffer holds 8192 uniforms; these calls straddle three refills
+        # a pass computes at most 8192 uniforms; these calls stop short of,
+        # reach and cross the edges of their passes
         sizes = [8190, None, None, None, 5, 0, 20_000, None, 8191, None, 3]
         words = _reference_u32_stream(17, 4, 2 * sum(1 if k is None else k for k in sizes))
         ref = [((((hi << 32) | lo) >> 11) + 0.5) * 2.0**-53 for hi, lo in zip(words[0::2], words[1::2])]
@@ -79,6 +85,33 @@ class TestRawStream:
             else:
                 got.extend(rng.uniform(k).tolist())
         assert got == ref
+
+    @pytest.mark.parametrize("k", [0, 1, 8191, 8192, 8193, 20_000])
+    def test_uniform_moves_the_lcg_two_steps_per_uniform(self, k):
+        # a call computes exactly the words it returns, none ahead
+        rng = Rng(RngSeed(17, 4))
+        rng.uniform(k)
+        state, inc = _reference_start(17, 4)
+        for _ in range(2 * k):
+            state = (state * _MULT + inc) & _M64
+        assert rng._state == state
+
+    def test_negative_size_raises_and_leaves_the_stream(self):
+        # a negative size used to rewind a buffer of uniforms and replay them
+        rng, ref = Rng(RngSeed(1)), Rng(RngSeed(1))
+        rng.uniform(3)
+        ref.uniform(3)
+        calls = (
+            lambda: rng.uniform(-2),
+            lambda: rng.counts("poisson", [4.0], -2),
+            lambda: rng.poisson(4.0, -2),
+            lambda: rng.geometric_mean(4.0, -2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="negative"):
+                call()
+            assert rng._state == ref._state
+        assert rng.uniform(2).tolist() == ref.uniform(2).tolist()
 
     def test_all_ones_words_give_uniforms_below_one(self, monkeypatch):
         # the largest pair of words rounds to 1.0 before the clamp; PTRS
@@ -199,7 +232,7 @@ class TestPoissonPtrs:
             for size in (1, 7, 100, 5000):
                 if size == 5000 and seed >= 2:
                     continue
-                # start a few uniforms short of a refill, at either parity
+                # skip up to one pass of uniforms first, at either parity
                 skip = (8192 - 2 * size - seed) % 8192
                 r1, r2 = Rng(RngSeed(seed, 40)), Rng(RngSeed(seed, 40))
                 r1.uniform(skip)
@@ -252,21 +285,16 @@ class _ReferenceUniforms:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-class TestRefillBlocks:
-    # a fresh stream's blocks hold 64, 128, ..., 8192 uniforms, then 8192 each
-    ENDS = np.cumsum([64 << min(i, 7) for i in range(9)]).tolist()
-
-    def test_blocks_double_from_64(self):
-        rng = Rng(RngSeed(3, 1))
-        sizes = []
-        for _ in range(10):
-            rng.uniform(len(rng._buf) - rng._pos + 1)
-            sizes.append(len(rng._buf))
-        assert sizes == [64 << min(i, 7) for i in range(10)]
+class TestPassEdges:
+    # stream positions that each kind of draw crosses; the skip call that
+    # reaches each one is one pass of at most 8192 uniforms (positions 64,
+    # 8192 or 1000 apart), or crosses one pass edge (8256 apart) or two
+    # (16448 apart)
+    ENDS = np.cumsum([64, 8256, 16448, 8192, 1000, 8256]).tolist()
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
     def test_scalar_vector_and_ptrs_draws_straddle_each_block_end(self, shift):
-        # every kind of draw crosses every block end, once per shift
+        # every kind of draw reads across every position in ENDS, once per shift
         kinds = ("scalar", "vector", "ptrs")
         rng = Rng(RngSeed(29, shift))
         ref = _ReferenceUniforms(29, shift, self.ENDS[-1] + 200)
