@@ -18,8 +18,11 @@ between concurrent tasks without external exclusion.
 Draws come from blocks of 32-bit outputs computed at once: the LCG is
 jumped k steps ahead with precomputed tables of multiplier powers and
 geometric sums modulo 2^64, which reproduces the scalar recurrence bit
-for bit.  An `Rng` holds only its LCG state; a call computes exactly the
-words it returns, so a stream costs what it draws.  `LaneBlocks` draws the
+for bit.  An `Rng` holds only its LCG state; a `uniform` call computes
+exactly the words it returns, so a stream costs what it draws.  A run of
+PTRS rows, whose rounds are sized only as they are judged, reads passes
+computed ahead and then sets the stream back to just past the rounds it
+used, so that rows of a few draws share a pass.  `LaneBlocks` draws the
 streams of many lockstep chains together, a block of iterations at a
 time, with a fixed number of words per chain and iteration.  They are the
 only code that reads a stream.
@@ -35,6 +38,7 @@ draws, and `Rng.poisson` and `Rng.geometric_mean` are that one-row case.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -273,8 +277,12 @@ class Rng:
         for done in range(0, size, _PASS_UNIFORMS):
             k = 2 * min(size - done, _PASS_UNIFORMS)
             out[done : done + k // 2] = _uniforms(_pcg32_block(np.uint64(self._state), _APOW[:k], _GSUM[:k] * inc))
-            self._state = (int(_APOW[k]) * self._state + int(_GSUM[k]) * self._inc) & _MASK64
+            self._state = self._jumped(self._state, k)
         return out
+
+    def _jumped(self, state: int, words: int) -> int:
+        """The LCG state `words` (at most 2^14) steps past `state`."""
+        return (int(_APOW[words]) * state + int(_GSUM[words]) * self._inc) & _MASK64
 
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         """Gaussian draw via Box-Muller; consumes exactly two uniforms."""
@@ -290,8 +298,9 @@ class Rng:
         of consecutive Poisson rows at means in (0, 512) is inverted through
         cdf tables (`_poisson_inversion`), a chunk of rows per
         `uniform(rows * n)`, with at most _TABLE_VALUES table entries in a
-        chunk (each row as long as the chunk's longest).  A Poisson row at
-        any other mean takes PTRS from 512 up to 2^46, or raises ValueError.
+        chunk (each row as long as the chunk's longest).  Each run of
+        Poisson rows at other means takes PTRS (`_poisson_ptrs`) from 512 up
+        to 2^46, or raises ValueError.
         However the rows are chunked, the draws and the stream's position
         after them are those of one row at a time.
         """
@@ -302,59 +311,75 @@ class Rng:
             u = self.uniform(len(means) * n).reshape(len(means), n)
             return np.floor(np.log(u) / log_ratio[:, None]).astype(np.int64)
         rows = np.empty((len(means), n), dtype=np.int64)
-        alone = [i for i, mean in enumerate(means) if not 0.0 < mean < _POISSON_TABLE_LIMIT]
-        tabled = [mean for mean in means if 0.0 < mean < _POISSON_TABLE_LIMIT] if alone else means
-        chunk = max(1, _TABLE_VALUES // _poisson_table_length(max(tabled, default=0.0)))
+        tabled = [0.0 < mean < _POISSON_TABLE_LIMIT for mean in means]
+        chunk = max(1, _TABLE_VALUES // _poisson_table_length(max(itertools.compress(means, tabled), default=0.0)))
         start = 0
-        for end in [*alone, len(means)]:
-            for lo in range(start, end, chunk):
-                hi = min(lo + chunk, end)
-                _poisson_inversion(self.uniform((hi - lo) * n).reshape(hi - lo, n), means[lo:hi], rows[lo:hi])
-            if end < len(means):
-                self._poisson_ptrs(means[end], rows[end])
-            start = end + 1
+        for table, run in itertools.groupby(tabled):
+            end = start + len(list(run))
+            if table:
+                for lo in range(start, end, chunk):
+                    hi = min(lo + chunk, end)
+                    _poisson_inversion(self.uniform((hi - lo) * n).reshape(hi - lo, n), means[lo:hi], rows[lo:hi])
+            else:
+                self._poisson_ptrs(means[start:end], rows[start:end])
+            start = end
         return rows
 
     def poisson(self, mean: float, size: int) -> np.ndarray:
         """`size` Poisson draws at `mean`: one row of `counts`."""
         return self.counts("poisson", [mean], size)[0]
 
-    def _poisson_ptrs(self, mean: float, out: np.ndarray) -> None:
-        """Poisson draws at `mean` into `out` by Hoermann's transformed
+    def _poisson_ptrs(self, means: list[float], rows: np.ndarray) -> None:
+        """Poisson draws at means[i] into rows[i] by Hoermann's transformed
         rejection with squeeze (PTRS); `counts` takes it from mean 512 on,
-        and the method holds from mean 10.  ValueError unless 0 < mean <= 2^46.
+        and the method holds from mean 10.  ValueError unless every
+        0 < mean <= 2^46.
 
         Each candidate is one (u, v) pair of consecutive uniforms.  A round
         draws up to 4096 pairs, judges them as arrays and keeps the accepted
         ones in order, up to the number still needed: the draws are those of
-        a one-pair-at-a-time loop, and the stream ends past the last round.
+        a one-pair-at-a-time loop, and a row ends past its last round.  The
+        rounds of all rows are cut, in order, from passes of uniforms
+        computed ahead (as many as the rows left would read in one round
+        each, at most _PASS_UNIFORMS), and the stream is then set back to
+        just past the last round, so rows of a few draws share a pass.
         """
-        if not 0.0 < mean <= _POISSON_MAX_MEAN:
-            raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
-        b = 0.931 + 2.53 * math.sqrt(mean)
-        a = -0.059 + 0.02483 * b
-        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-        v_r = 0.9277 - 3.6224 / (b - 2.0)
-        log_mean = math.log(mean)
-        done = 0
-        while done < out.size:
-            need = out.size - done
-            uv = self.uniform(2 * min(need + need // 4 + 4, 4096))
-            u = uv[0::2] - 0.5
-            v = uv[1::2]
-            us = 0.5 - np.abs(u)
-            k = np.floor((2.0 * a / us + b) * u + mean + 0.43)
-            accept = (us >= 0.07) & (v <= v_r)
-            idx = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
-            if idx.size:
-                lf = log_factorial(k[idx].astype(np.int64))
-                ratio = v[idx] * inv_alpha / (a / (us[idx] * us[idx]) + b)
-                # math.log: np.log differs from it in the last bit on some inputs
-                lhs = np.array([math.log(r) for r in ratio.tolist()])
-                accept[idx] = lhs <= k[idx] * log_mean - mean - lf
-            hits = np.flatnonzero(accept)[:need]
-            out[done : done + hits.size] = k[hits]
-            done += hits.size
+        for mean in means:
+            if not 0.0 < mean <= _POISSON_MAX_MEAN:
+                raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
+        first = 2 * min(rows.shape[1] + rows.shape[1] // 4 + 4, 4096)  # uniforms in a row's first round
+        start, ahead, pos = self._state, np.empty(0), 0
+        for i, (mean, out) in enumerate(zip(means, rows)):
+            b = 0.931 + 2.53 * math.sqrt(mean)
+            a = -0.059 + 0.02483 * b
+            inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+            v_r = 0.9277 - 3.6224 / (b - 2.0)
+            log_mean = math.log(mean)
+            done = 0
+            while done < out.size:
+                need = out.size - done
+                size = 2 * min(need + need // 4 + 4, 4096)
+                if pos + size > ahead.size:
+                    self._state = start = self._jumped(start, 2 * pos)
+                    ahead, pos = self.uniform(min(_PASS_UNIFORMS, (len(means) - i) * first)), 0
+                uv = ahead[pos : pos + size]
+                pos += size
+                u = uv[0::2] - 0.5
+                v = uv[1::2]
+                us = 0.5 - np.abs(u)
+                k = np.floor((2.0 * a / us + b) * u + mean + 0.43)
+                accept = (us >= 0.07) & (v <= v_r)
+                idx = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)))
+                if idx.size:
+                    lf = log_factorial(k[idx].astype(np.int64))
+                    ratio = v[idx] * inv_alpha / (a / (us[idx] * us[idx]) + b)
+                    # math.log: np.log differs from it in the last bit on some inputs
+                    lhs = np.array([math.log(r) for r in ratio.tolist()])
+                    accept[idx] = lhs <= k[idx] * log_mean - mean - lf
+                hits = np.flatnonzero(accept)[:need]
+                out[done : done + hits.size] = k[hits]
+                done += hits.size
+        self._state = self._jumped(start, 2 * pos)
 
     def geometric_mean(self, mean: float, size: int) -> np.ndarray:
         """`size` geometric (failure-count) draws with the given mean: one

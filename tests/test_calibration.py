@@ -212,7 +212,7 @@ def _one_row(family, mean, n, rng):
         raise ValueError(f"Poisson mean must be positive and at most 2^46, got {mean:.10g}")
     if mean >= 512.0:
         draws = np.empty(n, dtype=np.int64)
-        rng._poisson_ptrs(mean, draws)
+        rng._poisson_ptrs([mean], draws[None])
         return draws.tolist()
     term = cdf = math.exp(-mean)
     table = [cdf]
@@ -274,6 +274,18 @@ class TestCountRows:
             got = block.counts(family, np.array(means), n)
         assert got.dtype == np.int64
         assert got.tolist() == _rows_one_at_a_time(family, means, n, one)
+        assert block.uniform() == one.uniform()
+
+    @pytest.mark.parametrize("n, rows", [(1, 3000), (5, 1500), (100, 120), (5000, 3)])
+    def test_ptrs_rows_read_across_passes_draw_the_rows_one_at_a_time(self, n, rows):
+        # about 30000 uniforms of PTRS rounds, nearly four passes computed
+        # ahead; every 97th row is tabled, which ends a run of PTRS rows, and
+        # a row of 5000 draws takes a second round
+        means = [4.0 if i % 97 == 50 else 512.0 + 0.5 * i for i in range(rows)]
+        one, block = Rng(RngSeed(3, 64)), Rng(RngSeed(3, 64))
+        one.uniform(123)
+        block.uniform(123)
+        assert block.counts("poisson", means, n).tolist() == _rows_one_at_a_time("poisson", means, n, one)
         assert block.uniform() == one.uniform()
 
     @pytest.mark.parametrize("family, mean", [("poisson", 4.0), ("poisson", 600.0), ("geometric", 4.0)])

@@ -168,7 +168,7 @@ def _inverted(u: np.ndarray, mean: float) -> np.ndarray:
 def _ptrs(rng: Rng, mean: float, size: int) -> np.ndarray:
     """`size` PTRS draws of `rng` at `mean`, as one row."""
     out = np.empty(size, dtype=np.int64)
-    rng._poisson_ptrs(mean, out)
+    rng._poisson_ptrs([mean], out[None])
     return out
 
 
