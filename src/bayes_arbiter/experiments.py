@@ -38,7 +38,7 @@ from .evidence import (
     posterior_prob_from_log_bf,
 )
 from .mixture import McmcConfig, MixtureSpec, run_gibbs_chains
-from .rng import Rng, RngSeed
+from .rng import Rng, RngSeed, _box_muller
 
 logger = logging.getLogger(__name__)
 
@@ -256,9 +256,10 @@ def _run_fig1(config: ExperimentConfig) -> ExperimentResult:
     for cell in np.ndindex(values.shape):
         hyp_idx, n_idx, _ = cell
         n = config.n_grid[n_idx]
-        rng = Rng(config.seed.child(_PATH_FIG1, *cell))
-        mu = 0.0 if hyp_idx == 0 else rng.normal()
-        xbar = rng.normal(mu, 1.0 / math.sqrt(n))
+        # the cell's stream read once: a normal per uniform pair, as Rng.normal
+        u = Rng(config.seed.child(_PATH_FIG1, *cell)).uniform(2 + 2 * hyp_idx).tolist()
+        mu = 0.0 if hyp_idx == 0 else _box_muller(0.0, 1.0, *u[:2])
+        xbar = _box_muller(mu, 1.0 / math.sqrt(n), *u[-2:])
         values[cell] = log_bf10_normal(NormalSummary(n, xbar)).log_bf
     leads = {"H0": ("fig1", "H0"), "H1": ("fig1", "H1")}
     return _sweep_result(config, leads, {"log_bf10": values}, {"data": time.perf_counter() - started})

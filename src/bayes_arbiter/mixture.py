@@ -399,6 +399,10 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
     within a few 1e-15 relative of a per-observation logaddexp.  Against
     that logaddexp form it moves the mean by under 1e-14, the median by
     under 1e-13 and ln Z by under 1e-12 (144 datasets, n up to 1000).
+
+    Each pass holds one (alpha x u) float64 matrix and integrates it over u
+    in place: the refined pass's 192 x n_u matrix is about 3 MB at n = 1000
+    and at most 6.3 MB at the 128-panel cap.
     """
     require_positive_total(data)
 
@@ -409,7 +413,11 @@ def grid_posterior_alpha(data: CountDataset, spec: MixtureSpec) -> DiscretizedPo
         # log-likelihood matrix over (alpha node, u node)
         loglik = _mixture_loglik_grid(data, a_nodes, u)
         shift = loglik.max()
-        integ_u = (np.exp(loglik - shift) * u_wts[None, :]).sum(axis=1)
+        # integrate over u in place, so that a pass holds one (alpha, u) matrix
+        loglik -= shift
+        np.exp(loglik, out=loglik)
+        loglik *= u_wts[None, :]
+        integ_u = loglik.sum(axis=1)
         raw_mass = a_wts * integ_u
         z = raw_mass.sum()
         mass = raw_mass / z

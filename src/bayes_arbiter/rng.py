@@ -60,6 +60,9 @@ _MULT = 6364136223846793005
 _BLOCK_WORDS = 1 << 14  # words in a lane block of several iterations
 _PASS_UNIFORMS = _BLOCK_WORDS // 2  # uniforms computed at once by `Rng.uniform`
 _INV_2_53 = 2.0 ** -53
+# XSH-RR shifts and rotation mask, built once rather than on every block
+_SHIFT_18, _SHIFT_27, _SHIFT_59 = np.uint64(18), np.uint64(27), np.uint64(59)
+_ROT_MASK = np.uint32(31)
 # Largest Poisson mean.  Above about 1e14 PTRS's log acceptance test
 # subtracts numbers whose rounding error exceeds the test's own scale, and
 # the draws spread wider than the Poisson law (sd 1.18 sqrt(mean) at 1e16).
@@ -127,14 +130,14 @@ def _pcg32_block(state, jump_mult, jump_add) -> np.ndarray:
     """
     s = jump_mult * state
     s += jump_add
-    x = s >> np.uint64(18)
+    x = s >> _SHIFT_18
     x ^= s
-    x >>= np.uint64(27)
+    x >>= _SHIFT_27
     xorshifted = x.astype(np.uint32)
-    rot = (s >> np.uint64(59)).astype(np.uint32)
+    rot = (s >> _SHIFT_59).astype(np.uint32)
     out = xorshifted >> rot
     rot = -rot  # wraps: (32 - rot) & 31 below
-    rot &= np.uint32(31)
+    rot &= _ROT_MASK
     xorshifted <<= rot
     out |= xorshifted
     return out

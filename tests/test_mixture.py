@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from bayes_arbiter import mixture as mixture_module
 from bayes_arbiter import rng as rng_module
 from bayes_arbiter.distributions import CountDataset, _component_log_pmfs
 from bayes_arbiter.errors import AccuracyError, DegeneracyError
-from bayes_arbiter.evidence import _BRACKET_DROP, _NODES_PER_PANEL, _panel_nodes
+from bayes_arbiter.evidence import _BRACKET_DROP, _NODES_PER_PANEL, _REFINEMENT_TOL, _panel_nodes
 from bayes_arbiter.mixture import (
+    DiscretizedPosterior,
     McmcConfig,
     MixtureChain,
     MixtureSpec,
@@ -555,9 +557,49 @@ def _recording(kernel, grids):
 
     def run(*args):
         grids.append(kernel(*args))
-        return grids[-1]
+        return grids[-1].copy()  # the oracle integrates the matrix it is given in place
 
     return run
+
+
+def _reference_grid_posterior(data, spec):
+    """`grid_posterior_alpha` with its integration over u written as
+    expressions on new arrays: the reference for the in-place form."""
+
+    def evaluate(n_alpha, nodes_per_panel, drop):
+        a_nodes, a_wts = mixture_module._alpha_nodes(spec.a0, n_alpha)
+        lo, hi, panels = _mixture_u_bracket(data, drop)
+        u, u_wts = _panel_nodes(lo, hi, panels, nodes_per_panel)
+        loglik = _mixture_loglik_grid(data, a_nodes, u)
+        shift = loglik.max()
+        integ_u = (np.exp(loglik - shift) * u_wts[None, :]).sum(axis=1)
+        raw_mass = a_wts * integ_u
+        z = raw_mass.sum()
+        mass = raw_mass / z
+        return a_nodes, a_wts, mass, shift + math.log(z), float(np.sum(mass * a_nodes))
+
+    a_nodes, a_wts, mass, log_z, mean = evaluate(mixture_module._ALPHA_NODES, _NODES_PER_PANEL, _BRACKET_DROP)
+    _, _, _, log_z_ref, mean_ref = evaluate(
+        mixture_module._ALPHA_NODES * 2, _NODES_PER_PANEL + 8, _BRACKET_DROP + 20.0
+    )
+    err = max(abs(log_z - log_z_ref), abs(mean - mean_ref))
+    if err > _REFINEMENT_TOL:
+        raise AccuracyError(f"grid refinement moved the posterior by {err:.3e}", estimate=mean)
+    log_kernel = (spec.a0 - 1.0) * (np.log(a_nodes) + np.log1p(-a_nodes))
+    density = mass * np.exp(log_kernel + (2.0 * spec.a0 - 1.0) * math.log(2.0)) / a_wts
+    cum = np.cumsum(mass)
+    median = float(np.interp(0.5, cum - 0.5 * mass, a_nodes))
+    return DiscretizedPosterior(a_nodes, density, mass, mean, median, err)
+
+
+def _oracle_shaped_case() -> CountDataset:
+    """1000 counts, each Poisson(4) or geometric of mean 4 by a fair coin."""
+    gen = np.random.default_rng([2500, 1])
+    poisson = gen.random(1000) < 0.5
+    return CountDataset(np.where(poisson, gen.poisson(4.0, 1000), gen.geometric(0.2, 1000) - 1))
+
+
+_TEN_COUNTS = CountDataset([3, 5, 2, 4, 6, 1, 4, 0, 7, 2])
 
 
 def _base_log_normalizer(data, a0, loglik):
@@ -624,6 +666,36 @@ class TestGridPosterior:
                     assert abs(median - ref_median) <= 1e-12, case
                 log_z, ref_log_z = (_base_log_normalizer(data, spec.a0, g[0]) for g in (grids, ref_grids))
                 assert abs(log_z - ref_log_z) <= 1e-11, case
+
+    @pytest.mark.parametrize("a0", [0.01, 0.5, 5.0])
+    @pytest.mark.parametrize("case", ["oracle_shaped", "ten_counts", "geometric_mean_20"])
+    def test_in_place_integration_keeps_every_bit(self, case, a0):
+        data = {
+            "oracle_shaped": _oracle_shaped_case,
+            "ten_counts": lambda: _TEN_COUNTS,
+            "geometric_mean_20": lambda: CountDataset(np.random.default_rng(20).geometric(1.0 / 21.0, 1000) - 1),
+        }[case]()
+        spec = MixtureSpec(a0)
+        got, ref = grid_posterior_alpha(data, spec), _reference_grid_posterior(data, spec)
+        for name in ("alpha_grid", "density", "node_mass"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        for name in ("mean", "median", "normalization_error"):
+            assert getattr(got, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("case", ["oracle_shaped", "ten_counts"])
+    def test_peak_memory_is_under_two_refined_matrices(self, case):
+        data = _oracle_shaped_case() if case == "oracle_shaped" else _TEN_COUNTS
+        spec = MixtureSpec(0.5)
+        _, _, panels = _mixture_u_bracket(data, _BRACKET_DROP + 20.0)
+        refined_bytes = 2 * mixture_module._ALPHA_NODES * panels * (_NODES_PER_PANEL + 8) * 8
+        grid_posterior_alpha(data, spec)  # the first call fills scipy's caches
+        tracemalloc.start()
+        try:
+            grid_posterior_alpha(data, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * refined_bytes, peak / refined_bytes
 
     def test_normalization_and_location(self):
         post = grid_posterior_alpha(pinned_dataset(20), MixtureSpec(0.5))
